@@ -166,19 +166,28 @@ def _sweep_worker(task):
     return index, row
 
 
+def _worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: --jobs, capped by the task count and
+    the CPU count.  A process pool forks all its workers up front, so an
+    uncapped huge --jobs would try to fork that many processes."""
+    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One phase row per (p, a, b, c) tuple, in product order.
 
-    Tuples are independent, so they fan out over --jobs processes; the
-    single collector reorders by index.  A tuple that fails records the
-    error in its own row and never aborts the rest.
+    Tuples are independent, so they fan out over at most --jobs
+    processes (see _worker_count); the single collector reorders by
+    index.  A tuple that fails records the error in its own row and
+    never aborts the rest.
     """
     tasks = [(i, d, p, a, b, c, spec.params)
              for i, d, p, a, b, c in spec.tuples()]
-    if spec.jobs == 1:
+    workers = _worker_count(spec.jobs, len(tasks))
+    if workers == 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     results.sort(key=lambda pair: pair[0])
     return [row for _, row in results]
@@ -315,10 +324,21 @@ def _apply_config(args) -> None:
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise SpecError(f"config {args.config}: unknown keys {unknown}")
+    flags = {action.dest: action for action in _common_parser()._actions}
     for key, value in cfg.items():
-        # explicit flags win over the config file
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        # explicit flags win over the config file; null leaves a flag unset
+        if getattr(args, key) is not None or value is None:
+            continue
+        # a config value must be what the flag accepts on the command line
+        action = flags[key]
+        try:
+            value = (action.type or str)(str(value))
+            if action.choices and value not in action.choices:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise SpecError(f"config {args.config}: bad value "
+                            f"{cfg[key]!r} for {key}") from None
+        setattr(args, key, value)
 
 
 def _solve_params(args, restarts=None) -> SolveParams:

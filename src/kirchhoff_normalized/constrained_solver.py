@@ -47,6 +47,7 @@ minimizer is evidence only at the stated restart count and tolerances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,18 @@ STALL_WINDOW = 60
 # the graded grid's cost is independent of the radius, so the cap only
 # guards against absurd scale requests near degenerate thresholds
 MAX_R_MAX = 20000.0
+# GN fiber scans: log grid from GN_T_LO to GN_T_HI (to the well scale
+# for the barrier), with this many points
+GN_T_LO = 1e-4
+GN_T_HI = 1e2
+GN_SCAN = 600
+GN_BARRIER_SCAN = 400
+# M relaxations per implicit flow step
+INNER_SOLVES = 4
+# Newton polish: iteration cap, and the target as a fraction of the
+# acceptance tolerance
+POLISH_MAX_ITER = 16
+POLISH_DEEPEN = 1e-3
 
 
 class FiberMonotoneError(RuntimeError):
@@ -196,28 +209,43 @@ def gn_fiber_energy(model: Model, c: float, t: float) -> float:
     return val
 
 
-def gn_fiber_min(model: Model, c: float, t_lo: float = 1e-4,
-                 t_hi: float = 1e2, n_coarse: int = 600) -> tuple[float, float]:
+def _gn_fiber_scan(model: Model, c: float, t_hi: float, n_coarse: int,
+                   sign: float) -> tuple[tuple[float, float],
+                                         tuple[float, float] | None]:
+    """Log scan of j = sign * gn_fiber_energy on [GN_T_LO, t_hi].
+
+    Every interior local minimum of the scan is polished by golden
+    section.  Returns the minimum of j (the polished one when the coarse
+    minimum is interior, the scan point otherwise) and the deepest
+    polished interior minimum, or None when there is none; sign = -1
+    turns the maxima of the fiber energy into minima.  j is evaluated
+    point by point, so a scalar-only coefficient works and the polishes
+    see the same bits as the scan.
+    """
+    def j(t: float) -> float:
+        return sign * gn_fiber_energy(model, c, t)
+    ts = np.exp(np.linspace(math.log(GN_T_LO), math.log(t_hi), n_coarse))
+    vals = np.array([j(t) for t in ts])
+    extrema = {k: golden_min(j, ts[k - 1], ts[k + 1])
+               for k in range(1, n_coarse - 1)
+               if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]}
+    k = int(np.argmin(vals))
+    deepest = min(extrema.values(), key=lambda tv: tv[1], default=None)
+    return extrema.get(k, (ts[k], vals[k])), deepest
+
+
+def gn_fiber_min(model: Model, c: float) -> tuple[float, float]:
     """Scale t minimizing gn_fiber_energy and the value there.
 
     The coarse log grid is polished by golden section when the minimum
-    is interior; a boundary minimum is returned as-is (t_lo signals the
-    spread-to-zero regime where no negative well exists).
+    is interior; a boundary minimum is returned as-is (GN_T_LO signals
+    the spread-to-zero regime where no negative well exists).
     """
-    def j(t: float) -> float:
-        return gn_fiber_energy(model, c, t)
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_coarse))
-    vals = np.array([j(t) for t in ts])
-    k = int(np.argmin(vals))
-    if 0 < k < n_coarse - 1:
-        t, v = golden_min(j, ts[k - 1], ts[k + 1])
-        return float(t), float(v)
-    return float(ts[k]), float(vals[k])
+    (t, v), _ = _gn_fiber_scan(model, c, GN_T_HI, GN_SCAN, 1.0)
+    return float(t), float(v)
 
 
-def gn_fiber_well(model: Model, c: float, t_lo: float = 1e-4,
-                  t_hi: float = 1e2, n_coarse: int = 600
-                  ) -> tuple[float, float] | None:
+def gn_fiber_well(model: Model, c: float) -> tuple[float, float] | None:
     """Deepest interior local minimum of the GN fiber energy, or None.
 
     Distinct from gn_fiber_min when the global minimum sits at the
@@ -225,37 +253,30 @@ def gn_fiber_well(model: Model, c: float, t_lo: float = 1e-4,
     still has a positive-depth well behind a barrier, which is what
     the saddle search and the grid-width heuristic need to see.
     """
-    def j(t: float) -> float:
-        return gn_fiber_energy(model, c, t)
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_coarse))
-    vals = np.array([j(t) for t in ts])
-    best: tuple[float, float] | None = None
-    for k in range(1, n_coarse - 1):
-        if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]:
-            t, v = golden_min(j, ts[k - 1], ts[k + 1])
-            if best is None or v < best[1]:
-                best = (float(t), float(v))
-    return best
+    _, well = _gn_fiber_scan(model, c, GN_T_HI, GN_SCAN, 1.0)
+    return None if well is None else (float(well[0]), float(well[1]))
 
 
-def gn_fiber_barrier(model: Model, c: float, t_hi: float,
-                     t_lo: float = 1e-4, n_coarse: int = 400
-                     ) -> tuple[float, float] | None:
+def gn_fiber_barrier(model: Model, c: float,
+                     t_hi: float) -> tuple[float, float] | None:
     """Highest interior local maximum of the GN fiber energy on
-    (t_lo, t_hi), or None when the fiber has no barrier there."""
-    def j(t: float) -> float:
-        return gn_fiber_energy(model, c, t)
-    if not t_hi > t_lo:
+    (GN_T_LO, t_hi), or None when the fiber has no barrier there."""
+    if not t_hi > GN_T_LO:
         return None
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_coarse))
-    vals = np.array([j(t) for t in ts])
-    best: tuple[float, float] | None = None
-    for k in range(1, n_coarse - 1):
-        if vals[k] >= vals[k - 1] and vals[k] >= vals[k + 1]:
-            t, v = golden_min(lambda x: -j(x), ts[k - 1], ts[k + 1])
-            if best is None or -v > best[1]:
-                best = (float(t), float(-v))
-    return best
+    _, bar = _gn_fiber_scan(model, c, t_hi, GN_BARRIER_SCAN, -1.0)
+    return None if bar is None else (float(bar[0]), float(-bar[1]))
+
+
+def _fiber_grid(model: Model, params: SolveParams, t: float | None,
+                reach: float) -> RadialGrid:
+    """Solver grid wide enough for the GN extremal dilated to scale t:
+    reach times its truncation radius over t (capped at MAX_R_MAX), and
+    never below params.r_max; t = None keeps params.r_max."""
+    r_max = params.r_max
+    if t is not None:
+        q = ground_state(model.nonlinearity.dimension, model.nonlinearity.p)
+        r_max = max(r_max, min(MAX_R_MAX, reach * q.truncation_radius / t))
+    return make_grid(model_dimension(model), r_max, params.n_cells, params.scheme)
 
 
 def recommended_grid(model: Model, c: float, params: SolveParams) -> RadialGrid:
@@ -268,14 +289,8 @@ def recommended_grid(model: Model, c: float, params: SolveParams) -> RadialGrid:
     resolved even when the well floor is positive.  Exponential models
     keep params.r_max, their profiles concentrate rather than spread.
     """
-    n = model_dimension(model)
-    r_max = params.r_max
-    if model.nonlinearity.kind == "power":
-        well = gn_fiber_well(model, c)
-        if well is not None:
-            q = ground_state(model.nonlinearity.dimension, model.nonlinearity.p)
-            r_max = max(r_max, min(MAX_R_MAX, 1.3 * q.truncation_radius / well[0]))
-    return make_grid(n, r_max, params.n_cells, params.scheme)
+    well = gn_fiber_well(model, c) if model.nonlinearity.kind == "power" else None
+    return _fiber_grid(model, params, None if well is None else well[0], 1.3)
 
 
 def _onto_grid(u: RadialFunction, grid: RadialGrid) -> RadialFunction:
@@ -321,14 +336,17 @@ def _f_prime(model: Model, u: np.ndarray) -> np.ndarray:
 
 
 def _implicit_step(model: Model, u: RadialFunction, tau: float,
-                   ab0: np.ndarray, inner: int = 4) -> RadialFunction:
-    """One semi-implicit flow step, with M relaxed to self-consistency."""
+                   ab0: np.ndarray) -> RadialFunction:
+    """One semi-implicit flow step, with M relaxed to self-consistency.
+
+    ab0 is only read: each relaxation scales it into a fresh array.
+    """
     grid = u.grid
     w = grid.weights
     rhs = w * (u.values / tau + model.nonlinearity.f(u.values))
     m = model.coefficient.M(u.grad_norm_sq())
     v = u
-    for _ in range(inner):
+    for _ in range(INNER_SOLVES):
         ab = ab0 * m
         ab[1] += w / tau
         vals = np.zeros_like(u.values)
@@ -344,8 +362,7 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
 
 
 def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
-                   tol_norm: float, max_iter: int = 16, deepen: float = 1e-3
-                   ) -> tuple[RadialFunction, float, float, bool]:
+                   tol_norm: float) -> tuple[RadialFunction, float, float, bool]:
     """Bordered Newton on (gradient, mass constraint); returns (u, lam,
     residual, converged).
 
@@ -354,8 +371,8 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     (folded in by Woodbury), and the constraint border (eliminated by a
     scalar solve), so each iteration is three banded LU solves.  Steps
     are halved until the residual norm decreases; a step that cannot
-    decrease it ends the polish.  The target is deepen * tol_norm, well
-    below the acceptance tolerance: the leftover gradient at tol_norm
+    decrease it ends the polish.  The target is POLISH_DEEPEN * tol_norm,
+    well below the acceptance tolerance: the leftover gradient at tol_norm
     would otherwise dominate the dilation-balance defect of the
     converged profile, which is checked against a much smaller scale
     than the H^1 norm when the profile is spread out.
@@ -365,13 +382,9 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     ab0 = grid.stiffness_banded()
     sup = ab0[0]
     diag = ab0[1]
-
-    def resid_norm(x: RadialFunction, lm: float) -> float:
-        return pde_residual_norm(model, x, lm)
-
-    res = resid_norm(u, lam)
-    for _ in range(max_iter):
-        if res <= deepen * tol_norm:
+    res = pde_residual_norm(model, u, lam)
+    for _ in range(POLISH_MAX_ITER):
+        if res <= POLISH_DEEPEN * tol_norm:
             return u, lam, res, True
         vals = u.values
         g = u.grad_norm_sq()
@@ -422,7 +435,7 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
             try:
                 cand = u.with_values(new_vals)
                 new_lam = lam + scale * dlam
-                new_res = resid_norm(cand, new_lam)
+                new_res = pde_residual_norm(model, cand, new_lam)
             except ExpOverflowError:
                 scale *= 0.5
                 continue
@@ -455,17 +468,55 @@ class _Run:
     note: str = ""
 
 
-def _run_descent(model: Model, u0: RadialFunction, c: float,
-                 params: SolveParams) -> _Run:
-    grid = u0.grid
-    ab0 = grid.stiffness_banded()
-    u = normalize_mass(_pin_tail(u0), c)
+def _trial(model: Model, u: RadialFunction, e: float, tau: float,
+           ab0: np.ndarray, c: float, slack: float = 1e-12,
+           recenter=None) -> tuple[RadialFunction, float] | None:
+    """One trial flow step from u at energy e: the implicit step, back
+    onto the sphere, the optional recentering, and the energy there.
+
+    Returns (v, I(v)) when I(v) is finite and exceeds e by at most
+    slack (1 + |e|); None when it does not or when the step fails.
+    """
+    try:
+        v = normalize_mass(_implicit_step(model, u, tau, ab0), c)
+        if recenter is not None:
+            v = recenter(v)
+        ev = energy(model, v).total
+    except (ExpOverflowError, LinAlgError, TruncationLossError,
+            FiberMonotoneError):
+        return None
+    if math.isfinite(ev) and ev <= e + slack * (1.0 + abs(e)):
+        return v, ev
+    return None
+
+
+def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
+          ab0: np.ndarray, tau: float, grow: float = 1.3,
+          slack: float = 1e-12, recenter=None, polish_at: float = 0.0,
+          max_drift: float = math.inf, descent: bool = True) -> _Run:
+    """Normalized gradient flow on the sphere from u, with Newton polishes.
+
+    Each iteration stops at the residual tolerance, tries the bordered
+    Newton polish when the residual has not halved over STALL_WINDOW
+    iterations (at most 4 attempts, STALL_WINDOW apart), and otherwise
+    takes one trial step, halving tau until the energy rises by at most
+    slack and growing it by grow after a step.  The defaults are the
+    minimizer's.  The saddle refinement recenters the start and every
+    step with recenter, also polishes once res <= polish_at |u|_H1, and
+    accepts a polish only if it moves u by at most max_drift |u|_2: the
+    saddle must not slide into a well.  A descent also stops when the
+    energy runs off to -infinity, and ends with a polish.
+    """
+    if recenter is not None:
+        try:
+            u = recenter(u)
+        except (FiberMonotoneError, TruncationLossError):
+            pass
     try:
         e = energy(model, u).total
     except ExpOverflowError:
         return _Run(u, math.nan, math.inf, -math.inf, 0, "diverged",
                     [], [], "initial profile overflows the exponential")
-    tau = params.step
     res_hist: list[float] = []
     e_hist = [e]
     flag = "max_iter"
@@ -482,46 +533,45 @@ def _run_descent(model: Model, u0: RadialFunction, c: float,
             break
         stalled_now = len(res_hist) > STALL_WINDOW \
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
-        if stalled_now and polish_attempts < 4 \
-                and it - last_polish >= STALL_WINDOW:
+        if (stalled_now or polish_at > 0.0 and res <= polish_at * u.h1_norm()) \
+                and polish_attempts < 4 and it - last_polish >= STALL_WINDOW:
             polish_attempts += 1
             last_polish = it
-            pu, plam, pres, ok = _newton_polish(model, u, est.lam, c, tol_norm)
-            if ok:
+            pu, _, pres, ok = _newton_polish(model, u, est.lam, c, tol_norm)
+            if ok and math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2)) \
+                    <= max_drift * math.sqrt(u.mass()):
                 u = normalize_mass(pu, c)
                 e = energy(model, u).total
                 e_hist.append(e)
-                flag = "converged"
                 res_hist.append(pres)
+                flag = "converged"
                 break
-        stepped = False
-        while tau >= STEP_FLOOR:
-            try:
-                v = normalize_mass(_implicit_step(model, u, tau, ab0.copy()), c)
-                ev = energy(model, v).total
-            except (ExpOverflowError, LinAlgError):
-                tau *= 0.5
-                continue
-            if math.isfinite(ev) and ev <= e + 1e-12 * (1.0 + abs(e)):
-                u, e = v, ev
-                stepped = True
-                tau = min(tau * 1.3, STEP_CAP)
-                break
-            tau *= 0.5
+        step = None
+        while step is None and tau >= STEP_FLOOR:
+            step = _trial(model, u, e, tau, ab0, c, slack, recenter)
+            tau = 0.5 * tau if step is None else min(tau * grow, STEP_CAP)
+        if step is not None:
+            u, e = step
         e_hist.append(e)
-        if not stepped:
+        if step is None:
             flag = "stalled"
             break
-        if e < -DIVERGENCE_ENERGY or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ:
+        if descent and (e < -DIVERGENCE_ENERGY
+                        or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
             return _Run(u, math.nan, math.inf, e, it, "diverged", res_hist,
                         e_hist, f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
-    # final polish runs even after an in-loop convergence: the flow
-    # stops at tol_norm, and the leftover gradient there would dominate
-    # the dilation-balance defect of a spread-out profile
     est = multiplier_estimate(model, u, c)
     res = pde_residual_norm(model, u, est.lam)
-    pu, plam, pres, ok = _newton_polish(model, u, est.lam, c,
-                                        params.residual_tol * u.h1_norm())
+    if not descent:
+        if flag != "converged" and res <= params.residual_tol * u.h1_norm():
+            flag = "converged"
+        return _Run(u, est.lam, res, energy(model, u).total, it, flag,
+                    res_hist, e_hist)
+    # the final polish runs even after an in-loop convergence: the flow
+    # stops at tol_norm, and the leftover gradient there would dominate
+    # the dilation-balance defect of a spread-out profile
+    pu, _, pres, _ = _newton_polish(model, u, est.lam, c,
+                                    params.residual_tol * u.h1_norm())
     if pres < res:
         u = normalize_mass(pu, c)
         est = multiplier_estimate(model, u, c)
@@ -594,10 +644,28 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
     return out
 
 
-def _candidate(model: Model, run: _Run) -> CriticalPointCandidate:
-    return CriticalPointCandidate(
-        u=run.u, lam=run.lam, energy=run.energy,
-        pohozaev_residual=pohozaev(model, run.u), pde_residual=run.res)
+def _report(model: Model, status: str, run: _Run | None, infimum: float,
+            notes: list[str], restarts: int = 1,
+            path_level: float | None = None) -> SolveReport:
+    """SolveReport of a run; a converged status carries its candidate."""
+    cand = None
+    if status in (STATUS_MINIMIZER, STATUS_MOUNTAIN_PASS):
+        cand = CriticalPointCandidate(
+            u=run.u, lam=run.lam, energy=run.energy,
+            pohozaev_residual=pohozaev(model, run.u), pde_residual=run.res)
+    if run is None:
+        return SolveReport(status, cand, infimum, path_level, 0, restarts,
+                           [], [], tuple(notes))
+    return SolveReport(status, cand, infimum, path_level, run.iterations,
+                       restarts, run.res_history, run.energy_history,
+                       tuple(notes))
+
+
+def _mass_radius(c) -> float:
+    """c as a float, checked to be a positive finite real number."""
+    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
+        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
+    return float(c)
 
 
 def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None,
@@ -611,8 +679,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     are resampled onto the solver grid and renormalized); this is how
     sweeps warm-start along a c-grid.
     """
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
+    c = _mass_radius(c)
     params = params or SolveParams()
     grid = grid or recommended_grid(model, c, params)
     rng = np.random.default_rng(params.seed)
@@ -623,13 +690,15 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
                    for i, s in enumerate(starts)]
     if not labeled:
         raise ValueError("no viable initial profiles on this grid")
+    ab0 = grid.stiffness_banded()
     notes: list[str] = []
     best: _Run | None = None
     best_pass: _Run | None = None
     infimum = math.inf
     diverged = False
     for label, u0 in labeled:
-        run = _run_descent(model, u0, c, params)
+        run = _flow(model, normalize_mass(_pin_tail(u0), c), c, params, ab0,
+                    params.step)
         if run.flag == "diverged":
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
@@ -648,27 +717,17 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     if best_pass is not None:
         if diverged:
             notes.append("warning: some restarts diverged; the minimizer may be local")
-        run = best_pass
-        return SolveReport(STATUS_MINIMIZER, _candidate(model, run), infimum,
-                           None, run.iterations, len(labeled),
-                           run.res_history, run.energy_history, tuple(notes))
+        return _report(model, STATUS_MINIMIZER, best_pass, infimum, notes,
+                       len(labeled))
     if diverged:
         notes.append("unbounded descent direction found and no restart "
                      "produced a candidate")
-        rep_run = best
-        return SolveReport(STATUS_DIVERGED, None, -math.inf, None,
-                           0 if rep_run is None else rep_run.iterations,
-                           len(labeled),
-                           [] if rep_run is None else rep_run.res_history,
-                           [] if rep_run is None else rep_run.energy_history,
-                           tuple(notes))
+        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
+                       len(labeled))
     if abs(infimum) <= ZERO_LEVEL_TOL:
         notes.append("zero-energy diagnostic: infimum consistent with 0, "
                      "no profile passed the filters")
-    run = best
-    return SolveReport(STATUS_NONE_FOUND, None, infimum, None, run.iterations,
-                       len(labeled), run.res_history, run.energy_history,
-                       tuple(notes))
+    return _report(model, STATUS_NONE_FOUND, best, infimum, notes, len(labeled))
 
 
 def _exp_safe_scale(model: Model, u: RadialFunction) -> float:
@@ -735,15 +794,17 @@ def pohozaev_project(model: Model, u: RadialFunction, c: float,
     return s_star, v
 
 
-def _left_endpoint(base: RadialFunction) -> float:
-    """Most negative fiber parameter the grid window can spread to."""
-    s = -2.5
-    while s < -1e-3:
+def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float,
+                  step: float) -> float:
+    """Most negative s in [s_lo, s_hi), walked up by step, that the grid
+    window can spread base to."""
+    s = s_lo
+    while s < s_hi:
         try:
             fiber_scale(base, s)
             return s
         except TruncationLossError:
-            s += 0.25
+            s += step
     raise BracketError("profile tail too wide to spread within the grid")
 
 
@@ -811,14 +872,9 @@ def _bead_sweeps(model: Model, grid: RadialGrid, beads: np.ndarray, c: float,
             e = energy(model, u).total
             t = tau
             for _ in range(4):
-                try:
-                    v = normalize_mass(_implicit_step(model, u, t, ab0.copy()), c)
-                    ev = energy(model, v).total
-                except (ExpOverflowError, LinAlgError):
-                    t *= 0.25
-                    continue
-                if math.isfinite(ev) and ev <= e + 1e-12 * (1.0 + abs(e)):
-                    beads[j] = v.values
+                step = _trial(model, u, e, t, ab0, c)
+                if step is not None:
+                    beads[j] = step[0].values
                     break
                 t *= 0.25
         fresh = _reparametrize(grid, beads, c)
@@ -844,89 +900,6 @@ def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
     return normalize_mass(_pin_tail(fiber_scale(u, s_star)), c)
 
 
-def _refine_saddle(model: Model, u: RadialFunction, c: float,
-                   params: SolveParams, ab0: np.ndarray) -> _Run:
-    try:
-        u = _recenter_on_fiber_max(model, u, c, 0.8)
-    except (FiberMonotoneError, TruncationLossError):
-        pass
-    e = energy(model, u).total
-    tau = 0.25 * params.step
-    res_hist: list[float] = []
-    e_hist = [e]
-    flag = "max_iter"
-    it = 0
-    polish_attempts = 0
-    last_polish = -STALL_WINDOW
-    for it in range(1, params.max_iter + 1):
-        est = multiplier_estimate(model, u, c)
-        res = pde_residual_norm(model, u, est.lam)
-        res_hist.append(res)
-        tol_norm = params.residual_tol * u.h1_norm()
-        if res <= tol_norm:
-            flag = "converged"
-            break
-        stalled_now = len(res_hist) > STALL_WINDOW \
-            and res > 0.5 * res_hist[-STALL_WINDOW - 1]
-        if (stalled_now or res <= 1e-2 * u.h1_norm()) and polish_attempts < 4 \
-                and it - last_polish >= STALL_WINDOW:
-            polish_attempts += 1
-            last_polish = it
-            pu, plam, pres, ok = _newton_polish(model, u, est.lam, c, tol_norm)
-            # accept only a local polish: the saddle must not slide into
-            # a well, which a Newton step cannot do by itself unless the
-            # start was far out
-            if ok:
-                drift = math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2))
-                if drift <= 0.25 * math.sqrt(u.mass()):
-                    u = normalize_mass(pu, c)
-                    e = energy(model, u).total
-                    e_hist.append(e)
-                    res_hist.append(pres)
-                    flag = "converged"
-                    break
-        stepped = False
-        while tau >= STEP_FLOOR:
-            try:
-                v = normalize_mass(_implicit_step(model, u, tau, ab0.copy()), c)
-                w = _recenter_on_fiber_max(model, v, c, 0.8)
-                ew = energy(model, w).total
-            except (ExpOverflowError, LinAlgError, TruncationLossError,
-                    FiberMonotoneError):
-                tau *= 0.5
-                continue
-            # recentering climbs back to the fiber max, so the pair is
-            # monotone on the maximum branch; backtrack otherwise
-            if math.isfinite(ew) and ew <= e + 1e-11 * (1.0 + abs(e)):
-                u, e = w, ew
-                stepped = True
-                tau = min(tau * 1.2, STEP_CAP)
-                break
-            tau *= 0.5
-        e_hist.append(e)
-        if not stepped:
-            flag = "stalled"
-            break
-    est = multiplier_estimate(model, u, c)
-    res = pde_residual_norm(model, u, est.lam)
-    if flag != "converged" and res <= params.residual_tol * u.h1_norm():
-        flag = "converged"
-    return _Run(u, est.lam, res, energy(model, u).total, it, flag,
-                res_hist, e_hist)
-
-
-def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float) -> float:
-    """Most negative s in [s_lo, s_hi] the grid window accepts."""
-    s = s_lo
-    while s < s_hi:
-        try:
-            fiber_scale(base, s)
-            return s
-        except TruncationLossError:
-            s += 0.1
-    raise BracketError("profile tail too wide to spread within the grid")
-
-
 def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
                   initial_profile: RadialFunction | None = None,
                   grid: RadialGrid | None = None) -> SolveReport:
@@ -947,8 +920,7 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
     is compared with the dilation ceiling 0.5 Mhat(4 pi / alpha0)
     rather than asserted convergent.
     """
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
+    c = _mass_radius(c)
     params = params or SolveParams()
     nl = model.nonlinearity
     notes: list[str] = []
@@ -960,13 +932,8 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
             if bar is not None and bar[1] > well[1]:
                 well_bar = (well, bar)
     if grid is None:
-        r_max = params.r_max
-        if well_bar is not None:
-            q = ground_state(nl.dimension, nl.p)
-            r_max = max(r_max, min(MAX_R_MAX,
-                                   2.2 * q.truncation_radius / well_bar[1][0]))
-        grid = make_grid(model_dimension(model), r_max, params.n_cells,
-                         params.scheme)
+        grid = _fiber_grid(model, params,
+                           None if well_bar is None else well_bar[1][0], 2.2)
     if initial_profile is not None:
         base = normalize_mass(_pin_tail(_onto_grid(initial_profile, grid)), c)
     elif well_bar is not None:
@@ -981,18 +948,17 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
     ab0 = grid.stiffness_banded()
     if well_bar is not None:
         s_bar = math.log(well_bar[1][0] / well_bar[0][0])
-        s_left = _spread_limit(base, s_bar - 0.6, s_bar - 0.05)
+        s_left = _spread_limit(base, s_bar - 0.6, s_bar - 0.05, 0.1)
         s_right = 0.0
     else:
-        s_left = _left_endpoint(base)
+        s_left = _spread_limit(base, -2.5, -1e-3, 0.25)
         try:
             s_right = _right_endpoint(model, base, s_left)
         except BracketError as exc:
             # fiber never descends: there is no two-endpoint geometry to
             # string between, so report absence instead of failing
             notes.append(f"no saddle geometry: {exc}")
-            return SolveReport(STATUS_NONE_FOUND, None, math.nan, None, 0, 1,
-                               (), (), tuple(notes))
+            return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
     swept = None
     end_levels = (math.nan, math.nan)
     for attempt in range(3):
@@ -1012,7 +978,7 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
             notes.append(f"attempt {attempt}: path collapsed, spreading the "
                          "left endpoint")
             try:
-                s_left = _spread_limit(base, s_left - 0.5, s_left - 0.05)
+                s_left = _spread_limit(base, s_left - 0.5, s_left - 0.05, 0.1)
             except BracketError:
                 break
         else:
@@ -1023,8 +989,7 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
                 s_right = min(s_right, safe - 1e-9)
     if swept is None:
         notes.append("string collapsed onto its endpoints after retries")
-        return SolveReport(STATUS_DIVERGED, None, math.nan, None, 0, 1,
-                           [], [], tuple(notes))
+        return _report(model, STATUS_DIVERGED, None, math.nan, notes)
     beads, levels = swept
     path_level = levels[-1]
     bead_energies = [energy(model, RadialFunction(grid, row)).total
@@ -1040,18 +1005,19 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
         notes.append(f"level estimate {path_level:.6g} is {side} the "
                      f"dilation ceiling {ceiling:.6g}; the estimate is an "
                      "upper bound, it never certifies the strict inequality")
-    run = _refine_saddle(model, RadialFunction(grid, beads[top]), c, params, ab0)
+    run = _flow(model, RadialFunction(grid, beads[top]), c, params, ab0,
+                0.25 * params.step, grow=1.2, slack=1e-11,
+                recenter=lambda v: _recenter_on_fiber_max(model, v, c, 0.8),
+                polish_at=1e-2, max_drift=0.25, descent=False)
     fails = _filter_failures(model, run.u, c, run.res, params)
     if not fails:
         notes.append(f"saddle refined: I = {run.energy:.9g}, "
                      f"lambda = {run.lam:.9g}")
-        return SolveReport(STATUS_MOUNTAIN_PASS, _candidate(model, run),
-                           run.energy, path_level, run.iterations, 1,
-                           run.res_history, run.energy_history, tuple(notes))
+        return _report(model, STATUS_MOUNTAIN_PASS, run, run.energy, notes,
+                       path_level=path_level)
     notes.append(f"saddle refinement below tolerance: {'; '.join(fails)}")
-    return SolveReport(STATUS_NONE_FOUND, None, run.energy, path_level,
-                       run.iterations, 1, run.res_history, run.energy_history,
-                       tuple(notes))
+    return _report(model, STATUS_NONE_FOUND, run, run.energy, notes,
+                   path_level=path_level)
 
 
 @dataclass

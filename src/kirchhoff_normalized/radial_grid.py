@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -74,9 +75,12 @@ class RadialGrid:
     def n_cells(self) -> int:
         return len(self.nodes) - 1
 
-    @property
+    @cached_property
     def cell_widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        """Cell widths, computed once per grid and read-only."""
+        widths = np.diff(self.nodes)
+        widths.flags.writeable = False
+        return widths
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of a node-sampled radial integrand over R^N."""
@@ -84,35 +88,6 @@ class RadialGrid:
 
     def ball_volume(self) -> float:
         return ball_volume(self.dimension, self.r_max)
-
-    def derivative(self, values: np.ndarray) -> np.ndarray:
-        """Node-centered first derivative, second order on non-uniform meshes.
-
-        One-sided three-point stencils are used at both endpoints.
-        """
-        u = np.asarray(values, dtype=float)
-        r = self.nodes
-        h = np.diff(r)
-        out = np.empty_like(u)
-        hl, hr = h[:-1], h[1:]
-        out[1:-1] = (
-            -hr / (hl * (hl + hr)) * u[:-2]
-            + (hr - hl) / (hl * hr) * u[1:-1]
-            + hl / (hr * (hl + hr)) * u[2:]
-        )
-        h0, h1 = h[0], h[1]
-        out[0] = (
-            -(2 * h0 + h1) / (h0 * (h0 + h1)) * u[0]
-            + (h0 + h1) / (h0 * h1) * u[1]
-            - h0 / (h1 * (h0 + h1)) * u[2]
-        )
-        hm, hn = h[-2], h[-1]
-        out[-1] = (
-            (2 * hn + hm) / (hn * (hn + hm)) * u[-1]
-            - (hn + hm) / (hn * hm) * u[-2]
-            + hn / (hm * (hn + hm)) * u[-3]
-        )
-        return out
 
     def stiffness_apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the Dirichlet stiffness operator A with a(u,v) = v.A u.

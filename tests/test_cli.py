@@ -7,6 +7,7 @@ so the CLI layer is plumbing under test, not the solver again.
 """
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,9 @@ from kirchhoff_normalized.cli import (
     PHASE_COLUMNS,
     SpecError,
     SweepSpec,
+    _apply_config,
+    _worker_count,
+    build_parser,
     main,
     parse_axis,
     render_report,
@@ -203,6 +207,26 @@ class TestConfigAndExits:
         assert rc == 2
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize("cfg", [{"jobs": "two"}, {"jobs": True},
+                                     {"tol": [1e-6]}, {"format": "xml"}])
+    def test_mistyped_config_value_is_spec_error(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, _, err = run_cli(capsys, "thresholds", "--dim", "4", "--p", "3",
+                             "--config", str(path))
+        assert rc == 2
+        assert err.startswith("error:") and "bad value" in err
+
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"jobs": "2", "rmax": 24,
+                                    "out": str(tmp_path / "typed")}))
+        args = build_parser().parse_args(["thresholds", "--dim", "4", "--p", "3",
+                                          "--config", str(path)])
+        _apply_config(args)
+        assert (args.jobs, args.rmax) == (2, 24.0)
+        assert isinstance(args.rmax, float)
+
     def test_bad_p_is_spec_error(self, capsys):
         rc, _, err = run_cli(capsys, "thresholds", "--dim", "5", "--p", "9")
         assert rc == 2
@@ -225,6 +249,13 @@ class TestConfigAndExits:
                              "--out", str(blocker))
         assert rc == 3
         assert "i/o error" in err
+
+    def test_worker_count_is_capped(self):
+        # checked on the function only: a pool of this size is never started
+        cpus = os.cpu_count() or 1
+        assert _worker_count(100_000, 24) == min(24, cpus)
+        assert _worker_count(100_000, 1) == 1
+        assert _worker_count(1, 24) == 1
 
     def test_spec_invariants(self):
         with pytest.raises(SpecError):

@@ -294,8 +294,20 @@ class TestMinimize:
         assert rep1.candidate.lam == rep2.candidate.lam
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            minimize_on_sphere(affine_power(4, 2.5), -1.0)
+        for bad in (-1.0, 0.0, np.float32(-1.0), np.float64(np.inf),
+                    np.float32(np.nan), "1.0"):
+            with pytest.raises(ValueError):
+                minimize_on_sphere(affine_power(4, 2.5), bad)
+
+    def test_accepts_numpy_scalar_mass(self):
+        params = SolveParams(restarts=2)
+        model = affine_power(4, 2.5)
+        plain = minimize_on_sphere(model, 1.0, params)
+        for c in (np.float32(1.0), np.float64(1.0), np.int64(1)):
+            rep = minimize_on_sphere(model, c, params)
+            assert rep.status == plain.status == "converged_minimizer"
+            assert rep.candidate.energy == plain.candidate.energy
+            assert rep.candidate.lam == plain.candidate.lam
 
     def test_report_dict_shape(self, wide_minimizer_report):
         d = wide_minimizer_report.to_dict()

@@ -118,15 +118,14 @@ class TestLpNorm:
             gauss(grid).lp_norm(0.5)
 
 
-class TestDerivative:
-    def test_second_order_on_smooth_function(self):
-        errs = []
-        for k in (200, 400):
-            grid = rg.make_grid(3, 4.0, k, scheme="graded")
-            u = np.sin(grid.nodes)
-            d = grid.derivative(u)
-            errs.append(float(np.max(np.abs(d - np.cos(grid.nodes)))))
-        assert errs[0] / errs[1] > 3.0
+class TestCellWidths:
+    def test_computed_once_and_read_only(self):
+        grid = rg.make_grid(3, 4.0, 200, scheme="graded")
+        widths = grid.cell_widths
+        assert widths is grid.cell_widths
+        assert np.array_equal(widths, np.diff(grid.nodes))
+        with pytest.raises(ValueError):
+            widths[0] = 1.0
 
 
 class TestNormalizeMass:
