@@ -58,8 +58,6 @@ PHASE_COLUMNS = (
     "error",
 )
 
-CONFIG_KEYS = ("grid_size", "rmax", "tol", "seed", "jobs", "out", "format")
-
 
 def _jsonable(obj):
     """Non-finite floats have no strict-JSON spelling; emit null."""
@@ -255,6 +253,11 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, metavar="FILE",
                         help="JSON file of defaults for the flags above")
     return common
+
+
+# a --config file may set every common flag but --config itself
+CONFIG_KEYS = tuple(action.dest for action in _common_parser()._actions
+                    if action.dest != "config")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,6 +103,18 @@ INNER_SOLVES = 4
 # acceptance tolerance
 POLISH_MAX_ITER = 16
 POLISH_DEEPEN = 1e-3
+# initial flow step tau (the saddle refinement starts at a quarter of it,
+# the bead sweeps at a fifth)
+STEP = 0.5
+# acceptance filters: |G(u)| relative to M(g) g, and the relative gap
+# between lambda and its Pohozaev value in the power case
+FIBER_TOL = 1e-5
+MULTIPLIER_GAP_TOL = 1e-2
+# fixed Gaussian start widths for the minimizer's restarts
+GAUSSIAN_WIDTHS = (0.5, 1.0, 2.0, 4.0)
+# mountain-pass string: bead count and sweep cap
+BEADS = 32
+SWEEPS = 80
 
 
 class FiberMonotoneError(RuntimeError):
@@ -113,44 +125,30 @@ class FiberMonotoneError(RuntimeError):
 class SolveParams:
     """Discretization and stopping policy shared by both solvers.
 
-    residual_tol is relative to the H^1 norm of the iterate; fiber_tol
-    bounds |G(u)| relative to M(g) g.  restarts counts initial profiles
-    for the minimizer (Gaussian widths, then the scaled GN extremal,
-    then seeded random bumps).  r_max is a floor: minimize_on_sphere
-    widens the domain per (model, c) via recommended_grid unless an
-    explicit grid is supplied.
+    residual_tol is relative to the H^1 norm of the iterate.  restarts
+    counts initial profiles for the minimizer: the scaled GN extremal
+    (power models), then the GAUSSIAN_WIDTHS Gaussians, then the
+    Gaussian of width r_max/6, then seeded random bumps.  r_max is a
+    floor: the solvers widen the domain per (model, c) to hold the
+    predicted profile width.  The graded grid has n_cells cells.
     """
 
-    step: float = 0.5
     max_iter: int = 2000
     residual_tol: float = 1e-6
-    fiber_tol: float = 1e-5
-    multiplier_gap_tol: float = 1e-2
     restarts: int = 6
-    gaussian_widths: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    beads: int = 32
-    sweeps: int = 80
     r_max: float = 24.0
     n_cells: int = 4000
-    scheme: str = "graded"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("step", "residual_tol", "fiber_tol", "multiplier_gap_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.residual_tol > 0.0:
+            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
         if not 1 <= self.max_iter <= 10**6:
             raise ValueError(f"max_iter must lie in [1, 1e6], got {self.max_iter}")
         if not 1 <= self.restarts <= 256:
             raise ValueError(f"restarts must lie in [1, 256], got {self.restarts}")
-        if self.beads < 4:
-            raise ValueError(f"need at least 4 beads, got {self.beads}")
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be positive, got {self.sweeps}")
         if not self.r_max > 0:
             raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if not self.gaussian_widths:
-            raise ValueError("need at least one Gaussian width")
 
 
 @dataclass
@@ -184,11 +182,6 @@ class SolveReport:
             "final_residual": self.residual_history[-1] if self.residual_history else None,
             "notes": list(self.notes),
         }
-
-
-def model_dimension(model: Model) -> int:
-    nl = model.nonlinearity
-    return nl.dimension if nl.kind == "power" else 2
 
 
 def gn_fiber_energy(model: Model, c: float, t: float) -> float:
@@ -276,7 +269,7 @@ def _fiber_grid(model: Model, params: SolveParams, t: float | None,
     if t is not None:
         q = ground_state(model.nonlinearity.dimension, model.nonlinearity.p)
         r_max = max(r_max, min(MAX_R_MAX, reach * q.truncation_radius / t))
-    return make_grid(model_dimension(model), r_max, params.n_cells, params.scheme)
+    return make_grid(model.nonlinearity.dimension, r_max, params.n_cells, "graded")
 
 
 def recommended_grid(model: Model, c: float, params: SolveParams) -> RadialGrid:
@@ -304,35 +297,6 @@ def _pin_tail(u: RadialFunction) -> RadialFunction:
     vals = u.values.copy()
     vals[-1] = 0.0
     return u.with_values(vals)
-
-
-def _f_prime(model: Model, u: np.ndarray) -> np.ndarray:
-    """Diagonal Jacobian of the nonlinearity.
-
-    The exponential family is one-sided (f vanishes on u <= 0), so its
-    derivative is zero there; the power family is odd, so its
-    derivative is even in u.
-    """
-    nl = model.nonlinearity
-    if nl.kind == "power":
-        au = np.abs(u)
-        out = (nl.p - 1.0) * au ** (nl.p - 2.0)
-        if nl.include_critical:
-            qs = two_star(nl.dimension)
-            out = out + (qs - 1.0) * au ** (qs - 2.0)
-        return out
-    out = np.zeros_like(u)
-    low = (u > 0) & (u <= nl.u1)
-    out[low] = (nl.sigma - 1.0) * u[low] ** (nl.sigma - 2.0)
-    high = u > nl.u1
-    if np.any(high):
-        v = u[high]
-        arg = nl.alpha0 * v * v
-        if float(np.max(arg)) >= EXP_ARG_CAP:
-            raise ExpOverflowError("exp argument exceeds the overflow cap")
-        out[high] = np.exp(arg) * (2.0 * arg * arg - 3.0 * arg + 3.0) \
-            / (nl.alpha0 * v**4)
-    return out
 
 
 def _implicit_step(model: Model, u: RadialFunction, tau: float,
@@ -390,7 +354,7 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
         g = u.grad_norm_sq()
         mcoef = model.coefficient.M(g)
         try:
-            fp = _f_prime(model, vals)
+            fp = model.nonlinearity.f_prime(vals)
         except ExpOverflowError:
             return u, lam, res, res <= tol_norm
         stiff = grid.stiffness_apply(vals)
@@ -402,12 +366,7 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
         band[0, 1:] = mcoef * sup[1:k] / w[: k - 1]
         band[1, :] = mcoef * diag[:k] / w[:k] - fp[:k] - lam
         band[2, :-1] = mcoef * sup[1:k] / w[1:k]
-        coef = model.coefficient
-        if coef.kind == "affine" and coef.theta == 1.0:
-            mprime = coef.b
-        else:
-            mprime = _m_prime(model, g)
-        pvec = 2.0 * mprime * stiff[:k] / w[:k]
+        pvec = 2.0 * model.coefficient.M_prime(g) * stiff[:k] / w[:k]
         qvec = stiff[:k]
         try:
             sols = solve_banded((1, 1), band,
@@ -447,12 +406,6 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
         if not improved:
             return u, lam, res, res <= tol_norm
     return u, lam, res, res <= tol_norm
-
-
-def _m_prime(model: Model, g: float, h: float = 1e-6) -> float:
-    scale = h * (1.0 + abs(g))
-    return (model.coefficient.M(g + scale) - model.coefficient.M(max(g - scale, 0.0))) \
-        / (scale + min(g, scale))
 
 
 @dataclass
@@ -565,8 +518,7 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     if not descent:
         if flag != "converged" and res <= params.residual_tol * u.h1_norm():
             flag = "converged"
-        return _Run(u, est.lam, res, energy(model, u).total, it, flag,
-                    res_hist, e_hist)
+        return _Run(u, est.lam, res, e, it, flag, res_hist, e_hist)
     # the final polish runs even after an in-loop convergence: the flow
     # stops at tol_norm, and the leftover gradient there would dominate
     # the dilation-balance defect of a spread-out profile
@@ -596,11 +548,11 @@ def _filter_failures(model: Model, u: RadialFunction, c: float, res: float,
         fails.append(f"pde residual {res:.3e} above tolerance")
     scale = model.coefficient.M(g) * g
     balance = abs(pohozaev(model, u))
-    if balance > params.fiber_tol * scale:
+    if balance > FIBER_TOL * scale:
         fails.append(f"dilation balance {balance:.3e} vs scale {scale:.3e}")
     est = multiplier_estimate(model, u, c)
     if est.gap is not None and abs(est.lam) > 1e-12 \
-            and est.gap > params.multiplier_gap_tol:
+            and est.gap > MULTIPLIER_GAP_TOL:
         fails.append(f"multiplier gap {est.gap:.3e}")
     return fails
 
@@ -626,7 +578,7 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
         shapes.append((label, _q_scaled_values(model, c, grid, t_star)))
     # width fractions of the domain cover the spread regimes, the fixed
     # widths cover the concentrated ones
-    for w in params.gaussian_widths:
+    for w in GAUSSIAN_WIDTHS:
         shapes.append((f"gaussian w={w:g}", np.exp(-0.5 * (r / w) ** 2)))
     shapes.append((f"gaussian w={grid.r_max / 6.0:g}",
                    np.exp(-0.5 * (r / (grid.r_max / 6.0)) ** 2)))
@@ -669,19 +621,17 @@ def _mass_radius(c) -> float:
 
 
 def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None,
-                       grid: RadialGrid | None = None,
                        starts: list[RadialFunction] | None = None) -> SolveReport:
     """Minimize I over the mass sphere |u|_2^2 = c^2 with restarts.
 
-    The grid defaults to recommended_grid(model, c, params), which
-    widens the domain when the predicted minimizer is spread out.
-    starts, when given, replaces the built-in initial profiles (they
-    are resampled onto the solver grid and renormalized); this is how
-    sweeps warm-start along a c-grid.
+    The grid is recommended_grid(model, c, params), which widens the
+    domain when the predicted minimizer is spread out.  starts, when
+    given, replaces the built-in initial profiles: each is resampled
+    onto the solver grid and renormalized.
     """
     c = _mass_radius(c)
     params = params or SolveParams()
-    grid = grid or recommended_grid(model, c, params)
+    grid = recommended_grid(model, c, params)
     rng = np.random.default_rng(params.seed)
     if starts is None:
         labeled = _initial_profiles(model, c, grid, params, rng)
@@ -698,7 +648,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     diverged = False
     for label, u0 in labeled:
         run = _flow(model, normalize_mass(_pin_tail(u0), c), c, params, ab0,
-                    params.step)
+                    STEP)
         if run.flag == "diverged":
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
@@ -761,25 +711,27 @@ def _balance_roots(model: Model, u: RadialFunction, lo: float, hi: float,
 
 
 def pohozaev_project(model: Model, u: RadialFunction, c: float,
-                     s_range: tuple[float, float] = (-6.0, 4.0),
-                     n_scan: int = 241) -> tuple[float, RadialFunction]:
+                     s_range: tuple[float, float] = (-6.0, 4.0)
+                     ) -> tuple[float, RadialFunction]:
     """Project u onto the dilation-balance manifold along its fiber.
 
     Scans G(T(u, s)) for sign changes and polishes each root.  When
     I(u) < 0 the root minimizing the fiber energy is returned (the
     well); otherwise the fiber-maximum root with the largest energy (the
     barrier).  Raises FiberMonotoneError when G has no root in the
-    scanned range, and ValueError when u is off the sphere.  The
-    projected profile is resampled, so its own |G| is grid-limited even
-    though the fiber root is polished to 1e-13.
+    scanned range, and ValueError when c is not a positive finite number
+    or u is off the sphere.  The projected profile is resampled, so its
+    own |G| is grid-limited even though the fiber root is polished to
+    1e-13.
     """
+    c = _mass_radius(c)
     if abs(u.mass() - c * c) > 1e-6 * c * c:
         raise ValueError("profile must lie on the mass sphere before projecting")
     lo, hi = s_range
     hi = min(hi, _exp_safe_scale(model, u))
     if not hi > lo:
         raise ValueError("empty dilation range after the overflow guard")
-    roots = _balance_roots(model, u, lo, hi, n_scan)
+    roots = _balance_roots(model, u, lo, hi, 241)
     if not roots:
         raise FiberMonotoneError(
             f"dilation balance keeps one sign on [{lo:g}, {hi:g}]")
@@ -862,11 +814,10 @@ def _reparametrize(grid: RadialGrid, beads: np.ndarray,
 
 
 def _bead_sweeps(model: Model, grid: RadialGrid, beads: np.ndarray, c: float,
-                 params: SolveParams,
                  ab0: np.ndarray) -> tuple[np.ndarray, list[float]] | None:
-    tau = 0.2 * params.step
+    tau = 0.2 * STEP
     levels: list[float] = []
-    for _ in range(params.sweeps):
+    for _ in range(SWEEPS):
         for j in range(1, len(beads) - 1):
             u = RadialFunction(grid, beads[j])
             e = energy(model, u).total
@@ -900,9 +851,8 @@ def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
     return normalize_mass(_pin_tail(fiber_scale(u, s_star)), c)
 
 
-def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
-                  initial_profile: RadialFunction | None = None,
-                  grid: RadialGrid | None = None) -> SolveReport:
+def mountain_pass(model: Model, c: float,
+                  params: SolveParams | None = None) -> SolveReport:
     """Estimate the mountain-pass level and refine the barrier bead.
 
     For a power model whose GN fiber shows a well behind a barrier (the
@@ -910,8 +860,8 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
     along the fiber of the scaled GN extremal from a spread endpoint
     below the barrier down into the well, on a grid sized to the
     barrier scale.  Otherwise the path follows the dilation fiber of
-    initial_profile (default: the unit-width Gaussian) from a spread
-    small-gradient endpoint to a negative-energy one.
+    the unit-width Gaussian from a spread small-gradient endpoint to a
+    negative-energy one.
 
     path_level is the relaxed string barrier, an upper estimate of the
     min-max level; the report carries it even when the saddle
@@ -925,18 +875,15 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
     nl = model.nonlinearity
     notes: list[str] = []
     well_bar: tuple[tuple[float, float], tuple[float, float]] | None = None
-    if initial_profile is None and nl.kind == "power":
+    if nl.kind == "power":
         well = gn_fiber_well(model, c)
         if well is not None:
             bar = gn_fiber_barrier(model, c, well[0])
             if bar is not None and bar[1] > well[1]:
                 well_bar = (well, bar)
-    if grid is None:
-        grid = _fiber_grid(model, params,
-                           None if well_bar is None else well_bar[1][0], 2.2)
-    if initial_profile is not None:
-        base = normalize_mass(_pin_tail(_onto_grid(initial_profile, grid)), c)
-    elif well_bar is not None:
+    grid = _fiber_grid(model, params,
+                       None if well_bar is None else well_bar[1][0], 2.2)
+    if well_bar is not None:
         (t_well, j_well), (t_bar, j_bar) = well_bar
         base = normalize_mass(_pin_tail(RadialFunction(
             grid, _q_scaled_values(model, c, grid, t_well))), c)
@@ -962,13 +909,13 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
     swept = None
     end_levels = (math.nan, math.nan)
     for attempt in range(3):
-        s_grid = np.linspace(s_left, s_right, params.beads)
+        s_grid = np.linspace(s_left, s_right, BEADS)
         beads = np.array([
             normalize_mass(_pin_tail(fiber_scale(base, s)), c).values
             for s in s_grid])
         end_levels = (energy(model, RadialFunction(grid, beads[0])).total,
                       energy(model, RadialFunction(grid, beads[-1])).total)
-        swept = _bead_sweeps(model, grid, beads, c, params, ab0)
+        swept = _bead_sweeps(model, grid, beads, c, ab0)
         if swept is not None:
             beads, levels = swept
             if levels[-1] > max(end_levels) + 1e-9 * (1.0 + abs(levels[-1])):
@@ -996,7 +943,7 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
                      for row in beads]
     top = int(np.argmax(bead_energies))
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
-                 f"of {params.beads}, level {path_level:.9g}")
+                 f"of {BEADS}, level {path_level:.9g}")
     if path_level <= max(end_levels):
         notes.append("warning: barrier does not exceed the endpoint energies")
     if nl.kind == "exp":
@@ -1006,7 +953,7 @@ def mountain_pass(model: Model, c: float, params: SolveParams | None = None,
                      f"dilation ceiling {ceiling:.6g}; the estimate is an "
                      "upper bound, it never certifies the strict inequality")
     run = _flow(model, RadialFunction(grid, beads[top]), c, params, ab0,
-                0.25 * params.step, grow=1.2, slack=1e-11,
+                0.25 * STEP, grow=1.2, slack=1e-11,
                 recenter=lambda v: _recenter_on_fiber_max(model, v, c, 0.8),
                 polish_at=1e-2, max_drift=0.25, descent=False)
     fails = _filter_failures(model, run.u, c, run.res, params)
@@ -1125,6 +1072,7 @@ def classify(model: Model, c: float, params: SolveParams | None = None,
     corroboration is exactly that, evidence at the stated restart count
     and tolerances.
     """
+    c = _mass_radius(c)
     params = params or SolveParams()
     nl = model.nonlinearity
     coef = model.coefficient

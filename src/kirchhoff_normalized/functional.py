@@ -145,15 +145,13 @@ def multiplier_estimate(model: Model, u: RadialFunction, c: float) -> Multiplier
     return MultiplierEstimate(lam, None, None)
 
 
-def pde_residual_norm(model: Model, u: RadialFunction, lam: float,
-                      skip_boundary: bool = True) -> float:
+def pde_residual_norm(model: Model, u: RadialFunction, lam: float) -> float:
     """Weighted L2 norm of -M Lap u - lam u - f(u).
 
-    skip_boundary drops the outermost node, which is held at zero as the
-    Dirichlet tail by the solvers and carries the constraint force.
+    The outermost node is left out: the solvers hold it at zero as the
+    Dirichlet tail, and it carries the constraint force.
     """
     res = l2_gradient(model, u, lam)
     vals = res.values.copy()
-    if skip_boundary:
-        vals[-1] = 0.0
+    vals[-1] = 0.0
     return math.sqrt(float(u.grid.weights @ vals**2))

@@ -1,8 +1,8 @@
 """Problem data: nonlocal stiffness coefficients and nonlinearities.
 
-A model bundles a Kirchhoff coefficient M (with antiderivative M_hat and
-growth exponent theta) and a nonlinearity f (with primitive F).  Two
-nonlinearity families are provided:
+A model bundles a Kirchhoff coefficient M (with antiderivative M_hat,
+derivative M' and growth exponent theta) and a nonlinearity f (with
+primitive F and derivative f').  Two nonlinearity families are provided:
 
 * power, optionally augmented by the Sobolev-critical term:
       f(u) = |u|^{p-2} u + |u|^{2^*-2} u,   2^* = 2N/(N-2),
@@ -62,6 +62,15 @@ class KirchhoffCoefficient:
             return self.a * t + 0.5 * self.b * t * t
         return self.mhat_fn(t)
 
+    def M_prime(self, t: float) -> float:
+        """M'(t): exactly b for the affine kind; for the general kind a
+        central difference of step 1e-6 (1 + |t|), one-sided where it
+        would reach below t = 0."""
+        if self.kind == "affine":
+            return self.b
+        h = 1e-6 * (1.0 + abs(t))
+        return (self.M(t + h) - self.M(max(t - h, 0.0))) / (h + min(t, h))
+
 
 def affine_coefficient(a: float, b: float, theta: float = 1.0) -> KirchhoffCoefficient:
     if a <= 0:
@@ -84,7 +93,8 @@ def two_star(dimension: int) -> float:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Vectorized nonlinearity f and primitive F (F' = f, F(0) = 0)."""
+    """Vectorized nonlinearity f, primitive F (F' = f, F(0) = 0) and
+    derivative f_prime."""
 
     kind: str
     dimension: int = 0
@@ -116,6 +126,23 @@ class Nonlinearity:
             return out
         return self._exp_F(u)
 
+    def f_prime(self, u):
+        """f'(u), the diagonal Jacobian of u -> f(u).
+
+        The exponential family is one-sided (f vanishes on u <= 0), so its
+        derivative is zero there; the power family is odd, so its
+        derivative is even in u.
+        """
+        u = np.asarray(u, dtype=float)
+        if self.kind == "power":
+            au = np.abs(u)
+            out = (self.p - 1.0) * au ** (self.p - 2.0)
+            if self.include_critical:
+                q = two_star(self.dimension)
+                out = out + (q - 1.0) * au ** (q - 2.0)
+            return out
+        return self._exp_f_prime(u)
+
     def _guard(self, x: np.ndarray) -> None:
         arg = self.alpha0 * x * x
         if arg.size and float(arg.max()) > EXP_ARG_CAP:
@@ -133,6 +160,18 @@ class Nonlinearity:
         self._guard(x)
         a0 = self.alpha0
         out[high] = self.beta * (a0 * x * x - 1.0) * np.exp(a0 * x * x) / (a0 * x**3)
+        return out
+
+    def _exp_f_prime(self, u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+        low = (u > 0) & (u <= self.u1)
+        high = u > self.u1
+        out[low] = (self.sigma - 1.0) * u[low] ** (self.sigma - 2.0)
+        x = u[high]
+        self._guard(x)
+        arg = self.alpha0 * x * x
+        out[high] = np.exp(arg) * (2.0 * arg * arg - 3.0 * arg + 3.0) \
+            / (self.alpha0 * x**4)
         return out
 
     def _exp_F(self, u: np.ndarray) -> np.ndarray:

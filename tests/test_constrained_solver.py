@@ -149,28 +149,6 @@ class TestGridSizing:
         assert grid.dimension == 2
 
 
-class TestNonlinearityJacobian:
-    def fd(self, nl, u, h=1e-6):
-        return (nl.f(u + h) - nl.f(u - h)) / (2 * h)
-
-    def test_power_family(self):
-        nl = power_nonlinearity(2.7, 5)
-        u = np.array([0.3, 0.9, 1.7, 4.2])
-        model = Model(affine_coefficient(1, 1), nl)
-        got = cs._f_prime(model, u)
-        assert got == pytest.approx(self.fd(nl, u), rel=1e-6)
-
-    def test_exponential_family_both_branches(self):
-        nl = make_exp_critical(1.0, 1.0, 1.0)
-        # straddle the splice height and include the dead negative side
-        u = np.array([-0.5, 0.2, 0.9 * nl.u1, 1.1 * nl.u1, 2.5])
-        model = Model(affine_coefficient(1, 1), nl)
-        got = cs._f_prime(model, u)
-        want = self.fd(nl, u)
-        assert got[0] == 0.0
-        assert got[1:] == pytest.approx(want[1:], rel=1e-5)
-
-
 class TestProjection:
     # mass-subcritical p: the balance changes sign exactly once, and the
     # root of a unit-mass Gaussian is a spread profile, so the grid must
@@ -231,6 +209,12 @@ class TestProjection:
     def test_rootless_range_raises(self):
         with pytest.raises(cs.FiberMonotoneError):
             pohozaev_project(self.model, self.u, self.c, s_range=(3.0, 4.0))
+
+    def test_rejects_bad_mass(self):
+        # c = -1 has c^2 on the sphere, and used to flip the profile's sign
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                pohozaev_project(self.model, self.u, bad)
 
 
 class TestMinimize:
@@ -309,6 +293,17 @@ class TestMinimize:
             assert rep.candidate.energy == plain.candidate.energy
             assert rep.candidate.lam == plain.candidate.lam
 
+    def test_resolve_from_supplied_start(self, n4_threshold_model,
+                                         wide_minimizer_report):
+        model, c1 = n4_threshold_model
+        params = SolveParams()
+        cand = wide_minimizer_report.candidate
+        rep = minimize_on_sphere(model, 1.05 * c1, params, starts=[cand.u])
+        assert rep.status == "converged_minimizer"
+        assert rep.restarts_used == 1
+        assert abs(rep.candidate.energy - cand.energy) \
+            <= 2 * params.residual_tol * (1 + abs(cand.energy))
+
     def test_report_dict_shape(self, wide_minimizer_report):
         d = wide_minimizer_report.to_dict()
         assert d["status"] == "converged_minimizer"
@@ -384,6 +379,12 @@ class TestClassify:
         assert rec.observed_status == "not_run"
         assert rec.agreement == "inconclusive"
 
+    def test_rejects_bad_mass(self):
+        model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
+        for bad in (-1.0, math.nan, "x"):
+            with pytest.raises(ValueError):
+                classify(model, bad)
+
     def test_power_needs_affine_coefficient(self):
         from kirchhoff_normalized import general_coefficient
         model = Model(general_coefficient(lambda t: 1.0 + t,
@@ -413,13 +414,10 @@ def rec_c0(model):
 
 class TestParamsValidation:
     @pytest.mark.parametrize("kw", [
-        {"step": 0.0},
         {"residual_tol": -1.0},
         {"max_iter": 0},
         {"restarts": 0},
-        {"beads": 2},
         {"r_max": 0.0},
-        {"gaussian_widths": ()},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):

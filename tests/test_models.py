@@ -33,6 +33,15 @@ class TestAffineCoefficient:
         assert co.M(3.0) == 10.0
         assert co.Mhat(3.0) == 12.0
 
+    def test_derivative(self):
+        for theta in (1.0, 2.0):
+            co = models.affine_coefficient(1.5, 0.25, theta=theta)
+            for t in (0.0, 0.7, 40.0):
+                assert co.M_prime(t) == 0.25
+        co = models.general_coefficient(lambda t: 1.0 + t, lambda t: t + t * t / 2, 1.0)
+        for t in (0.0, 1e-9, 0.7, 40.0):
+            assert co.M_prime(t) == pytest.approx(1.0, rel=1e-6)
+
 
 class TestPowerNonlinearity:
     def test_f_and_F_values(self):
@@ -103,6 +112,25 @@ class TestExpCritical:
             h = 1e-6
             fd = (nl.F(np.array([u0 + h]))[0] - nl.F(np.array([u0 - h]))[0]) / (2 * h)
             assert fd == pytest.approx(nl.f(np.array([u0]))[0], rel=1e-6)
+
+
+class TestNonlinearityJacobian:
+    def fd(self, nl, u, h=1e-6):
+        return (nl.f(u + h) - nl.f(u - h)) / (2 * h)
+
+    def test_power_family(self):
+        nl = models.power_nonlinearity(2.7, 5)
+        u = np.array([0.3, 0.9, 1.7, 4.2])
+        assert nl.f_prime(u) == pytest.approx(self.fd(nl, u), rel=1e-6)
+
+    def test_exponential_family_both_branches(self):
+        nl = models.make_exp_critical(1.0, 1.0, 1.0)
+        # straddle the splice height and include the dead negative side
+        u = np.array([-0.5, 0.2, 0.9 * nl.u1, 1.1 * nl.u1, 2.5])
+        got = nl.f_prime(u)
+        want = self.fd(nl, u)
+        assert got[0] == 0.0
+        assert got[1:] == pytest.approx(want[1:], rel=1e-5)
 
 
 class TestConfigRoundtrip:
