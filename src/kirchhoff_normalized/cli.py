@@ -279,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interpolation extremal profile and norms")
     pg.add_argument("--dim", type=int, required=True)
     pg.add_argument("--p", type=float, required=True)
-    pg.add_argument("--nodes", type=int, default=None,
-                    help="shooting grid cells (overrides --grid-size)")
 
     ps = sub.add_parser("solve", parents=[common],
                         help="one constrained solve on the mass sphere")
@@ -379,10 +377,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_gn(args) -> int:
-    nodes = args.nodes if args.nodes is not None else args.grid_size
-    q = ground_state(args.dim, args.p,
-                     r_max=args.rmax,
-                     n_cells=nodes if nodes is not None else 4000)
+    q = ground_state(args.dim, args.p, r_max=args.rmax,
+                     n_cells=args.grid_size if args.grid_size is not None else 4000)
     out = args.out if args.out is not None else "."
     os.makedirs(out, exist_ok=True)
     write_profile_csv(q.profile, os.path.join(out, "gn_profile.csv"))
@@ -427,12 +423,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_moser(args) -> int:
+def _profile_index(tok: str) -> int:
+    """One --n-list entry: a finite integral number such as 100 or 1e4."""
     try:
-        n_list = [int(float(tok)) for tok in args.n_list.split(",")
-                  if tok.strip()]
+        n = float(tok)
     except ValueError as exc:
         raise SpecError(f"--n-list: {exc}") from None
+    if not (math.isfinite(n) and n.is_integer()):
+        raise SpecError(f"--n-list: {tok.strip()!r} is not a finite integer")
+    return int(n)
+
+
+def cmd_moser(args) -> int:
+    n_list = [_profile_index(tok) for tok in args.n_list.split(",") if tok.strip()]
     if not n_list:
         raise SpecError("--n-list is empty")
     model = Model(affine_coefficient(args.a, args.b),

@@ -47,7 +47,6 @@ minimizer is evidence only at the stated restart count and tolerances.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,7 @@ from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .omega_thresholds import ThresholdSet, threshold_set
 from .radial_grid import (RadialFunction, RadialGrid, TruncationLossError,
-                          fiber_scale, make_grid, normalize_mass)
+                          fiber_scale, make_grid, mass_radius, normalize_mass)
 from .scalar_opt import BracketError, golden_min, sign_change_brackets
 
 STATUS_MINIMIZER = "converged_minimizer"
@@ -613,13 +612,6 @@ def _report(model: Model, status: str, run: _Run | None, infimum: float,
                        tuple(notes))
 
 
-def _mass_radius(c) -> float:
-    """c as a float, checked to be a positive finite real number."""
-    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
-        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
-    return float(c)
-
-
 def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None,
                        starts: list[RadialFunction] | None = None) -> SolveReport:
     """Minimize I over the mass sphere |u|_2^2 = c^2 with restarts.
@@ -629,7 +621,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     given, replaces the built-in initial profiles: each is resampled
     onto the solver grid and renormalized.
     """
-    c = _mass_radius(c)
+    c = mass_radius(c)
     params = params or SolveParams()
     grid = recommended_grid(model, c, params)
     rng = np.random.default_rng(params.seed)
@@ -724,7 +716,7 @@ def pohozaev_project(model: Model, u: RadialFunction, c: float,
     own |G| is grid-limited even though the fiber root is polished to
     1e-13.
     """
-    c = _mass_radius(c)
+    c = mass_radius(c)
     if abs(u.mass() - c * c) > 1e-6 * c * c:
         raise ValueError("profile must lie on the mass sphere before projecting")
     lo, hi = s_range
@@ -870,7 +862,7 @@ def mountain_pass(model: Model, c: float,
     is compared with the dilation ceiling 0.5 Mhat(4 pi / alpha0)
     rather than asserted convergent.
     """
-    c = _mass_radius(c)
+    c = mass_radius(c)
     params = params or SolveParams()
     nl = model.nonlinearity
     notes: list[str] = []
@@ -1072,7 +1064,7 @@ def classify(model: Model, c: float, params: SolveParams | None = None,
     corroboration is exactly that, evidence at the stated restart count
     and tolerances.
     """
-    c = _mass_radius(c)
+    c = mass_radius(c)
     params = params or SolveParams()
     nl = model.nonlinearity
     coef = model.coefficient

@@ -38,15 +38,6 @@ class EnergyBreakdown:
     grad_l2_sq: float
     mass_l2: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "total": self.total,
-            "grad_l2_sq": self.grad_l2_sq,
-            "mass_l2": self.mass_l2,
-        }
-
 
 @dataclass
 class CriticalPointCandidate:

@@ -68,21 +68,6 @@ class GroundStateProfile:
         ref = self.mass
         return max(abs(self.grad_sq - ref), abs(2.0 * self.lp / self.p - ref)) / ref
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.p,
-            "height": self.height,
-            "mass_l2_sq": self.mass,
-            "grad_l2_sq": self.grad_sq,
-            "lp_norm_p": self.lp,
-            "crit_norm": self.crit,
-            "identity_residual": self.identity_residual(),
-            "bisection_steps": self.bisection_steps,
-            "truncation_radius": self.truncation_radius,
-            "richardson_gap": self.richardson_gap,
-        }
-
 
 def _coefficients(dimension: int, p: float) -> tuple[float, float]:
     n = int(dimension)

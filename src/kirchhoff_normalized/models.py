@@ -29,6 +29,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 EXP_ARG_CAP = 700.0
+# check_hypotheses samples M on [1e-6, CHECK_T_MAX] and f on
+# [1e-6, CHECK_U_MAX], CHECK_SAMPLES log-spaced points each
+CHECK_T_MAX = 1e3
+CHECK_U_MAX = 1e3
+CHECK_SAMPLES = 400
 
 
 class ExpOverflowError(FloatingPointError):
@@ -170,8 +175,10 @@ class Nonlinearity:
         x = u[high]
         self._guard(x)
         arg = self.alpha0 * x * x
-        out[high] = np.exp(arg) * (2.0 * arg * arg - 3.0 * arg + 3.0) \
-            / (self.alpha0 * x**4)
+        # divide before multiplying: e^arg times the quadratic overflows
+        # near the exponent cap although f' itself is finite there
+        out[high] = np.exp(arg) / (self.alpha0 * x**4) \
+            * (2.0 * arg * arg - 3.0 * arg + 3.0) * self.beta
         return out
 
     def _exp_F(self, u: np.ndarray) -> np.ndarray:
@@ -320,8 +327,7 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def check_hypotheses(model: Model, t_max: float = 1e3, u_max: float = 1e3,
-                     n_samples: int = 400) -> HypothesisReport:
+def check_hypotheses(model: Model) -> HypothesisReport:
     """Sample the coefficient and nonlinearity hypotheses on log-spaced grids.
 
     For exponential nonlinearities the upper sampling height is reduced
@@ -331,7 +337,7 @@ def check_hypotheses(model: Model, t_max: float = 1e3, u_max: float = 1e3,
     slack = 1e-12
     entries: dict[str, CheckResult] = {}
 
-    ts = np.geomspace(1e-6, t_max, n_samples)
+    ts = np.geomspace(1e-6, CHECK_T_MAX, CHECK_SAMPLES)
     m_vals = np.array([co.M(t) for t in ts])
     m0 = co.M(0.0)
     mono = float(np.min(np.diff(m_vals)))
@@ -348,16 +354,17 @@ def check_hypotheses(model: Model, t_max: float = 1e3, u_max: float = 1e3,
     entries["coefficient_growth"] = CheckResult(
         float(growth_gap.min()) >= -slack * scale and bool(grows),
         float(growth_gap.min()),
-        "M_hat - M t/(theta+1) sampled on [1e-6, %g]" % t_max,
+        "M_hat - M t/(theta+1) sampled on [1e-6, %g]" % CHECK_T_MAX,
     )
 
     note = ""
+    u_max = CHECK_U_MAX
     if nl.kind == "exp":
         safe = 0.999 * math.sqrt(EXP_ARG_CAP / nl.alpha0)
         if u_max > safe:
             u_max = safe
             note = f"height range clipped to overflow-safe [1e-6, {safe:.3g}]"
-    us = np.geomspace(1e-6, u_max, n_samples)
+    us = np.geomspace(1e-6, u_max, CHECK_SAMPLES)
     fu = nl.f(us)
     Fu = nl.F(us)
 

@@ -37,21 +37,20 @@ by callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import scalar_opt
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, Nonlinearity
-from .radial_grid import RadialFunction, RadialGrid, _weights_from_nodes, from_nodes
+from .radial_grid import RadialFunction, RadialGrid, from_nodes, mass_radius
 
-DEFAULT_PLATEAU_CELLS = 10
-DEFAULT_LOG_STEP = 1e-3
-MIN_PLATEAU_NODES = 8
-# above this n the plateau part of the F-integral is taken in closed
-# form (the profile is constant there) rather than by quadrature
-ANALYTIC_PLATEAU_N = 10**4
+# uniform cells on the plateau [0, 1/n], and the geometric step in log r
+# on [1/n, 1]; the relative quadrature error of the logarithmic section
+# is near LOG_STEP^2 / 12
+PLATEAU_CELLS = 10
+LOG_STEP = 1e-3
 OVERFLOW_BACKOFF = 1e-9
 
 
@@ -77,59 +76,22 @@ def bar_profile_values(n: int, r: np.ndarray) -> np.ndarray:
     return out / math.sqrt(2.0 * math.pi)
 
 
-def _validate_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-
-
-def make_moser_grid(n: int, plateau_cells: int = DEFAULT_PLATEAU_CELLS,
-                    log_step: float = DEFAULT_LOG_STEP) -> RadialGrid:
+def make_moser_grid(n: int) -> RadialGrid:
     """Unit-ball grid resolving both kinks of w_n.
 
-    The plateau [0, 1/n] is split uniformly (the node at 1/n is exact);
-    [1/n, 1] is split geometrically with the given step in log r, which
-    keeps the relative quadrature error of the logarithmic section near
-    log_step^2 / 12.
+    The plateau [0, 1/n] is split into PLATEAU_CELLS uniform cells (the
+    node at 1/n is exact); [1/n, 1] is split geometrically with step
+    LOG_STEP in log r.
     """
-    _validate_n(n)
-    if plateau_cells < MIN_PLATEAU_NODES:
-        raise ValueError(f"need at least {MIN_PLATEAU_NODES} plateau cells, got {plateau_cells}")
-    if not 0 < log_step <= 0.05:
-        raise ValueError(f"log_step must lie in (0, 0.05], got {log_step}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     ln = math.log(n)
-    inner = np.linspace(0.0, 1.0 / n, plateau_cells + 1)
-    k = int(math.ceil(ln / log_step))
+    inner = np.linspace(0.0, 1.0 / n, PLATEAU_CELLS + 1)
+    k = int(math.ceil(ln / LOG_STEP))
     outer = np.exp(np.linspace(-ln, 0.0, k + 1))
     outer[0] = 1.0 / n
     outer[-1] = 1.0
     return from_nodes(2, np.concatenate([inner, outer[1:]]), scheme="custom")
-
-
-def _conform_grid(grid: RadialGrid, n: int) -> RadialGrid:
-    """Snap the nearest nodes onto the kink radii 1/n and 1, or refuse."""
-    if grid.dimension != 2:
-        raise ValueError("the profile family lives on R^2")
-    if grid.r_max < 1.0 - 1e-12:
-        raise ValueError(f"grid must cover [0, 1], has r_max = {grid.r_max:g}")
-    nodes = grid.nodes.copy()
-    moved = False
-    for target in (1.0 / n, 1.0):
-        # the origin node is pinned, so search from index 1
-        j = 1 + int(np.argmin(np.abs(nodes[1:] - target)))
-        gap = abs(nodes[j] - target)
-        if gap == 0.0:
-            continue
-        local = grid.cell_widths[max(j - 1, 0): j + 1].max()
-        if gap > 0.45 * local:
-            raise ValueError(f"no grid node within half a cell of the kink at r = {target:g}")
-        nodes[j] = target
-        moved = True
-    inside = int(np.count_nonzero(nodes <= 1.0 / n + 1e-15))
-    if inside < MIN_PLATEAU_NODES:
-        raise ValueError(
-            f"grid too coarse: {inside} nodes inside [0, 1/n], need {MIN_PLATEAU_NODES}"
-        )
-    return from_nodes(2, nodes, grid.scheme) if moved else grid
 
 
 @dataclass
@@ -137,9 +99,9 @@ class MoserFunction:
     """A mass-c member of the profile family with its exact-norm record.
 
     profile holds omega_n scaled so that the quadrature mass equals c^2
-    exactly; the exact_* fields carry the closed-form norms of w_n, and
-    exact_grad_sq = c^2 / exact_bar_mass is the dilation-fiber stiffness
-    argument.
+    exactly; exact_bar_mass is the closed-form squared L2 norm of w_n
+    (its Dirichlet energy is exactly 1), and exact_grad_sq =
+    c^2 / exact_bar_mass is the dilation-fiber stiffness argument.
     """
 
     n: int
@@ -147,65 +109,34 @@ class MoserFunction:
     profile: RadialFunction
     plateau_height: float
     exact_bar_mass: float
-    exact_bar_grad_sq: float
     exact_grad_sq: float
     bar_mass_quadrature: float
     bar_grad_quadrature: float
-    annulus_weights: np.ndarray | None = field(default=None, repr=False)
-    annulus_start: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "plateau_height": self.plateau_height,
-            "exact_bar_mass": self.exact_bar_mass,
-            "exact_bar_grad_sq": self.exact_bar_grad_sq,
-            "exact_grad_sq": self.exact_grad_sq,
-            "bar_mass_quadrature": self.bar_mass_quadrature,
-            "bar_grad_quadrature": self.bar_grad_quadrature,
-            "n_cells": self.profile.grid.n_cells,
-        }
 
 
-def moser(n: int, c: float, grid: RadialGrid | None = None, *,
-          plateau_cells: int = DEFAULT_PLATEAU_CELLS,
-          log_step: float = DEFAULT_LOG_STEP) -> MoserFunction:
-    """Build omega_n = c w_n / |w_n|_2 on a kink-resolving grid.
+def moser(n: int, c: float) -> MoserFunction:
+    """Build omega_n = c w_n / |w_n|_2 on make_moser_grid(n).
 
-    A supplied grid must cover [0, 1] and have nodes that can be snapped
-    onto 1/n and 1; the profile is normalized by the quadrature norm so
-    that mass(omega_n) = c^2 to rounding.
+    The grid has PLATEAU_CELLS cells on the plateau and step LOG_STEP in
+    log r outside it; the profile is normalized by the quadrature norm
+    so that mass(omega_n) = c^2 to rounding.
     """
-    _validate_n(n)
-    if not c > 0:
-        raise ValueError(f"target mass root c must be positive, got {c}")
-    if grid is None:
-        grid = make_moser_grid(n, plateau_cells=plateau_cells, log_step=log_step)
-    else:
-        grid = _conform_grid(grid, n)
+    c = mass_radius(c)
+    grid = make_moser_grid(n)
     bar = RadialFunction(grid, bar_profile_values(n, grid.nodes))
     bar_mass = bar.mass()
     bar_grad = bar.grad_norm_sq()
     scale = c / math.sqrt(bar_mass)
     exact_mass = bar_mass_exact(n)
-    annulus_weights = None
-    annulus_start = 0
-    if n > ANALYTIC_PLATEAU_N:
-        annulus_start = int(np.searchsorted(grid.nodes, 1.0 / n))
-        annulus_weights = _weights_from_nodes(2, grid.nodes[annulus_start:])[0]
     return MoserFunction(
         n=n,
         c=c,
         profile=bar.with_values(bar.values * scale),
         plateau_height=float(bar.values[0] * scale),
         exact_bar_mass=exact_mass,
-        exact_bar_grad_sq=1.0,
         exact_grad_sq=c * c / exact_mass,
         bar_mass_quadrature=bar_mass,
         bar_grad_quadrature=bar_grad,
-        annulus_weights=annulus_weights,
-        annulus_start=annulus_start,
     )
 
 
@@ -222,15 +153,6 @@ def tm_integral(u: RadialFunction, alpha: float) -> float:
     return u.grid.integrate(np.expm1(arg))
 
 
-def _f_term(nl: Nonlinearity, mf: MoserFunction, t: float) -> float:
-    """int F(t omega_n) dx, with the plateau in closed form for large n."""
-    if mf.annulus_weights is None:
-        return mf.profile.grid.integrate(nl.F(t * mf.profile.values))
-    plateau = math.pi / mf.n**2 * float(nl.F(np.array([t * mf.plateau_height]))[0])
-    outer_vals = nl.F(t * mf.profile.values[mf.annulus_start:])
-    return plateau + float(mf.annulus_weights @ outer_vals)
-
-
 def g_fiber(model: Model, mf: MoserFunction, t: float) -> float:
     """Dilation-fiber energy g_n(t); raises ExpOverflowError where unsafe.
 
@@ -240,7 +162,8 @@ def g_fiber(model: Model, mf: MoserFunction, t: float) -> float:
     if not t > 0:
         raise ValueError(f"fiber parameter t must be positive, got {t}")
     kin = 0.5 * model.coefficient.Mhat(t * t * mf.exact_grad_sq)
-    return kin - _f_term(model.nonlinearity, mf, t) / (t * t)
+    pot = mf.profile.grid.integrate(model.nonlinearity.F(t * mf.profile.values))
+    return kin - pot / (t * t)
 
 
 def _growth_floor(nl: Nonlinearity) -> float:
@@ -309,18 +232,6 @@ class MoserBoundRecord:
     flagged_from: float
     certificate_log_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_g": self.max_g,
-            "argmax_t": self.argmax_t,
-            "bound": self.bound,
-            "margin": self.margin,
-            "t_sq_log_n": self.t_sq_log_n,
-            "flagged_from": self.flagged_from,
-            "certificate_log_margin": self.certificate_log_margin,
-        }
-
 
 @dataclass
 class MoserBoundReport:
@@ -339,7 +250,7 @@ class MoserBoundReport:
     empirical_n0: int | None
 
     def rows(self) -> list[dict]:
-        return [rec.to_dict() for rec in self.records]
+        return [asdict(rec) for rec in self.records]
 
     def summary(self) -> str:
         lines = [f"ceiling = {self.bound:.6g}, t^2 log n scale = {self.target_scale:.6g}"]
@@ -353,17 +264,18 @@ class MoserBoundReport:
         return "\n".join(lines)
 
 
-def mp_bound_check(model: Model, c: float, n_list, *,
-                   plateau_cells: int = DEFAULT_PLATEAU_CELLS,
-                   log_step: float = DEFAULT_LOG_STEP,
-                   tol: float = 1e-10) -> MoserBoundReport:
+def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
     """Maximize g_n over t for each n and compare against the ceiling.
 
-    The search runs over the overflow-safe t range (coarse log scan plus
-    golden refinement); beyond it the value is certified negative via
-    the analytic plateau bound, whose log-margin must be positive and,
-    by the growth inequality M(x) x <= (theta + 1) M_hat(x), stays
-    positive for all larger t once alpha0 h_n^2 t^2 > theta + 3.
+    Each omega_n is moser(n, c), on the grid fixed by PLATEAU_CELLS and
+    LOG_STEP.  The search runs over the overflow-safe range [1e-6, t_hi],
+    t_hi a relative OVERFLOW_BACKOFF below the exponent cap, through
+    scalar_opt.log_grid_max: a scalar_opt.MAX_SCAN-point (200) scan in
+    log t, then golden refinement to scalar_opt.MAX_TOL (1e-10) in log t.
+    Beyond t_hi the value is certified negative via the analytic plateau
+    bound, whose log-margin must be positive and, by the growth
+    inequality M(x) x <= (theta + 1) M_hat(x), stays positive for all
+    larger t once alpha0 h_n^2 t^2 > theta + 3.
     """
     nl, co = model.nonlinearity, model.coefficient
     if nl.kind != "exp":
@@ -372,7 +284,7 @@ def mp_bound_check(model: Model, c: float, n_list, *,
     floor = _growth_floor(nl)
     records = []
     for n in sorted(set(int(m) for m in n_list)):
-        mf = moser(n, c, plateau_cells=plateau_cells, log_step=log_step)
+        mf = moser(n, c)
         h = mf.plateau_height
         t_hi = math.sqrt(EXP_ARG_CAP / nl.alpha0) / h * (1.0 - OVERFLOW_BACKOFF)
         log_margin = _certificate_log_margin(model, mf, t_hi, floor)
@@ -385,8 +297,7 @@ def mp_bound_check(model: Model, c: float, n_list, *,
                 f"certificate monotonicity condition fails for n = {n}"
             )
         t_star, g_max = scalar_opt.log_grid_max(
-            lambda t: g_fiber(model, mf, t), 1e-6, t_hi, n_coarse=200, tol=tol
-        )
+            lambda t: g_fiber(model, mf, t), 1e-6, t_hi)
         if not g_max > 0:
             raise scalar_opt.BracketError(
                 f"no positive fiber hump found for n = {n} (max {g_max:g})"

@@ -19,7 +19,7 @@ injected by the caller (see gn_ground_state); nothing is hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from scipy.optimize import brentq
@@ -31,6 +31,10 @@ from .scalar_opt import log_grid_min
 # relative backoff from the admissibility boundary when maximizing the
 # margin parameter delta; keeps the reported constant strictly certified
 DELTA_BACKOFF = 1e-6
+# graded grid of the Sobolev-constant quadrature; the bubble's tails
+# beyond SOBOLEV_R_MAX are added analytically
+SOBOLEV_R_MAX = 100.0
+SOBOLEV_CELLS = 20000
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ class OmegaQuery:
         return num / den
 
 
-def omega(query: OmegaQuery, tol: float = 1e-12) -> tuple[float, float]:
+def omega(query: OmegaQuery) -> tuple[float, float]:
     """Infimum of the two-over-two ratio; returns (value, argmin t*)."""
-    t_star, value = log_grid_min(query.ratio, tol=tol)
+    t_star, value = log_grid_min(query.ratio)
     return value, t_star
 
 
@@ -121,22 +125,24 @@ def _bubble_tails(n: int, r_max: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def sobolev_constant(dimension: int, r_max: float = 100.0, n_cells: int = 20000) -> float:
-    """Best constant of the critical embedding via the decaying extremal."""
+def sobolev_constant(dimension: int) -> float:
+    """Best constant of the critical embedding via the decaying extremal.
+
+    Cached per dimension; every threshold below reads it from here.
+    """
     n = int(dimension)
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    grid = make_grid(n, r_max=r_max, n_cells=n_cells, scheme="graded")
+    grid = make_grid(n, r_max=SOBOLEV_R_MAX, n_cells=SOBOLEV_CELLS, scheme="graded")
     u = aubin_talenti_bubble(grid)
     ts = two_star(n)
-    grad_tail, crit_tail = _bubble_tails(n, r_max)
+    grad_tail, crit_tail = _bubble_tails(n, SOBOLEV_R_MAX)
     grad = u.grad_norm_sq() + grad_tail
     crit = grid.integrate(u.values**ts) + crit_tail
     return grad / crit ** (2.0 / ts)
 
 
-def existence_condition(a: float, b: float, dimension: int,
-                        sobolev: float | None = None) -> bool:
+def existence_condition(a: float, b: float, dimension: int) -> bool:
     """Whether the quadratic-quartic form dominates the critical power.
 
     For N >= 5 this is the product inequality equivalent to the
@@ -146,7 +152,7 @@ def existence_condition(a: float, b: float, dimension: int,
     """
     if dimension < 4:
         raise ValueError("threshold theory covers dimension >= 4")
-    s = sobolev_constant(dimension) if sobolev is None else sobolev
+    s = sobolev_constant(dimension)
     if dimension == 4:
         return b > 1.0 / s**2
     ts = two_star(dimension)
@@ -155,8 +161,7 @@ def existence_condition(a: float, b: float, dimension: int,
     return lhs > s ** (-ts / 2.0)
 
 
-def delta_star(a: float, b: float, dimension: int,
-               sobolev: float | None = None) -> float:
+def delta_star(a: float, b: float, dimension: int) -> float:
     """Largest margin delta keeping (a-delta, b-delta) coercive, backed off.
 
     The admissibility boundary solves a strictly decreasing closed-form
@@ -165,7 +170,7 @@ def delta_star(a: float, b: float, dimension: int,
     """
     if dimension < 5:
         raise ValueError("the margin construction needs dimension >= 5")
-    s = sobolev_constant(dimension) if sobolev is None else sobolev
+    s = sobolev_constant(dimension)
     ts = two_star(dimension)
     weight = s ** (ts / 2.0)
 
@@ -179,8 +184,8 @@ def delta_star(a: float, b: float, dimension: int,
     return d_max * (1.0 - DELTA_BACKOFF)
 
 
-def nonexistence_c0(a: float, b: float, p: float, dimension: int, q_mass: float,
-                    sobolev: float | None = None) -> float:
+def nonexistence_c0(a: float, b: float, p: float, dimension: int,
+                    q_mass: float) -> float:
     """Mass radius below which no nontrivial normalized solution exists.
 
     q_mass is the L2 norm of the interpolation extremal for (dimension, p).
@@ -190,9 +195,9 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int, q_mass: float,
     n = int(dimension)
     if q_mass <= 0.0:
         raise ValueError("extremal mass must be positive")
-    s = sobolev_constant(n) if sobolev is None else sobolev
+    s = sobolev_constant(n)
     if n >= 5:
-        if not existence_condition(a, b, n, s):
+        if not existence_condition(a, b, n):
             raise ValueError("coercivity condition fails; no threshold certified")
         ts = two_star(n)
         p_mc = 2.0 + 4.0 / n
@@ -204,13 +209,13 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int, q_mass: float,
             if bracket <= 0.0:
                 raise ValueError("threshold bracket nonpositive despite coercivity")
             return q_mass * bracket ** (n / 4.0)
-        d = delta_star(a, b, n, s)
+        d = delta_star(a, b, n)
         q3 = 0.5 * n * (p - 2.0)
         omega_val = omega_closed_form(2.0 * d, 2.0 * d, q3)
         return (2.0 * q_mass ** (p - 2.0) * omega_val
                 / (n * (p - 2.0))) ** (2.0 / (2.0 * p - n * (p - 2.0)))
     if n == 4:
-        if not existence_condition(a, b, 4, s):
+        if not existence_condition(a, b, 4):
             raise ValueError("coercivity condition fails; no threshold certified")
         if abs(p - 3.0) <= 1e-12:
             return a * q_mass
@@ -230,13 +235,12 @@ def c1_exact_n4_p3(a: float, q_mass: float) -> float:
     return a * q_mass
 
 
-def c_star(a: float, b: float, dimension: int, q_mass: float,
-           sobolev: float | None = None) -> float:
+def c_star(a: float, b: float, dimension: int, q_mass: float) -> float:
     """Radius up to which the constrained infimum stays exactly zero (N >= 5)."""
     n = int(dimension)
     if n < 5:
         raise ValueError("this display needs dimension >= 5")
-    s = sobolev_constant(n) if sobolev is None else sobolev
+    s = sobolev_constant(n)
     ts = two_star(n)
     bracket = a - (4.0 - ts) / (ts ** ((n - 2.0) / (n - 4.0)) * s ** (n / (n - 4.0))) \
         * (2.0 * (ts - 2.0) / b) ** (2.0 / (n - 4.0))
@@ -266,48 +270,32 @@ class ThresholdSet:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.p,
-            "a": self.a,
-            "b": self.b,
-            "sobolev": self.sobolev,
-            "gn_constant": self.gn_constant,
-            "q_mass": self.q_mass,
-            "existence_ok": self.existence_ok,
-            "c0": self.c0,
-            "c_star": self.c_star,
-            "c1_exact": self.c1_exact,
-            "c1_upper": self.c1_upper,
-            "c1_upper_variant": self.c1_upper_variant,
-            "delta": self.delta,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
-                  gn_const: float, sobolev: float | None = None) -> ThresholdSet:
+                  gn_const: float) -> ThresholdSet:
     """Assemble every threshold that applies to the given configuration.
 
     Constants whose hypotheses fail are reported as None with a note
     rather than raising, so sweeps can tabulate mixed regimes.
     """
     n = int(dimension)
-    s = sobolev_constant(n) if sobolev is None else sobolev
+    s = sobolev_constant(n)
     notes: list[str] = []
-    exists_ok = existence_condition(a, b, n, s) if n >= 4 else False
+    exists_ok = existence_condition(a, b, n) if n >= 4 else False
     if n < 4:
         notes.append("no explicit thresholds below dimension 4")
 
     c0 = cs = c1e = c1u = c1v = delta = None
     if exists_ok:
         try:
-            c0 = nonexistence_c0(a, b, p, n, q_mass, s)
+            c0 = nonexistence_c0(a, b, p, n, q_mass)
         except ValueError as exc:
             notes.append(f"c0 unavailable: {exc}")
         if n >= 5:
             try:
-                cs = c_star(a, b, n, q_mass, s)
+                cs = c_star(a, b, n, q_mass)
             except ValueError as exc:
                 notes.append(f"c_star unavailable: {exc}")
             if abs(p - (2.0 + 4.0 / n)) <= 1e-12:
@@ -318,7 +306,7 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
                 c1v = a ** (4.0 / n) * q_mass
                 notes.append("c1 upper bound exponent variants differ; trusting n/4")
             try:
-                delta = delta_star(a, b, n, s)
+                delta = delta_star(a, b, n)
             except ValueError:
                 pass
         if n == 4 and abs(p - 3.0) <= 1e-12:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +33,8 @@ SCHEMES = ("uniform", "graded", "custom")
 
 MIN_CELLS = 16
 MAX_DIMENSION = 10
+# largest relative mass fiber_scale may push off the grid
+MASS_LOSS_TOL = 1e-6
 
 
 class TruncationLossError(RuntimeError):
@@ -207,6 +210,13 @@ class RadialFunction:
         return math.sqrt(self.grad_norm_sq() + self.mass())
 
 
+def mass_radius(c) -> float:
+    """c as a float, checked to be a positive finite real number."""
+    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
+        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
+    return float(c)
+
+
 def normalize_mass(u: RadialFunction, c: float) -> RadialFunction:
     """Rescale u so that its L2 norm equals c."""
     m = u.mass()
@@ -215,12 +225,12 @@ def normalize_mass(u: RadialFunction, c: float) -> RadialFunction:
     return u.with_values(u.values * (c / math.sqrt(m)))
 
 
-def fiber_scale(u: RadialFunction, s: float, mass_loss_tol: float = 1e-6) -> RadialFunction:
+def fiber_scale(u: RadialFunction, s: float) -> RadialFunction:
     """Mass-preserving dilation T(u, s)(r) = e^{Ns/2} u(e^s r), resampled.
 
     The profile is resampled on the original grid through a monotone
     cubic interpolant and extended by zero beyond r_max.  For s < 0 the
-    visible window shrinks to [0, e^s r_max]; if more than mass_loss_tol
+    visible window shrinks to [0, e^s r_max]; if more than MASS_LOSS_TOL
     of the relative mass lives outside that window the truncation is
     refused rather than silently clipped.
     """
@@ -231,10 +241,10 @@ def fiber_scale(u: RadialFunction, s: float, mass_loss_tol: float = 1e-6) -> Rad
         outside = r >= cutoff
         lost = float(u.grid.weights[outside] @ u.values[outside] ** 2)
         total = u.mass()
-        if total > 0 and lost > mass_loss_tol * total:
+        if total > 0 and lost > MASS_LOSS_TOL * total:
             raise TruncationLossError(
                 f"rescaling by s={s:g} would drop {lost / total:.3e} of the mass "
-                f"(tolerance {mass_loss_tol:g})"
+                f"(tolerance {MASS_LOSS_TOL:g})"
             )
     # flat zero tails give zero slopes; pchip's weighted-harmonic-mean
     # formula divides by them and recovers, so hide the spurious warning

@@ -68,7 +68,7 @@ class TestThresholds:
 class TestGn:
     def test_profile_and_norms(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "gn", "--dim", "4", "--p", "3",
-                             "--nodes", "1500", "--out", str(tmp_path))
+                             "--grid-size", "1500", "--out", str(tmp_path))
         assert rc == 0
         norms = json.loads(out)
         assert norms == json.loads((tmp_path / "gn_norms.json").read_text())
@@ -113,6 +113,17 @@ class TestMoser:
             assert int(n) in (10, 100)
             assert float(margin) == pytest.approx(
                 float(bound) - float(max_g), abs=1e-9)
+
+    @pytest.mark.parametrize("n_list", ["inf", "1e400", "2.7", "nan"])
+    def test_non_integral_n_is_spec_error(self, capsys, n_list):
+        rc, out, err = run_cli(capsys, "moser", "--n-list", n_list)
+        assert rc == 2
+        assert out == "" and "--n-list" in err
+
+    def test_infinite_c_is_spec_error(self, capsys):
+        rc, _, err = run_cli(capsys, "moser", "--n-list", "10", "--c", "inf")
+        assert rc == 2
+        assert "mass radius" in err
 
 
 class TestSweep:

@@ -132,6 +132,19 @@ class TestNonlinearityJacobian:
         assert got[0] == 0.0
         assert got[1:] == pytest.approx(want[1:], rel=1e-5)
 
+    def test_exponential_family_carries_beta(self):
+        nl = models.make_exp_critical(2.0, 5.0, 0.5)
+        u = np.array([1.2 * nl.u1, 2.0 * nl.u1])
+        assert nl.f_prime(u) == pytest.approx(self.fd(nl, u, h=1e-7), rel=1e-6)
+
+    def test_exponential_family_finite_below_the_cap(self):
+        # alpha0 u^2 = 696.96 < 700: f is about 1.8e301, so f' is finite
+        nl = models.make_exp_critical(1.0, 1.0, 1.0)
+        u = np.array([26.4])
+        got = nl.f_prime(u)
+        assert np.isfinite(got[0])
+        assert got == pytest.approx(self.fd(nl, u), rel=1e-6)
+
 
 class TestConfigRoundtrip:
     def test_power_model(self):

@@ -9,7 +9,6 @@ ceiling 45.7616, turning positive only around n = 1e14.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from kirchhoff_normalized import (
     RadialFunction,
     affine_coefficient,
     fiber_energy,
-    from_nodes,
     make_exp_critical,
     make_grid,
     power_nonlinearity,
@@ -69,6 +67,11 @@ class TestProfileNorms:
             msq.moser(2.5, 1.0)
         with pytest.raises(ValueError):
             msq.moser(10, 0.0)
+        for c in (float("inf"), float("nan"), -1.0, "1"):
+            with pytest.raises(ValueError):
+                msq.moser(10, c)
+        with pytest.raises(ValueError):
+            msq.moser(float("inf"), 1.0)
 
 
 class TestGrids:
@@ -76,29 +79,7 @@ class TestGrids:
         grid = msq.make_moser_grid(10)
         assert np.any(grid.nodes == 0.1)
         assert grid.nodes[-1] == 1.0
-        assert np.count_nonzero(grid.nodes <= 0.1) >= msq.MIN_PLATEAU_NODES
-
-    def test_supplied_grid_is_snapped(self):
-        grid = make_grid(2, r_max=1.2, n_cells=600, scheme="uniform")
-        mf = msq.moser(10, 1.0, grid)
-        nodes = mf.profile.grid.nodes
-        assert np.any(nodes == 0.1) and np.any(nodes == 1.0)
-        assert mf.profile.mass() == pytest.approx(1.0, rel=1e-12)
-
-    def test_supplied_grid_too_coarse(self):
-        grid = make_grid(2, r_max=1.5, n_cells=60, scheme="uniform")
-        with pytest.raises(ValueError, match="too coarse"):
-            msq.moser(10, 1.0, grid)
-
-    def test_supplied_grid_must_cover_unit_ball(self):
-        grid = make_grid(2, r_max=0.8, n_cells=100, scheme="uniform")
-        with pytest.raises(ValueError, match="cover"):
-            msq.moser(10, 1.0, grid)
-
-    def test_snap_never_moves_origin(self):
-        grid = from_nodes(2, np.concatenate([[0.0], np.linspace(0.04, 1.3, 64)]))
-        with pytest.raises(ValueError):
-            msq.moser(1000, 1.0, grid)  # 1/n = 1e-3 has no nearby interior node
+        assert np.count_nonzero(grid.nodes <= 0.1) >= msq.PLATEAU_CELLS
 
 
 class TestTmIntegral:
@@ -163,16 +144,6 @@ class TestFiberMap:
         g = msq.g_fiber(model, mf, t)
         j = fiber_energy(model, mf.profile, math.log(t))
         assert abs(g - j) <= 2e-4 * (1.0 + abs(g))
-
-    def test_analytic_plateau_route_matches_quadrature(self):
-        model = exp_model()
-        mf = msq.moser(20000, 1.0)
-        assert mf.annulus_weights is not None
-        full = replace(mf, annulus_weights=None)
-        for t in (0.2, 0.5, 0.8):
-            a = msq.g_fiber(model, mf, t)
-            b = msq.g_fiber(model, full, t)
-            assert a == pytest.approx(b, rel=1e-10)
 
     def test_works_for_power_models(self):
         model = Model(affine_coefficient(1.0, 1.0),

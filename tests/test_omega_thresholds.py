@@ -130,14 +130,14 @@ class TestExistenceCondition:
         s = ot.sobolev_constant(5)
         ts = two_star(5)
         for a, b in ((1.0, 1.0), (0.02, 0.001), (0.001, 0.001), (5.0, 1e-4)):
-            closed = ot.existence_condition(a, b, 5, s)
+            closed = ot.existence_condition(a, b, 5)
             val, _ = ot.omega(ot.OmegaQuery(a, b, 0.0, s ** (-ts / 2), q4=ts))
             assert closed == (val > 1.0)
 
     def test_n4_rule(self):
         s = ot.sobolev_constant(4)
-        assert ot.existence_condition(1.0, 2.0 / s**2, 4, s)
-        assert not ot.existence_condition(1.0, 0.5 / s**2, 4, s)
+        assert ot.existence_condition(1.0, 2.0 / s**2, 4)
+        assert not ot.existence_condition(1.0, 0.5 / s**2, 4)
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestDeltaStar:
         a = b = 1.0
         s = ot.sobolev_constant(5)
         ts = two_star(5)
-        d = ot.delta_star(a, b, 5, s)
+        d = ot.delta_star(a, b, 5)
         assert 0.0 < d < min(a, b)
         weight = s ** (ts / 2.0)
         assert weight * ot.omega_closed_form(a - d, b - d, ts) > 1.0
@@ -168,7 +168,7 @@ class TestNonexistenceRadius:
     def test_n4_p3_exact(self):
         for a in (1.0, 2.0):
             s = ot.sobolev_constant(4)
-            c0 = ot.nonexistence_c0(a, 2.0 / s**2, 3.0, 4, self.Q_MASS, s)
+            c0 = ot.nonexistence_c0(a, 2.0 / s**2, 3.0, 4, self.Q_MASS)
             assert c0 == pytest.approx(a * self.Q_MASS)
             assert ot.c1_exact_n4_p3(a, self.Q_MASS) == pytest.approx(c0)
 
@@ -178,7 +178,7 @@ class TestNonexistenceRadius:
         a, p = 1.0, 3.5
         s = ot.sobolev_constant(4)
         b = 2.0 / s**2
-        c0 = ot.nonexistence_c0(a, b, p, 4, self.Q_MASS, s)
+        c0 = ot.nonexistence_c0(a, b, p, 4, self.Q_MASS)
         assert c0 > 0.0
 
         def infimum_at(c):
@@ -191,19 +191,17 @@ class TestNonexistenceRadius:
         assert infimum_at(1.001 * c0) < 1.0
 
     def test_n5_mass_critical_display(self):
-        s = ot.sobolev_constant(5)
-        c0 = ot.nonexistence_c0(1.0, 1.0, 2.8, 5, self.Q_MASS, s)
+        c0 = ot.nonexistence_c0(1.0, 1.0, 2.8, 5, self.Q_MASS)
         assert c0 > 0.0
         # more quartic weight loosens the constraint: c0 increases in b
-        assert ot.nonexistence_c0(1.0, 2.0, 2.8, 5, self.Q_MASS, s) > c0
+        assert ot.nonexistence_c0(1.0, 2.0, 2.8, 5, self.Q_MASS) > c0
 
     def test_n5_supercritical_matches_infimum_route(self):
         a = b = 1.0
         p = 3.0
-        s = ot.sobolev_constant(5)
-        c0 = ot.nonexistence_c0(a, b, p, 5, self.Q_MASS, s)
+        c0 = ot.nonexistence_c0(a, b, p, 5, self.Q_MASS)
         assert c0 > 0.0
-        d = ot.delta_star(a, b, 5, s)
+        d = ot.delta_star(a, b, 5)
         q3 = 2.5 * (p - 2.0)
         val, _ = ot.omega(ot.OmegaQuery(2 * d, 2 * d, 1.0, 0.0, q3=q3))
 
@@ -214,38 +212,34 @@ class TestNonexistenceRadius:
         assert lhs(1.001 * c0) > val
 
     def test_range_validation(self):
-        s5 = ot.sobolev_constant(5)
         with pytest.raises(ValueError):
-            ot.nonexistence_c0(1.0, 1.0, 2.5, 5, self.Q_MASS, s5)  # below 2 + 4/N
+            ot.nonexistence_c0(1.0, 1.0, 2.5, 5, self.Q_MASS)  # below 2 + 4/N
         s4 = ot.sobolev_constant(4)
         with pytest.raises(ValueError):
-            ot.nonexistence_c0(1.0, 2.0 / s4**2, 2.5, 4, self.Q_MASS, s4)
+            ot.nonexistence_c0(1.0, 2.0 / s4**2, 2.5, 4, self.Q_MASS)
         with pytest.raises(ValueError):
-            ot.nonexistence_c0(1.0, 0.1 / s4**2, 3.0, 4, self.Q_MASS, s4)
+            ot.nonexistence_c0(1.0, 0.1 / s4**2, 3.0, 4, self.Q_MASS)
 
 
 class TestCStar:
     Q_MASS = 2.3
 
     def test_positive_and_monotone_in_a(self):
-        s = ot.sobolev_constant(5)
-        v1 = ot.c_star(1.0, 1.0, 5, self.Q_MASS, s)
-        v2 = ot.c_star(2.0, 1.0, 5, self.Q_MASS, s)
+        v1 = ot.c_star(1.0, 1.0, 5, self.Q_MASS)
+        v2 = ot.c_star(2.0, 1.0, 5, self.Q_MASS)
         assert 0.0 < v1 < v2
 
     def test_bracket_violation_raises(self):
-        s = ot.sobolev_constant(5)
         with pytest.raises(ValueError):
-            ot.c_star(1e-9, 1e-3, 5, self.Q_MASS, s)
+            ot.c_star(1e-9, 1e-3, 5, self.Q_MASS)
 
     def test_ordering_chain_mass_critical(self):
         # with small b the subtracted terms are magnified; the chain
         # c0 <= c_star <= a^{n/4} q_mass must hold strictly
         a, b, n = 1.0, 0.01, 5
-        s = ot.sobolev_constant(n)
         p_mc = 2.0 + 4.0 / n
-        c0 = ot.nonexistence_c0(a, b, p_mc, n, self.Q_MASS, s)
-        cs = ot.c_star(a, b, n, self.Q_MASS, s)
+        c0 = ot.nonexistence_c0(a, b, p_mc, n, self.Q_MASS)
+        cs = ot.c_star(a, b, n, self.Q_MASS)
         assert c0 < cs < a ** (n / 4.0) * self.Q_MASS
 
 
