@@ -42,7 +42,7 @@ from .models import (
     make_exp_critical,
     power_nonlinearity,
 )
-from .moser_sequence import mp_bound_check
+from .moser_sequence import mp_bound_check, profile_index
 from .omega_thresholds import threshold_set
 from .radial_grid import write_profile_csv
 
@@ -426,12 +426,9 @@ def cmd_solve(args) -> int:
 def _profile_index(tok: str) -> int:
     """One --n-list entry: a finite integral number such as 100 or 1e4."""
     try:
-        n = float(tok)
+        return profile_index(float(tok))
     except ValueError as exc:
-        raise SpecError(f"--n-list: {exc}") from None
-    if not (math.isfinite(n) and n.is_integer()):
-        raise SpecError(f"--n-list: {tok.strip()!r} is not a finite integer")
-    return int(n)
+        raise SpecError(f"--n-list: {tok.strip()!r}: {exc}") from None
 
 
 def cmd_moser(args) -> int:

@@ -6,14 +6,21 @@ drives the iterate into a basin: each step solves the SPD banded system
 
     (diag(w)/tau + M A) v = w (u/tau + f(u)),
 
-with the scalar M relaxed to self-consistency by an inner fixed point,
-then renormalizes v to the sphere and backtracks on tau until the
-energy decreases.  Once the flow slows, a bordered Newton iteration on
-the full first-order system (gradient plus mass constraint) polishes
-the pair (u, lambda) to the residual tolerance; the Kirchhoff rank-one
-term is folded in by a Woodbury correction, so every Newton step costs
-three banded solves.  Newton does not care about the Morse index, which
-is what lets the same polish certify saddle points.
+with the scalar M lagged, i.e. frozen at M(|grad u|^2) of the current
+iterate, so each trial step is one banded solve; it then renormalizes v
+to the sphere and backtracks on tau until the energy decreases.  The
+bead string and the saddle refinement below take the same step with M
+relaxed to self-consistency by an inner fixed point instead: their
+levels are read off a relaxation that is not run to convergence, so
+they depend on the step map, whereas the minimizer's answers are
+Newton-polished fixed points, where both steps coincide.
+
+Once the flow slows, a bordered Newton iteration on the full
+first-order system (gradient plus mass constraint) polishes the pair
+(u, lambda) to the residual tolerance; the Kirchhoff rank-one term is
+folded in by a Woodbury correction, so every Newton step costs three
+banded solves.  Newton does not care about the Morse index, which is
+what lets the same polish certify saddle points.
 
 A converged candidate must pass four filters before it is reported:
 the PDE residual relative to the H^1 norm, the dilation balance
@@ -96,7 +103,8 @@ GN_T_LO = 1e-4
 GN_T_HI = 1e2
 GN_SCAN = 600
 GN_BARRIER_SCAN = 400
-# M relaxations per implicit flow step
+# M relaxations per relaxed implicit step (string and saddle only; the
+# minimizer's descent lags M and solves once)
 INNER_SOLVES = 4
 # Newton polish: iteration cap, and the target as a fraction of the
 # acceptance tolerance
@@ -299,10 +307,14 @@ def _pin_tail(u: RadialFunction) -> RadialFunction:
 
 
 def _implicit_step(model: Model, u: RadialFunction, tau: float,
-                   ab0: np.ndarray) -> RadialFunction:
-    """One semi-implicit flow step, with M relaxed to self-consistency.
+                   ab0: np.ndarray, lagged: bool) -> RadialFunction:
+    """One semi-implicit flow step.
 
-    ab0 is only read: each relaxation scales it into a fresh array.
+    lagged (the minimizer's descent) freezes M at its value on u and
+    makes one banded solve.  Otherwise (the string and the saddle
+    refinement, whose levels depend on the step map, see the module
+    docstring) M is relaxed to self-consistency by up to INNER_SOLVES
+    solves.  ab0 is only read: each solve scales it into a fresh array.
     """
     grid = u.grid
     w = grid.weights
@@ -317,6 +329,8 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
         vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], lower=False,
                                   overwrite_ab=True, check_finite=False)
         v = u.with_values(vals)
+        if lagged:
+            break
         m_new = model.coefficient.M(v.grad_norm_sq())
         if abs(m_new - m) <= 1e-12 * (1.0 + m):
             break
@@ -422,15 +436,21 @@ class _Run:
 
 def _trial(model: Model, u: RadialFunction, e: float, tau: float,
            ab0: np.ndarray, c: float, slack: float = 1e-12,
-           recenter=None) -> tuple[RadialFunction, float] | None:
-    """One trial flow step from u at energy e: the implicit step, back
-    onto the sphere, the optional recentering, and the energy there.
+           recenter=None, lagged: bool = False
+           ) -> tuple[RadialFunction, float] | None:
+    """One trial flow step from u at energy e: the implicit step (lagged
+    or relaxed, see _implicit_step), back onto the sphere, the optional
+    recentering, and the energy there.
 
     Returns (v, I(v)) when I(v) is finite and exceeds e by at most
-    slack (1 + |e|); None when it does not or when the step fails.
+    slack (1 + |e|); None when it does not or when the step fails,
+    including a step whose mass is not finite and positive.
     """
     try:
-        v = normalize_mass(_implicit_step(model, u, tau, ab0), c)
+        v = _implicit_step(model, u, tau, ab0, lagged)
+        if not 0.0 < v.mass() < math.inf:
+            return None
+        v = normalize_mass(v, c)
         if recenter is not None:
             v = recenter(v)
         ev = energy(model, v).total
@@ -500,7 +520,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
                 break
         step = None
         while step is None and tau >= STEP_FLOOR:
-            step = _trial(model, u, e, tau, ab0, c, slack, recenter)
+            step = _trial(model, u, e, tau, ab0, c, slack, recenter,
+                          lagged=descent)
             tau = 0.5 * tau if step is None else min(tau * grow, STEP_CAP)
         if step is not None:
             u, e = step
@@ -639,8 +660,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     infimum = math.inf
     diverged = False
     for label, u0 in labeled:
-        run = _flow(model, normalize_mass(_pin_tail(u0), c), c, params, ab0,
-                    STEP)
+        run = _flow(model, u0, c, params, ab0, STEP)
         if run.flag == "diverged":
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")

@@ -37,6 +37,7 @@ by callers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -264,6 +265,15 @@ class MoserBoundReport:
         return "\n".join(lines)
 
 
+def profile_index(n) -> int:
+    """n as an int, checked to be a finite integral real number (1e4 is
+    accepted, 10.7 and inf are not)."""
+    if not (isinstance(n, numbers.Real) and math.isfinite(n)
+            and float(n).is_integer()):
+        raise ValueError(f"profile index n must be a finite integer, got {n!r}")
+    return int(n)
+
+
 def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
     """Maximize g_n over t for each n and compare against the ceiling.
 
@@ -283,7 +293,7 @@ def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
     bound = mp_bound(model)
     floor = _growth_floor(nl)
     records = []
-    for n in sorted(set(int(m) for m in n_list)):
+    for n in sorted(set(profile_index(m) for m in n_list)):
         mf = moser(n, c)
         h = mf.plateau_height
         t_hi = math.sqrt(EXP_ARG_CAP / nl.alpha0) / h * (1.0 - OVERFLOW_BACKOFF)

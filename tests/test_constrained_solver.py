@@ -312,6 +312,68 @@ class TestMinimize:
         assert isinstance(d["notes"], list)
 
 
+class TestFlowStep:
+    """The descent lags M (one banded solve per trial); the string and
+    the saddle refinement relax it."""
+
+    @pytest.fixture
+    def start(self):
+        model = affine_power(4, 3.0, b=0.019)
+        grid = make_grid(4, 24.0, 2000, "graded")
+        c = 22.0
+        gauss = np.exp(-0.5 * (grid.nodes / 2.0) ** 2)
+        u = normalize_mass(RadialFunction(grid, gauss), c)
+        return model, u, c, grid.stiffness_banded()
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = cs.solveh_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(cs, "solveh_banded", counted)
+        return calls
+
+    def test_lagged_trial_makes_one_solve(self, start, monkeypatch):
+        model, u, c, ab0 = start
+        calls = self.count_solves(monkeypatch)
+        step = cs._trial(model, u, energy(model, u).total, cs.STEP, ab0, c,
+                         lagged=True)
+        assert step is not None
+        assert len(calls) == 1
+
+    def test_relaxed_trial_makes_several_solves(self, start, monkeypatch):
+        model, u, c, ab0 = start
+        calls = self.count_solves(monkeypatch)
+        step = cs._trial(model, u, energy(model, u).total, 0.2 * cs.STEP,
+                         ab0, c)
+        assert step is not None
+        assert len(calls) > 1
+
+    def test_minimizer_flow_solves_once_per_trial(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        trials = []
+        trial = cs._trial
+
+        def counted_trial(*args, **kwargs):
+            trials.append(1)
+            return trial(*args, **kwargs)
+        monkeypatch.setattr(cs, "_trial", counted_trial)
+        minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
+                           SolveParams(restarts=1, max_iter=30))
+        assert trials and len(calls) == len(trials)
+
+    def test_non_finite_step_is_a_rejected_trial(self, start, monkeypatch):
+        model, u, c, ab0 = start
+        monkeypatch.setattr(
+            cs, "_implicit_step",
+            lambda model, u, *args: u.with_values(np.full_like(u.values, np.nan)))
+        assert cs._trial(model, u, energy(model, u).total, cs.STEP, ab0, c,
+                         lagged=True) is None
+
+
 class TestMountainPass:
     def test_saddle_just_below_threshold(self, saddle_report):
         rep = saddle_report
@@ -362,6 +424,8 @@ class TestClassify:
                        SolveParams(restarts=12))
         assert rec.predicted == "no_solution"
         assert rec.observed_status == "no_nontrivial_solution_found"
+        # the evidence is the restart count: every one of them must run
+        assert rec.report.restarts_used == 12
         assert rec.agreement == "corroborated"
 
     def test_zero_infimum_corroborated_mass_critical(self):

@@ -241,6 +241,18 @@ class TestBoundCheck:
         with pytest.raises(ValueError):
             msq.mp_bound_check(model, 1.0, [100])
 
+    @pytest.mark.parametrize("bad", [10.7, math.inf, math.nan, "100"])
+    def test_rejects_non_integral_n(self, bad):
+        with pytest.raises(ValueError, match="finite integer"):
+            msq.mp_bound_check(exp_model(), 1.0, [bad])
+
+    def test_accepts_integral_float_n(self):
+        rep = msq.mp_bound_check(exp_model(), 1.0, [1e4])
+        assert [rec.n for rec in rep.records] == [10**4]
+        assert type(rep.records[0].n) is int
+        assert rep.records[0].max_g == \
+            msq.mp_bound_check(exp_model(), 1.0, [10**4]).records[0].max_g
+
     def test_summary_and_rows(self):
         rep = msq.mp_bound_check(exp_model(), 1.0, [100, 1000])
         rows = rep.rows()
