@@ -67,8 +67,9 @@ from .functional import (CriticalPointCandidate, energy, fiber_energy,
 from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .omega_thresholds import ThresholdSet, threshold_set
-from .radial_grid import (RadialFunction, RadialGrid, TruncationLossError,
-                          fiber_scale, make_grid, mass_radius, normalize_mass)
+from .radial_grid import (MIN_CELLS, RadialFunction, RadialGrid,
+                          TruncationLossError, fiber_scale, make_grid,
+                          mass_radius, normalize_mass)
 from .scalar_opt import BracketError, golden_min, sign_change_brackets
 
 STATUS_MINIMIZER = "converged_minimizer"
@@ -138,6 +139,8 @@ class SolveParams:
     Gaussian of width r_max/6, then seeded random bumps.  r_max is a
     floor: the solvers widen the domain per (model, c) to hold the
     predicted profile width.  The graded grid has n_cells cells.
+    Construction rejects values that no solve can use: non-finite
+    residual_tol or r_max, and n_cells below radial_grid.MIN_CELLS.
     """
 
     max_iter: int = 2000
@@ -148,14 +151,17 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.residual_tol > 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be positive and finite, "
+                             f"got {self.residual_tol}")
         if not 1 <= self.max_iter <= 10**6:
             raise ValueError(f"max_iter must lie in [1, 1e6], got {self.max_iter}")
         if not 1 <= self.restarts <= 256:
             raise ValueError(f"restarts must lie in [1, 256], got {self.restarts}")
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        if not self.n_cells >= MIN_CELLS:
+            raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {self.n_cells}")
 
 
 @dataclass
@@ -314,14 +320,15 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
     makes one banded solve.  Otherwise (the string and the saddle
     refinement, whose levels depend on the step map, see the module
     docstring) M is relaxed to self-consistency by up to INNER_SOLVES
-    solves.  ab0 is only read: each solve scales it into a fresh array.
+    solves; the last solve's profile is returned without evaluating M
+    on it.  ab0 is only read: each solve scales it into a fresh array.
     """
     grid = u.grid
     w = grid.weights
-    rhs = w * (u.values / tau + model.nonlinearity.f(u.values))
+    rhs = w * (u.values / tau + u.f_values(model.nonlinearity))
     m = model.coefficient.M(u.grad_norm_sq())
     v = u
-    for _ in range(INNER_SOLVES):
+    for k in range(INNER_SOLVES):
         ab = ab0 * m
         ab[1] += w / tau
         vals = np.zeros_like(u.values)
@@ -329,7 +336,7 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
         vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], lower=False,
                                   overwrite_ab=True, check_finite=False)
         v = u.with_values(vals)
-        if lagged:
+        if lagged or k == INNER_SOLVES - 1:
             break
         m_new = model.coefficient.M(v.grad_norm_sq())
         if abs(m_new - m) <= 1e-12 * (1.0 + m):
@@ -371,7 +378,7 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
         except ExpOverflowError:
             return u, lam, res, res <= tol_norm
         stiff = grid.stiffness_apply(vals)
-        rho = (mcoef * stiff) / w - model.nonlinearity.f(vals) - lam * vals
+        rho = (mcoef * stiff) / w - u.f_values(model.nonlinearity) - lam * vals
         h = 0.5 * (float(w @ vals**2) - c * c)
         # tridiagonal Jacobian in node space, interior nodes only
         k = len(vals) - 1

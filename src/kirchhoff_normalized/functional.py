@@ -76,15 +76,15 @@ class MultiplierEstimate:
 def energy(model: Model, u: RadialFunction) -> EnergyBreakdown:
     g = u.grad_norm_sq()
     kinetic = 0.5 * model.coefficient.Mhat(g)
-    potential = u.grid.integrate(model.nonlinearity.F(u.values))
+    potential = u.grid.integrate(u.F_values(model.nonlinearity))
     return EnergyBreakdown(kinetic, potential, kinetic - potential, g, u.mass())
 
 
 def pohozaev(model: Model, u: RadialFunction) -> float:
     n = u.grid.dimension
     g = u.grad_norm_sq()
-    f_int = u.grid.integrate(model.nonlinearity.f(u.values) * u.values)
-    big_f = u.grid.integrate(model.nonlinearity.F(u.values))
+    f_int = u.grid.integrate(u.f_values(model.nonlinearity) * u.values)
+    big_f = u.grid.integrate(u.F_values(model.nonlinearity))
     return model.coefficient.M(g) * g + n * big_f - 0.5 * n * f_int
 
 
@@ -117,14 +117,14 @@ def l2_gradient(model: Model, u: RadialFunction, lam: float = 0.0) -> RadialFunc
     g = u.grad_norm_sq()
     stiff = u.grid.stiffness_apply(u.values)
     vals = (model.coefficient.M(g) * stiff) / u.grid.weights \
-        - model.nonlinearity.f(u.values) - lam * u.values
+        - u.f_values(model.nonlinearity) - lam * u.values
     return u.with_values(vals)
 
 
 def multiplier_estimate(model: Model, u: RadialFunction, c: float) -> MultiplierEstimate:
     """Estimate lambda = <I'(u), u> / c^2, with the power-case cross-check."""
     g = u.grad_norm_sq()
-    f_int = u.grid.integrate(model.nonlinearity.f(u.values) * u.values)
+    f_int = u.grid.integrate(u.f_values(model.nonlinearity) * u.values)
     lam = (model.coefficient.M(g) * g - f_int) / c**2
     nl = model.nonlinearity
     if nl.kind == "power":

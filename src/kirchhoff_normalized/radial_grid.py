@@ -16,6 +16,14 @@ Dirichlet energies use the compact two-point stencil on each cell
 (midpoint-centered difference quotients).  Kinks that sit exactly on a
 node, such as a Moser plateau edge or a spliced nonlinearity, then
 never straddle a stencil, which keeps the energy second-order accurate.
+
+A RadialFunction is an immutable value: its samples are read-only, and
+each derived quantity (|u|_2^2, |grad u|_2^2, and f(u), F(u) per
+nonlinearity) is computed at most once per profile.  The solvers
+evaluate one iterate many times over (multiplier, residual, step
+right-hand side, energy, filters); all of those read the stored
+numbers, so the cost is one evaluation per iterate and the answers are
+those of evaluating afresh each time.
 """
 
 from __future__ import annotations
@@ -177,29 +185,63 @@ def _validate_dimension(dimension: int) -> None:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIMENSION}], got {dimension}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialFunction:
-    """Samples of a radial function on a RadialGrid."""
+    """Samples of a radial function on a RadialGrid, as an immutable value.
+
+    values is a read-only view of the array it was built from (no copy),
+    so the profile cannot be changed through it, and whoever built it
+    must not write to that array while the profile is in use; a changed
+    profile is a new RadialFunction (with_values).  Derived quantities, |u|_2^2,
+    |grad u|_2^2, and f(u), F(u) per nonlinearity, are computed on first
+    use and kept on the object; cached arrays are read-only.  A
+    computation that raises (ExpOverflowError) stores nothing, so it
+    raises again on every call.
+    """
 
     grid: RadialGrid
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.nodes.shape:
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid node count")
+
+    def _derived(self, key, compute):
+        """compute(values), evaluated on first use under key and kept."""
+        out = self._memo.get(key)
+        if out is None:
+            out = compute(self.values)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            self._memo[key] = out
+        return out
 
     def with_values(self, values: np.ndarray) -> "RadialFunction":
         return RadialFunction(self.grid, values)
 
     def mass(self) -> float:
         """Squared L2 norm over R^N."""
-        return self.grid.integrate(self.values**2)
+        return self._derived("mass", lambda v: self.grid.integrate(v**2))
 
     def grad_norm_sq(self) -> float:
         """Squared L2 norm of the gradient, by cell-midpoint difference quotients."""
-        d = np.diff(self.values) / self.grid.cell_widths
+        return self._derived("grad_norm_sq", self._grad_norm_sq)
+
+    def _grad_norm_sq(self, values: np.ndarray) -> float:
+        d = np.diff(values) / self.grid.cell_widths
         return float(self.grid.cell_volumes @ d**2)
+
+    def f_values(self, nonlinearity) -> np.ndarray:
+        """f(u) at the nodes for the given nonlinearity, read-only."""
+        return self._derived(("f", nonlinearity), nonlinearity.f)
+
+    def F_values(self, nonlinearity) -> np.ndarray:
+        """F(u) at the nodes for the given nonlinearity, read-only."""
+        return self._derived(("F", nonlinearity), nonlinearity.F)
 
     def lp_norm(self, p: float) -> float:
         if p < 1:

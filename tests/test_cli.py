@@ -100,6 +100,17 @@ class TestSolve:
         assert any("no saddle geometry" in n for n in d["report"]["notes"])
         assert not (tmp_path / "solve_profile.csv").exists()
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--rmax", "inf", "r_max"),
+        ("--tol", "inf", "residual_tol"),
+        ("--grid-size", "-5", "n_cells"),
+    ])
+    def test_bad_solve_params_exit_2(self, capsys, flag, value, field):
+        rc, out, err = run_cli(capsys, "solve", "--dim", "4", "--p", "3",
+                               "--c", "1", flag, value)
+        assert rc == 2
+        assert out == "" and err.startswith(f"error: {field} must")
+
 
 class TestMoser:
     def test_margin_column_is_bound_minus_max(self, capsys):

@@ -39,6 +39,8 @@ from kirchhoff_normalized import (
 )
 from kirchhoff_normalized import constrained_solver as cs
 from kirchhoff_normalized.functional import fiber_pohozaev
+from kirchhoff_normalized.models import Nonlinearity
+from kirchhoff_normalized.radial_grid import MIN_CELLS
 
 
 def affine_power(n, p, a=1.0, b=1.0):
@@ -365,6 +367,21 @@ class TestFlowStep:
                            SolveParams(restarts=1, max_iter=30))
         assert trials and len(calls) == len(trials)
 
+    def test_minimizer_flow_evaluates_f_once_per_iterate(self, monkeypatch):
+        # every f(u) of the flow, tau retries and the final polish
+        # included, comes from the profile's cache
+        seen = []
+        f = Nonlinearity.f
+
+        def counted(nl, u):
+            seen.append(np.asarray(u, dtype=float).tobytes())
+            return f(nl, u)
+        monkeypatch.setattr(Nonlinearity, "f", counted)
+        report = minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
+                                    SolveParams(restarts=1, max_iter=30))
+        assert report.iterations == 30
+        assert len(seen) > 30 and len(set(seen)) == len(seen)
+
     def test_non_finite_step_is_a_rejected_trial(self, start, monkeypatch):
         model, u, c, ab0 = start
         monkeypatch.setattr(
@@ -482,6 +499,11 @@ class TestParamsValidation:
         {"max_iter": 0},
         {"restarts": 0},
         {"r_max": 0.0},
+        {"r_max": math.inf},
+        {"residual_tol": math.inf},
+        {"residual_tol": math.nan},
+        {"n_cells": -5},
+        {"n_cells": MIN_CELLS - 1},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):

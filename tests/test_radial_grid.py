@@ -12,6 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from kirchhoff_normalized import radial_grid as rg
+from kirchhoff_normalized.models import (ExpOverflowError, make_exp_critical,
+                                         power_nonlinearity)
 
 
 def gauss(grid, width=1.0):
@@ -126,6 +128,86 @@ class TestCellWidths:
         assert np.array_equal(widths, np.diff(grid.nodes))
         with pytest.raises(ValueError):
             widths[0] = 1.0
+
+
+class CountingNonlinearity:
+    """Hashable stand-in that counts its f and F evaluations."""
+
+    def __init__(self, p):
+        self.p = p
+        self.calls = {"f": 0, "F": 0}
+
+    def f(self, u):
+        self.calls["f"] += 1
+        return np.abs(u) ** (self.p - 2.0) * u
+
+    def F(self, u):
+        self.calls["F"] += 1
+        return np.abs(u) ** self.p / self.p
+
+
+class TestProfileMemo:
+    """A profile is immutable and computes each derived quantity once."""
+
+    def test_values_are_read_only_and_not_copied(self):
+        grid = rg.make_grid(3, 6.0, 100)
+        vals = np.exp(-grid.nodes**2)
+        u = rg.RadialFunction(grid, vals)
+        assert np.shares_memory(u.values, vals)
+        with pytest.raises(ValueError):
+            u.values[0] = 1.0
+        with pytest.raises(AttributeError):
+            u.values = vals
+
+    def test_norms_and_nonlinear_terms_computed_once(self):
+        u = gauss(rg.make_grid(4, 8.0, 200))
+        nl = CountingNonlinearity(3.0)
+        assert u.mass() is u.mass()
+        assert u.grad_norm_sq() is u.grad_norm_sq()
+        fu = u.f_values(nl)
+        assert u.f_values(nl) is fu and u.F_values(nl) is u.F_values(nl)
+        assert nl.calls == {"f": 1, "F": 1}
+        assert np.array_equal(fu, nl.f(u.values))
+        with pytest.raises(ValueError):
+            fu[0] = 0.0
+        with pytest.raises(ValueError):
+            u.F_values(nl)[0] = 0.0
+
+    def test_new_profiles_start_with_an_empty_cache(self):
+        u = gauss(rg.make_grid(4, 8.0, 200))
+        nl = CountingNonlinearity(3.0)
+        u.f_values(nl)
+        m, g = u.mass(), u.grad_norm_sq()
+        v = u.with_values(2.0 * u.values)
+        w = rg.normalize_mass(u, 3.0)
+        for new in (v, w):
+            assert new._memo == {}
+            new.f_values(nl)
+        assert nl.calls["f"] == 3
+        assert v.mass() == pytest.approx(4.0 * m, rel=1e-14)
+        assert v.grad_norm_sq() == pytest.approx(4.0 * g, rel=1e-14)
+        assert w.mass() == pytest.approx(9.0, rel=1e-14)
+
+    def test_each_nonlinearity_gets_its_own_terms(self):
+        grid = rg.make_grid(5, 8.0, 200)
+        u = rg.RadialFunction(grid, 1.3 * np.exp(-grid.nodes**2))
+        for p in (2.5, 3.0, 2.5):
+            nl = power_nonlinearity(p, 5)
+            assert np.array_equal(u.f_values(nl), nl.f(u.values))
+            assert np.array_equal(u.F_values(nl), nl.F(u.values))
+        assert not np.array_equal(u.f_values(power_nonlinearity(2.5, 5)),
+                                  u.f_values(power_nonlinearity(3.0, 5)))
+
+    def test_exponential_overflow_raises_on_every_call(self):
+        nl = make_exp_critical(1.0, 1.0, 1.0)
+        grid = rg.make_grid(2, 8.0, 200)
+        u = rg.RadialFunction(grid, 30.0 * np.exp(-grid.nodes**2))
+        for _ in range(2):
+            with pytest.raises(ExpOverflowError):
+                u.f_values(nl)
+            with pytest.raises(ExpOverflowError):
+                u.F_values(nl)
+        assert u._memo == {}
 
 
 class TestNormalizeMass:
