@@ -62,8 +62,8 @@ from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 from scipy.optimize import brentq
 
 from .functional import (CriticalPointCandidate, energy, fiber_energy,
-                         fiber_pohozaev, l2_gradient, multiplier_estimate,
-                         pde_residual_norm, pohozaev)
+                         fiber_pohozaev, lagrange_multiplier,
+                         multiplier_estimate, pde_residual_norm, pohozaev)
 from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .omega_thresholds import ThresholdSet, threshold_set
@@ -93,8 +93,9 @@ DIVERGENCE_ENERGY = 1e12
 DIVERGENCE_GRAD_SQ = 1e14
 ZERO_LEVEL_TOL = 1e-6
 # flow-progress window: attempt the Newton polish when the residual has
-# not halved over this many iterations
-STALL_WINDOW = 60
+# not halved over this many iterations; it is also the first wait between
+# attempts, which doubles after each one (see _flow)
+STALL_WINDOW = 10
 # the graded grid's cost is independent of the radius, so the cap only
 # guards against absurd scale requests near degenerate thresholds
 MAX_R_MAX = 20000.0
@@ -136,11 +137,15 @@ class SolveParams:
     residual_tol is relative to the H^1 norm of the iterate.  restarts
     counts initial profiles for the minimizer: the scaled GN extremal
     (power models), then the GAUSSIAN_WIDTHS Gaussians, then the
-    Gaussian of width r_max/6, then seeded random bumps.  r_max is a
-    floor: the solvers widen the domain per (model, c) to hold the
-    predicted profile width.  The graded grid has n_cells cells.
+    Gaussian of width r_max/6 (doubled until it differs from every
+    GAUSSIAN_WIDTHS width, so w=8 at r_max = 24), then seeded random
+    bumps.  r_max is a floor: the solvers widen the domain per (model, c)
+    to hold the predicted profile width.  The graded grid has n_cells
+    cells.
     Construction rejects values that no solve can use: non-finite
-    residual_tol or r_max, and n_cells below radial_grid.MIN_CELLS.
+    residual_tol or r_max, n_cells below radial_grid.MIN_CELLS, and a
+    max_iter, restarts, n_cells or seed that is not an integer (bool
+    included; numpy integers are accepted).
     """
 
     max_iter: int = 2000
@@ -151,6 +156,10 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_iter", "restarts", "n_cells", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be positive and finite, "
                              f"got {self.residual_tol}")
@@ -477,14 +486,21 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
 
     Each iteration stops at the residual tolerance, tries the bordered
     Newton polish when the residual has not halved over STALL_WINDOW
-    iterations (at most 4 attempts, STALL_WINDOW apart), and otherwise
-    takes one trial step, halving tau until the energy rises by at most
-    slack and growing it by grow after a step.  The defaults are the
-    minimizer's.  The saddle refinement recenters the start and every
-    step with recenter, also polishes once res <= polish_at |u|_H1, and
-    accepts a polish only if it moves u by at most max_drift |u|_2: the
-    saddle must not slide into a well.  A descent also stops when the
-    energy runs off to -infinity, and ends with a polish.
+    iterations, and otherwise takes one trial step, halving tau until
+    the energy rises by at most slack and growing it by grow after a
+    step.  The defaults are the minimizer's.  The saddle refinement
+    recenters the start and every step with recenter, also polishes once
+    res <= polish_at |u|_H1, and accepts a polish only if it moves u by
+    at most max_drift |u|_2: the saddle must not slide into a well.  A
+    descent also stops when the energy runs off to -infinity, and ends
+    with a polish.
+
+    Polish attempts back off geometrically, for both kinds of trigger:
+    after an attempt the next one waits polish_gap iterations, and
+    polish_gap doubles, starting from STALL_WINDOW, so attempts come at
+    about 10, 20, 40, 80, ... iterations up to max_iter.  A flow that is
+    not yet in the Newton basin keeps being retried, with no cap, while
+    its polishes grow only like log(max_iter).
     """
     if recenter is not None:
         try:
@@ -500,11 +516,10 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     e_hist = [e]
     flag = "max_iter"
     it = 0
-    polish_attempts = 0
-    last_polish = -STALL_WINDOW
+    next_polish, polish_gap = 0, STALL_WINDOW
     for it in range(1, params.max_iter + 1):
-        est = multiplier_estimate(model, u, c)
-        res = pde_residual_norm(model, u, est.lam)
+        lam = lagrange_multiplier(model, u, c)
+        res = pde_residual_norm(model, u, lam)
         res_hist.append(res)
         tol_norm = params.residual_tol * u.h1_norm()
         if res <= tol_norm:
@@ -513,10 +528,9 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
         stalled_now = len(res_hist) > STALL_WINDOW \
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
         if (stalled_now or polish_at > 0.0 and res <= polish_at * u.h1_norm()) \
-                and polish_attempts < 4 and it - last_polish >= STALL_WINDOW:
-            polish_attempts += 1
-            last_polish = it
-            pu, _, pres, ok = _newton_polish(model, u, est.lam, c, tol_norm)
+                and it >= next_polish:
+            next_polish, polish_gap = it + polish_gap, 2 * polish_gap
+            pu, _, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
             if ok and math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2)) \
                     <= max_drift * math.sqrt(u.mass()):
                 u = normalize_mass(pu, c)
@@ -540,27 +554,27 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
                         or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
             return _Run(u, math.nan, math.inf, e, it, "diverged", res_hist,
                         e_hist, f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
-    est = multiplier_estimate(model, u, c)
-    res = pde_residual_norm(model, u, est.lam)
+    lam = lagrange_multiplier(model, u, c)
+    res = pde_residual_norm(model, u, lam)
     if not descent:
         if flag != "converged" and res <= params.residual_tol * u.h1_norm():
             flag = "converged"
-        return _Run(u, est.lam, res, e, it, flag, res_hist, e_hist)
+        return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
     # the final polish runs even after an in-loop convergence: the flow
     # stops at tol_norm, and the leftover gradient there would dominate
     # the dilation-balance defect of a spread-out profile
-    pu, _, pres, _ = _newton_polish(model, u, est.lam, c,
+    pu, _, pres, _ = _newton_polish(model, u, lam, c,
                                     params.residual_tol * u.h1_norm())
     if pres < res:
         u = normalize_mass(pu, c)
-        est = multiplier_estimate(model, u, c)
-        res = pde_residual_norm(model, u, est.lam)
+        lam = lagrange_multiplier(model, u, c)
+        res = pde_residual_norm(model, u, lam)
         e = energy(model, u).total
     if res <= params.residual_tol * u.h1_norm():
         flag = "converged"
     elif flag == "converged":
         flag = "stalled"
-    return _Run(u, est.lam, res, e, it, flag, res_hist, e_hist)
+    return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
 
 
 def _filter_failures(model: Model, u: RadialFunction, c: float, res: float,
@@ -604,11 +618,13 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
         label = f"gn extremal t={t_star:.4g}"
         shapes.append((label, _q_scaled_values(model, c, grid, t_star)))
     # width fractions of the domain cover the spread regimes, the fixed
-    # widths cover the concentrated ones
-    for w in GAUSSIAN_WIDTHS:
+    # widths cover the concentrated ones; a fraction that repeats a fixed
+    # width is doubled until it does not, so no restart repeats another
+    w_spread = grid.r_max / 6.0
+    while w_spread in GAUSSIAN_WIDTHS:
+        w_spread *= 2.0
+    for w in (*GAUSSIAN_WIDTHS, w_spread):
         shapes.append((f"gaussian w={w:g}", np.exp(-0.5 * (r / w) ** 2)))
-    shapes.append((f"gaussian w={grid.r_max / 6.0:g}",
-                   np.exp(-0.5 * (r / (grid.r_max / 6.0)) ** 2)))
     while len(shapes) < params.restarts:
         w = float(rng.uniform(0.4, grid.r_max / 4.0))
         k = int(rng.integers(0, 3))
@@ -814,45 +830,54 @@ def _right_endpoint(model: Model, base: RadialFunction, s_left: float) -> float:
                        "dilation range")
 
 
-def _reparametrize(grid: RadialGrid, beads: np.ndarray,
-                   c: float) -> np.ndarray | None:
-    """Redistribute beads to uniform weighted-L2 arc length; None on collapse."""
+def _reparametrize(beads: list[RadialFunction],
+                   c: float) -> list[RadialFunction] | None:
+    """Redistribute beads to uniform weighted-L2 arc length; None on collapse.
+
+    The endpoints are returned as the same objects, so their evaluations
+    carry over.
+    """
+    grid = beads[0].grid
+    rows = np.array([u.values for u in beads])
     gaps = np.sqrt(np.maximum(0.0, np.array(
-        [grid.weights @ (beads[j + 1] - beads[j]) ** 2
-         for j in range(len(beads) - 1)])))
+        [grid.weights @ (rows[j + 1] - rows[j]) ** 2
+         for j in range(len(rows) - 1)])))
     cum = np.concatenate([[0.0], np.cumsum(gaps)])
     if cum[-1] <= 1e-12:
         return None
-    cum += np.arange(len(beads)) * (1e-14 * (1.0 + cum[-1]))
-    fresh = interp1d(cum, beads, axis=0, assume_sorted=True)(
-        np.linspace(cum[0], cum[-1], len(beads)))
-    fresh[0], fresh[-1] = beads[0], beads[-1]
-    for j in range(1, len(beads) - 1):
-        fresh[j] = normalize_mass(RadialFunction(grid, fresh[j]), c).values
-    return fresh
+    cum += np.arange(len(rows)) * (1e-14 * (1.0 + cum[-1]))
+    fresh = interp1d(cum, rows, axis=0, assume_sorted=True)(
+        np.linspace(cum[0], cum[-1], len(rows)))
+    return [beads[0],
+            *(normalize_mass(RadialFunction(grid, row), c) for row in fresh[1:-1]),
+            beads[-1]]
 
 
-def _bead_sweeps(model: Model, grid: RadialGrid, beads: np.ndarray, c: float,
-                 ab0: np.ndarray) -> tuple[np.ndarray, list[float]] | None:
+def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float,
+                 ab0: np.ndarray) -> tuple[list[RadialFunction], list[float]] | None:
+    """Relax the interior beads and reparametrize, sweep after sweep.
+
+    Each bead is a RadialFunction kept from the level of one sweep to the
+    start of the next, so its energy is evaluated once.
+    """
     tau = 0.2 * STEP
     levels: list[float] = []
+    beads = list(beads)
     for _ in range(SWEEPS):
         for j in range(1, len(beads) - 1):
-            u = RadialFunction(grid, beads[j])
+            u = beads[j]
             e = energy(model, u).total
             t = tau
             for _ in range(4):
                 step = _trial(model, u, e, t, ab0, c)
                 if step is not None:
-                    beads[j] = step[0].values
+                    beads[j] = step[0]
                     break
                 t *= 0.25
-        fresh = _reparametrize(grid, beads, c)
-        if fresh is None:
+        beads = _reparametrize(beads, c)
+        if beads is None:
             return None
-        beads = fresh
-        levels.append(max(energy(model, RadialFunction(grid, row)).total
-                          for row in beads))
+        levels.append(max(energy(model, u).total for u in beads))
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
                 <= 1e-10 * (1.0 + abs(levels[-1])):
             break
@@ -928,13 +953,11 @@ def mountain_pass(model: Model, c: float,
     swept = None
     end_levels = (math.nan, math.nan)
     for attempt in range(3):
-        s_grid = np.linspace(s_left, s_right, BEADS)
-        beads = np.array([
-            normalize_mass(_pin_tail(fiber_scale(base, s)), c).values
-            for s in s_grid])
-        end_levels = (energy(model, RadialFunction(grid, beads[0])).total,
-                      energy(model, RadialFunction(grid, beads[-1])).total)
-        swept = _bead_sweeps(model, grid, beads, c, ab0)
+        beads = [normalize_mass(_pin_tail(fiber_scale(base, s)), c)
+                 for s in np.linspace(s_left, s_right, BEADS)]
+        end_levels = (energy(model, beads[0]).total,
+                      energy(model, beads[-1]).total)
+        swept = _bead_sweeps(model, beads, c, ab0)
         if swept is not None:
             beads, levels = swept
             if levels[-1] > max(end_levels) + 1e-9 * (1.0 + abs(levels[-1])):
@@ -958,8 +981,7 @@ def mountain_pass(model: Model, c: float,
         return _report(model, STATUS_DIVERGED, None, math.nan, notes)
     beads, levels = swept
     path_level = levels[-1]
-    bead_energies = [energy(model, RadialFunction(grid, row)).total
-                     for row in beads]
+    bead_energies = [energy(model, u).total for u in beads]
     top = int(np.argmax(bead_energies))
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
@@ -971,7 +993,7 @@ def mountain_pass(model: Model, c: float,
         notes.append(f"level estimate {path_level:.6g} is {side} the "
                      f"dilation ceiling {ceiling:.6g}; the estimate is an "
                      "upper bound, it never certifies the strict inequality")
-    run = _flow(model, RadialFunction(grid, beads[top]), c, params, ab0,
+    run = _flow(model, beads[top], c, params, ab0,
                 0.25 * STEP, grow=1.2, slack=1e-11,
                 recenter=lambda v: _recenter_on_fiber_max(model, v, c, 0.8),
                 polish_at=1e-2, max_drift=0.25, descent=False)

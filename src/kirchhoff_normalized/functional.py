@@ -121,11 +121,16 @@ def l2_gradient(model: Model, u: RadialFunction, lam: float = 0.0) -> RadialFunc
     return u.with_values(vals)
 
 
-def multiplier_estimate(model: Model, u: RadialFunction, c: float) -> MultiplierEstimate:
-    """Estimate lambda = <I'(u), u> / c^2, with the power-case cross-check."""
+def lagrange_multiplier(model: Model, u: RadialFunction, c: float) -> float:
+    """lambda = <I'(u), u> / c^2, the multiplier alone (no cross-check)."""
     g = u.grad_norm_sq()
     f_int = u.grid.integrate(u.f_values(model.nonlinearity) * u.values)
-    lam = (model.coefficient.M(g) * g - f_int) / c**2
+    return (model.coefficient.M(g) * g - f_int) / c**2
+
+
+def multiplier_estimate(model: Model, u: RadialFunction, c: float) -> MultiplierEstimate:
+    """Estimate lambda = <I'(u), u> / c^2, with the power-case cross-check."""
+    lam = lagrange_multiplier(model, u, c)
     nl = model.nonlinearity
     if nl.kind == "power":
         n = u.grid.dimension

@@ -306,6 +306,19 @@ class TestMinimize:
         assert abs(rep.candidate.energy - cand.energy) \
             <= 2 * params.residual_tol * (1 + abs(cand.energy))
 
+    @pytest.mark.parametrize("r_max", [3.0, 12.0, 24.0, 30.0])
+    def test_restart_starts_are_distinct(self, r_max):
+        # r_max/6 is 0.5, 2 and 4 at the first three radii, which
+        # GAUSSIAN_WIDTHS already holds
+        params = SolveParams(restarts=6, n_cells=200)
+        grid = make_grid(5, r_max, params.n_cells, "graded")
+        labeled = cs._initial_profiles(affine_power(5, 2.5, b=0.1), 1.0, grid,
+                                       params, np.random.default_rng(0))
+        labels = [label for label, _ in labeled]
+        assert len(set(labels)) == len(labels) == params.restarts
+        if r_max == 24.0:
+            assert "gaussian w=8" in labels
+
     def test_report_dict_shape(self, wide_minimizer_report):
         d = wide_minimizer_report.to_dict()
         assert d["status"] == "converged_minimizer"
@@ -376,11 +389,67 @@ class TestFlowStep:
         def counted(nl, u):
             seen.append(np.asarray(u, dtype=float).tobytes())
             return f(nl, u)
+        # the r_max/6 Gaussian on the widened grid enters the Newton
+        # basin late, so the flow runs all 30 iterations
+        model = affine_power(4, 3.0, b=0.019)
+        params = SolveParams(restarts=1, max_iter=30)
+        grid = recommended_grid(model, 22.0, params)
+        start = RadialFunction(
+            grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 6.0)) ** 2))
         monkeypatch.setattr(Nonlinearity, "f", counted)
-        report = minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
-                                    SolveParams(restarts=1, max_iter=30))
+        report = minimize_on_sphere(model, 22.0, params, starts=[start])
         assert report.iterations == 30
         assert len(seen) > 30 and len(set(seen)) == len(seen)
+
+    @staticmethod
+    def record_polishes(monkeypatch, succeed_after):
+        """Flow iteration of every polish attempt; the polish fails for the
+        first succeed_after attempts and then runs for real.
+
+        The flow evaluates the multiplier once per iteration before it
+        tries a polish, and once more after its loop, so the count of
+        those evaluations at a polish call is the iteration it came in.
+        """
+        evaluations = []
+        attempts = []
+        lam_of = cs.lagrange_multiplier
+        polish = cs._newton_polish
+
+        def counted(*args):
+            evaluations.append(1)
+            return lam_of(*args)
+
+        def recorded(model, u, lam, c, tol_norm):
+            attempts.append(len(evaluations))
+            if len(attempts) <= succeed_after:
+                return u, lam, math.inf, False
+            return polish(model, u, lam, c, tol_norm)
+        monkeypatch.setattr(cs, "lagrange_multiplier", counted)
+        monkeypatch.setattr(cs, "_newton_polish", recorded)
+        return attempts
+
+    def test_polish_attempts_back_off_geometrically(self, monkeypatch):
+        attempts = self.record_polishes(monkeypatch, succeed_after=math.inf)
+        max_iter = 1000
+        report = minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
+                                    SolveParams(restarts=1, max_iter=max_iter))
+        assert report.iterations == max_iter
+        # the last call is the final polish after the loop
+        assert attempts[-1] == max_iter + 1
+        gaps = np.diff(attempts[:-1])
+        assert gaps[0] >= cs.STALL_WINDOW
+        assert all(later >= 2 * earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert len(attempts) - 1 <= math.log2(max_iter / cs.STALL_WINDOW) + 2
+
+    def test_polish_retried_past_four_failures(self, monkeypatch):
+        # a flow that reaches the Newton basin only after five failed
+        # polishes still converges before max_iter
+        attempts = self.record_polishes(monkeypatch, succeed_after=5)
+        report = minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
+                                    SolveParams(restarts=1, max_iter=1000))
+        assert report.status == cs.STATUS_MINIMIZER
+        assert len(attempts) >= 6
+        assert report.iterations == attempts[5] < 1000
 
     def test_non_finite_step_is_a_rejected_trial(self, start, monkeypatch):
         model, u, c, ab0 = start
@@ -504,7 +573,21 @@ class TestParamsValidation:
         {"residual_tol": math.nan},
         {"n_cells": -5},
         {"n_cells": MIN_CELLS - 1},
+        {"max_iter": 2.5},
+        {"restarts": 2.5},
+        {"n_cells": 100.5},
+        {"n_cells": 100.0},
+        {"seed": 1.5},
+        {"restarts": True},
+        {"max_iter": np.True_},
+        {"seed": False},
+        {"seed": "3"},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):
             SolveParams(**kw)
+
+    def test_numpy_integers_accepted(self):
+        params = SolveParams(max_iter=np.int64(50), restarts=np.int32(2),
+                             n_cells=np.int64(400), seed=np.uint8(7))
+        assert params.restarts == 2 and params.seed == 7
