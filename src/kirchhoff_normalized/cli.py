@@ -7,13 +7,19 @@ concentration sequence).  `sweep` walks the product of p, a, b, c axes,
 classifies every tuple, and writes a phase table in csv, json, or
 gnuplot form.
 
+Each subcommand takes only the shared flags it reads (SHARED_FLAGS):
+`thresholds` and `moser` take --out, `gn` adds --grid-size and --rmax,
+`solve` adds --tol and --seed, and `sweep` adds --jobs and --format.
+A --config JSON file may set those flags of its subcommand and no other.
+
 Output is deterministic for a fixed invocation and seed: rows keep the
 axis-product order, every float prints through one %.12g formatter, and
 each sweep tuple gets its own worker seed derived from the global seed
 by tuple index.  Reruns are byte-identical regardless of --jobs.
 
 Exit codes: 0 on success, 2 on a bad specification (argparse usage
-errors included), 3 on I/O failure.
+errors, a flag the subcommand does not read and an extremal that the
+shooting cannot certify included), 3 on I/O failure.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .constrained_solver import (
     minimize_on_sphere,
     mountain_pass,
 )
-from .gn_ground_state import gn_constant, ground_state
+from .gn_ground_state import ShootError, gn_constant, ground_state
 from .models import (
     Model,
     affine_coefficient,
@@ -233,55 +239,50 @@ def emit_report(rows: list[dict], fmt: str, path: str) -> None:
         fh.write(text)
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-size", type=int, default=None,
-                        help="radial cells (default: solver default)")
-    common.add_argument("--rmax", type=float, default=None,
-                        help="truncation radius")
-    common.add_argument("--tol", type=float, default=None,
-                        help="relative residual tolerance")
-    common.add_argument("--seed", type=int, default=None,
-                        help="restart-profile seed (default 0)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="sweep worker processes (default 1)")
-    common.add_argument("--out", default=None, metavar="DIR",
-                        help="directory for emitted files")
-    common.add_argument("--format", default=None,
-                        choices=("csv", "json", "gnuplot"),
-                        help="sweep table format (default csv)")
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON file of defaults for the flags above")
-    return common
-
-
-# a --config file may set every common flag but --config itself
-CONFIG_KEYS = tuple(action.dest for action in _common_parser()._actions
-                    if action.dest != "config")
+# The shared flags: the subcommands that read each, and its argparse
+# keywords.  A subcommand takes only the flags it reads, plus --config,
+# whose JSON file may set exactly those.
+SHARED_FLAGS = (
+    ("--grid-size", "gn solve sweep",
+     dict(type=int, help="radial cells (default: solver default)")),
+    ("--rmax", "gn solve sweep", dict(type=float, help="truncation radius")),
+    ("--tol", "solve sweep", dict(type=float, help="relative residual tolerance")),
+    ("--seed", "solve sweep", dict(type=int, help="restart-profile seed (default 0)")),
+    ("--jobs", "sweep", dict(type=int, help="sweep worker processes (default 1)")),
+    ("--out", "thresholds gn solve moser sweep",
+     dict(metavar="DIR", help="directory for emitted files")),
+    ("--format", "sweep", dict(choices=("csv", "json", "gnuplot"),
+                               help="sweep table format (default csv)")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="kirchhoffn",
         description="normalized solutions of Kirchhoff-type equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pt = sub.add_parser("thresholds", parents=[common],
-                        help="mass thresholds for one (N, p, a, b)")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=summary)
+        for flag, readers, kw in SHARED_FLAGS:
+            if name in readers.split():
+                cmd.add_argument(flag, default=None, **kw)
+        cmd.add_argument("--config", default=None, metavar="FILE",
+                         help="JSON file of defaults for the flags above")
+        return cmd
+
+    pt = command("thresholds", "mass thresholds for one (N, p, a, b)")
     pt.add_argument("--dim", type=int, required=True)
     pt.add_argument("--p", type=float, required=True)
     pt.add_argument("--a", type=float, default=1.0)
     pt.add_argument("--b", type=float, default=1.0)
 
-    pg = sub.add_parser("gn", parents=[common],
-                        help="interpolation extremal profile and norms")
+    pg = command("gn", "interpolation extremal profile and norms")
     pg.add_argument("--dim", type=int, required=True)
     pg.add_argument("--p", type=float, required=True)
 
-    ps = sub.add_parser("solve", parents=[common],
-                        help="one constrained solve on the mass sphere")
+    ps = command("solve", "one constrained solve on the mass sphere")
     ps.add_argument("--dim", type=int, required=True)
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--a", type=float, default=1.0)
@@ -290,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=("min", "mp"), default="min")
     ps.add_argument("--restarts", type=int, default=None)
 
-    pm = sub.add_parser("moser", parents=[common],
-                        help="saddle-level ceiling check, exponential model")
+    pm = command("moser", "saddle-level ceiling check, exponential model")
     pm.add_argument("--n-list", default="10,100,1000")
     pm.add_argument("--alpha0", type=float, default=1.0)
     pm.add_argument("--beta", type=float, default=1.0)
@@ -300,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--b", type=float, default=1.0)
     pm.add_argument("--c", type=float, default=1.0)
 
-    pw = sub.add_parser("sweep", parents=[common],
-                        help="phase table over a (p, a, b, c) product")
+    pw = command("sweep", "phase table over a (p, a, b, c) product")
     pw.add_argument("--dim", type=int, required=True)
     pw.add_argument("--p", required=True, metavar="AXIS")
     pw.add_argument("--a", default="1", metavar="AXIS")
@@ -322,19 +321,20 @@ def _apply_config(args) -> None:
         raise SpecError(f"config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise SpecError(f"config {args.config}: want a JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    flags = {flag[2:].replace("-", "_"): kw for flag, readers, kw in SHARED_FLAGS
+             if args.command in readers.split()}
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
         raise SpecError(f"config {args.config}: unknown keys {unknown}")
-    flags = {action.dest: action for action in _common_parser()._actions}
     for key, value in cfg.items():
         # explicit flags win over the config file; null leaves a flag unset
         if getattr(args, key) is not None or value is None:
             continue
         # a config value must be what the flag accepts on the command line
-        action = flags[key]
+        kw = flags[key]
         try:
-            value = (action.type or str)(str(value))
-            if action.choices and value not in action.choices:
+            value = kw.get("type", str)(str(value))
+            if value not in kw.get("choices", (value,)):
                 raise ValueError
         except (TypeError, ValueError):
             raise SpecError(f"config {args.config}: bad value "
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return HANDLERS[args.command](args)
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, ShootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -143,9 +143,9 @@ class SolveParams:
     to hold the predicted profile width.  The graded grid has n_cells
     cells.
     Construction rejects values that no solve can use: non-finite
-    residual_tol or r_max, n_cells below radial_grid.MIN_CELLS, and a
-    max_iter, restarts, n_cells or seed that is not an integer (bool
-    included; numpy integers are accepted).
+    residual_tol or r_max, n_cells below radial_grid.MIN_CELLS, a
+    negative seed, and a max_iter, restarts, n_cells or seed that is not
+    an integer (bool included; numpy integers are accepted).
     """
 
     max_iter: int = 2000
@@ -171,6 +171,8 @@ class SolveParams:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if not self.n_cells >= MIN_CELLS:
             raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {self.n_cells}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -206,14 +208,18 @@ class SolveReport:
         }
 
 
-def gn_fiber_energy(model: Model, c: float, t: float) -> float:
-    """Energy of the c-normalized GN extremal dilated to scale t, in
-    closed form from the extremal's norms (power models only)."""
+def _gn_extremal(model: Model):
+    """The GN extremal of a power model's (N, p); the fiber family needs one."""
     nl = model.nonlinearity
     if nl.kind != "power":
         raise ValueError("the GN fiber family needs a power nonlinearity")
+    return ground_state(nl.dimension, nl.p)
+
+
+def _fiber_energy(model: Model, q, c: float, t: float) -> float:
+    """gn_fiber_energy on a given extremal q."""
+    nl = model.nonlinearity
     n, p = nl.dimension, nl.p
-    q = ground_state(n, p)
     ratio = c / q.q_l2
     g = (c * t) ** 2 * q.grad_sq / q.mass
     val = 0.5 * model.coefficient.Mhat(g)
@@ -222,6 +228,12 @@ def gn_fiber_energy(model: Model, c: float, t: float) -> float:
         qs = two_star(n)
         val -= ratio**qs * q.crit / qs * t ** (0.5 * n * (qs - 2.0))
     return val
+
+
+def gn_fiber_energy(model: Model, c: float, t: float) -> float:
+    """Energy of the c-normalized GN extremal dilated to scale t, in
+    closed form from the extremal's norms (power models only)."""
+    return _fiber_energy(model, _gn_extremal(model), c, t)
 
 
 def _gn_fiber_scan(model: Model, c: float, t_hi: float, n_coarse: int,
@@ -235,10 +247,12 @@ def _gn_fiber_scan(model: Model, c: float, t_hi: float, n_coarse: int,
     polished interior minimum, or None when there is none; sign = -1
     turns the maxima of the fiber energy into minima.  j is evaluated
     point by point, so a scalar-only coefficient works and the polishes
-    see the same bits as the scan.
+    see the same bits as the scan; the extremal is looked up once.
     """
+    q = _gn_extremal(model)
+
     def j(t: float) -> float:
-        return sign * gn_fiber_energy(model, c, t)
+        return sign * _fiber_energy(model, q, c, t)
     ts = np.exp(np.linspace(math.log(GN_T_LO), math.log(t_hi), n_coarse))
     vals = np.array([j(t) for t in ts])
     extrema = {k: golden_min(j, ts[k - 1], ts[k + 1])
@@ -1102,37 +1116,26 @@ def _sign_label(value: float) -> str:
     return "zero"
 
 
-def classify(model: Model, c: float, params: SolveParams | None = None,
-             run_mountain_pass: bool = False) -> ClassificationRecord:
+def classify(model: Model, c: float,
+             params: SolveParams | None = None) -> ClassificationRecord:
     """Compare the predicted theory branch with the solver outcome at c.
 
     Power models need the affine coefficient (the explicit thresholds
     are stated for M(t) = a + b t).  Planar exponential models are
-    reported as the mountain-pass regime; the solver only runs for them
-    when run_mountain_pass is set.  Agreement is three-valued and a
-    corroboration is exactly that, evidence at the stated restart count
-    and tolerances.
+    reported as the mountain-pass regime with observed status "not_run":
+    classify runs no solver for them (call mountain_pass to probe one).
+    Agreement is three-valued and a corroboration is exactly that,
+    evidence at the stated restart count and tolerances.
     """
     c = mass_radius(c)
-    params = params or SolveParams()
     nl = model.nonlinearity
     coef = model.coefficient
-    notes: list[str] = []
     if nl.kind == "exp":
-        report = mountain_pass(model, c, params) if run_mountain_pass else None
-        if report is None:
-            observed, inf, lam = "not_run", math.nan, None
-            agreement = "inconclusive"
-            notes.append("solver skipped; set run_mountain_pass to probe")
-        else:
-            observed, inf = report.status, report.infimum_estimate
-            lam = report.candidate.lam if report.candidate else None
-            agreement = "corroborated" if report.status == STATUS_MOUNTAIN_PASS \
-                and (lam is None or lam < 0) else "inconclusive"
         return ClassificationRecord(
             2, None, getattr(coef, "a", math.nan), getattr(coef, "b", math.nan),
-            c, BRANCH_MOUNTAIN_PASS, observed, inf, _sign_label(inf), lam,
-            agreement, None, report, tuple(notes))
+            c, BRANCH_MOUNTAIN_PASS, "not_run", math.nan, "undetermined",
+            None, "inconclusive", None, None,
+            ("solver not run; call mountain_pass to probe",))
     if coef.kind != "affine":
         raise ValueError("explicit thresholds need the affine coefficient "
                          "M(t) = a + b t")
@@ -1140,11 +1143,10 @@ def classify(model: Model, c: float, params: SolveParams | None = None,
     q = ground_state(n, p)
     thr = threshold_set(coef.a, coef.b, p, n, q.q_l2, gn_constant(n, p))
     predicted = _predicted_branch(thr, c)
-    notes.extend(thr.notes)
     report = minimize_on_sphere(model, c, params)
     agreement = _agreement(predicted, report)
     lam = report.candidate.lam if report.candidate else None
     return ClassificationRecord(
         n, p, coef.a, coef.b, c, predicted, report.status,
         report.infimum_estimate, _sign_label(report.infimum_estimate), lam,
-        agreement, thr, report, tuple(notes))
+        agreement, thr, report, thr.notes)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import two_star
-from .radial_grid import RadialFunction, make_grid
+from .radial_grid import MIN_CELLS, RadialFunction, make_grid
 
 # classification outcomes for a single integration
 _CROSSED = 1
@@ -73,6 +73,8 @@ def _coefficients(dimension: int, p: float) -> tuple[float, float]:
     n = int(dimension)
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     if p <= 2.0:
         raise ValueError("shooting needs p > 2; p = 2 is the identity case")
     if n >= 3 and p >= two_star(n):
@@ -189,10 +191,15 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
 
     With certify=True the shoot is repeated on a doubled domain at the
     same step and the mass difference is reported as richardson_gap (a
-    truncation certificate, not an assertion).
+    truncation certificate, not an assertion).  An r_max that is not
+    positive and finite, or n_cells below MIN_CELLS, is a ValueError.
     """
     if r_max is None:
         r_max = default_r_max(dimension, p)
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    if not n_cells >= MIN_CELLS:
+        raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {n_cells}")
     u, height, kappa, m, steps, r_cut = _shoot_core(dimension, p, r_max, n_cells)
 
     n = int(dimension)
@@ -221,7 +228,8 @@ def _cached_profile(dimension: int, p: float, r_max: float | None,
 
 def ground_state(dimension: int, p: float, r_max: float | None = None,
                  n_cells: int = 4000) -> GroundStateProfile:
-    """Cached extremal lookup for threshold assembly and sweeps."""
+    """Cached extremal lookup for threshold assembly and sweeps; rejects
+    the domains that shoot rejects."""
     return _cached_profile(int(dimension), float(p), r_max, int(n_cells))
 
 

@@ -78,10 +78,10 @@ class KirchhoffCoefficient:
 
 
 def affine_coefficient(a: float, b: float, theta: float = 1.0) -> KirchhoffCoefficient:
-    if a <= 0:
-        raise ValueError(f"M(0) = a must be positive, got {a}")
-    if b < 0:
-        raise ValueError(f"slope b must be nonnegative, got {b}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"M(0) = a must be positive and finite, got {a}")
+    if not 0 <= b < math.inf:
+        raise ValueError(f"slope b must be nonnegative and finite, got {b}")
     return KirchhoffCoefficient("affine", a=a, b=b, theta=theta)
 
 

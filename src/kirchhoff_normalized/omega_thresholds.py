@@ -265,7 +265,6 @@ class ThresholdSet:
     c_star: float | None = None
     c1_exact: float | None = None
     c1_upper: float | None = None
-    c1_upper_variant: float | None = None
     delta: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -278,8 +277,12 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     """Assemble every threshold that applies to the given configuration.
 
     Constants whose hypotheses fail are reported as None with a note
-    rather than raising, so sweeps can tabulate mixed regimes.
+    rather than raising, so sweeps can tabulate mixed regimes.  Only a
+    coefficient outside the affine rule (0 < a and 0 <= b, both finite)
+    raises a ValueError.
     """
+    if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
+        raise ValueError(f"need 0 < a and 0 <= b, both finite; got a={a}, b={b}")
     n = int(dimension)
     s = sobolev_constant(n)
     notes: list[str] = []
@@ -287,7 +290,7 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     if n < 4:
         notes.append("no explicit thresholds below dimension 4")
 
-    c0 = cs = c1e = c1u = c1v = delta = None
+    c0 = cs = c1e = c1u = delta = None
     if exists_ok:
         try:
             c0 = nonexistence_c0(a, b, p, n, q_mass)
@@ -299,12 +302,10 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
             except ValueError as exc:
                 notes.append(f"c_star unavailable: {exc}")
             if abs(p - (2.0 + 4.0 / n)) <= 1e-12:
-                # the sign-change radius is only bracketed here; both
-                # printed exponent variants are reported (they disagree
-                # in the source material), the first is the derived one
+                # the sign-change radius is only bracketed here: the GN
+                # fiber energy at small scale has the sign of
+                # a - (c/|Q|_2)^(4/N), which flips at c = a^(N/4) |Q|_2
                 c1u = a ** (n / 4.0) * q_mass
-                c1v = a ** (4.0 / n) * q_mass
-                notes.append("c1 upper bound exponent variants differ; trusting n/4")
             try:
                 delta = delta_star(a, b, n)
             except ValueError:
@@ -317,5 +318,5 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     return ThresholdSet(
         dimension=n, p=p, a=a, b=b, sobolev=s, gn_constant=gn_const,
         q_mass=q_mass, existence_ok=exists_ok, c0=c0, c_star=cs, c1_exact=c1e,
-        c1_upper=c1u, c1_upper_variant=c1v, delta=delta, notes=tuple(notes),
+        c1_upper=c1u, delta=delta, notes=tuple(notes),
     )

@@ -33,6 +33,25 @@ def run_cli(capsys, *argv):
 
 FAST = ("--grid-size", "1200", "--restarts", "2")
 
+# the required arguments of each subcommand, and the shared flags it
+# does not read
+COMMAND_ARGS = {
+    "thresholds": ("--dim", "4", "--p", "3"),
+    "gn": ("--dim", "4", "--p", "3"),
+    "solve": ("--dim", "4", "--p", "3", "--c", "1"),
+    "moser": (),
+    "sweep": ("--dim", "4", "--p", "3", "--c", "1"),
+}
+UNREAD_FLAGS = {
+    "thresholds": ("--grid-size", "--rmax", "--tol", "--seed", "--jobs",
+                   "--format"),
+    "moser": ("--grid-size", "--rmax", "--tol", "--seed", "--jobs",
+              "--format"),
+    "gn": ("--tol", "--seed", "--jobs", "--format"),
+    "solve": ("--jobs", "--format"),
+    "sweep": (),
+}
+
 
 class TestAxisParsing:
     def test_triple_is_inclusive(self):
@@ -98,6 +117,20 @@ class TestSolve:
         d = json.loads(out)
         assert d["report"]["status"] == "no_nontrivial_solution_found"
         assert any("no saddle geometry" in n for n in d["report"]["notes"])
+        assert not (tmp_path / "solve_profile.csv").exists()
+
+    def test_diverged_report_is_strict_json(self, capsys, tmp_path):
+        # b = 0.001 < 1/S^2 at N=4: the quartic term cannot stop the
+        # descent, the energy is unbounded below
+        rc, out, _ = run_cli(capsys, "solve", "--dim", "4", "--p", "3",
+                             "--b", "0.001", "--c", "22", "--restarts", "2",
+                             "--grid-size", "400", "--out", str(tmp_path))
+        assert rc == 0
+        assert "NaN" not in out and "Infinity" not in out
+        report = json.loads(out)["report"]
+        assert report["status"] == "diverged"
+        assert report["infimum_estimate"] is None
+        assert report["candidate"] is None
         assert not (tmp_path / "solve_profile.csv").exists()
 
     @pytest.mark.parametrize("flag,value,field", [
@@ -229,13 +262,26 @@ class TestConfigAndExits:
         assert rc == 2
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize("command,key", [
+        ("thresholds", "tol"), ("moser", "grid_size"), ("gn", "seed"),
+        ("solve", "jobs"), ("solve", "format"),
+    ])
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path,
+                                                  command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        rc, out, err = run_cli(capsys, command, *COMMAND_ARGS[command],
+                               "--config", str(cfg))
+        assert rc == 2
+        assert out == "" and "unknown keys" in err
+
     @pytest.mark.parametrize("cfg", [{"jobs": "two"}, {"jobs": True},
                                      {"tol": [1e-6]}, {"format": "xml"}])
     def test_mistyped_config_value_is_spec_error(self, capsys, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        rc, _, err = run_cli(capsys, "thresholds", "--dim", "4", "--p", "3",
-                             "--config", str(path))
+        rc, _, err = run_cli(capsys, "sweep", "--dim", "4", "--p", "3",
+                             "--c", "1", "--config", str(path))
         assert rc == 2
         assert err.startswith("error:") and "bad value" in err
 
@@ -243,11 +289,39 @@ class TestConfigAndExits:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"jobs": "2", "rmax": 24,
                                     "out": str(tmp_path / "typed")}))
-        args = build_parser().parse_args(["thresholds", "--dim", "4", "--p", "3",
-                                          "--config", str(path)])
+        args = build_parser().parse_args(["sweep", "--dim", "4", "--p", "3",
+                                          "--c", "1", "--config", str(path)])
         _apply_config(args)
         assert (args.jobs, args.rmax) == (2, 24.0)
         assert isinstance(args.rmax, float)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in UNREAD_FLAGS.items()
+        for flag in flags])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command,
+                                                    flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *COMMAND_ARGS[command], flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("gn", "--dim", "4", "--p", "3", "--rmax", "0"),
+        ("gn", "--dim", "4", "--p", "3", "--grid-size", "0"),
+        ("gn", "--dim", "4", "--p", "3", "--rmax", "inf"),
+        ("gn", "--dim", "4", "--p", "3", "--rmax", "nan"),
+        ("gn", "--dim", "4", "--p", "3", "--rmax", "1e-3"),
+        ("thresholds", "--dim", "5", "--p", "nan"),
+        ("thresholds", "--dim", "5", "--p", "2.8", "--a", "inf"),
+        ("thresholds", "--dim", "5", "--p", "2.8", "--b", "nan"),
+        ("thresholds", "--dim", "5", "--p", "2.8", "--a", "-1"),
+        ("sweep", "--dim", "4", "--p", "2.5", "--c", "1", "--seed", "-1"),
+    ])
+    def test_bad_input_exits_2(self, capsys, tmp_path, argv):
+        rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 2
+        assert out == "" and err.startswith("error:")
+        assert not any(tmp_path.iterdir())
 
     def test_bad_p_is_spec_error(self, capsys):
         rc, _, err = run_cli(capsys, "thresholds", "--dim", "5", "--p", "9")

@@ -266,6 +266,17 @@ class TestMinimize:
         est = multiplier_estimate(model, cand.u, math.sqrt(c_sq))
         assert est.gap is not None and est.gap <= 1e-2
 
+    def test_unbounded_descent_is_diverged(self):
+        # b = 0.001 below 1/S^2 = 0.0095 at N=4, p=3: the quartic term
+        # cannot hold the mass-critical power, the energy is unbounded below
+        model = affine_power(4, 3.0, b=0.001)
+        rep = minimize_on_sphere(model, 22.0, SolveParams(restarts=2, n_cells=400))
+        assert rep.status == "diverged"
+        assert rep.infimum_estimate == -math.inf
+        assert rep.candidate is None
+        assert rep.restarts_used == 2
+        assert sum("diverged (energy" in note for note in rep.notes) == 2
+
     def test_energy_history_non_increasing(self, wide_minimizer_report):
         hist = np.array(wide_minimizer_report.energy_history)
         slack = 1e-10 * (1.0 + np.abs(hist[:-1]))
@@ -528,6 +539,9 @@ class TestClassify:
         assert rec.predicted == "mountain_pass_regime"
         assert rec.observed_status == "not_run"
         assert rec.agreement == "inconclusive"
+        assert rec.report is None and math.isnan(rec.infimum_estimate)
+        with pytest.raises(TypeError):
+            classify(model, 1.0, run_mountain_pass=True)
 
     def test_rejects_bad_mass(self):
         model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
@@ -582,6 +596,7 @@ class TestParamsValidation:
         {"max_iter": np.True_},
         {"seed": False},
         {"seed": "3"},
+        {"seed": -1},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):

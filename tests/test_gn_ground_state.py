@@ -69,6 +69,18 @@ class TestShoot:
             gn.shoot(4, 4.0)  # p = 2^*
         with pytest.raises(ValueError):
             gn.shoot(1, 3.0)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gn.shoot(2, p)
+
+    @pytest.mark.parametrize("kw", [{"r_max": 0.0}, {"r_max": -1.0},
+                                    {"r_max": math.inf}, {"r_max": math.nan},
+                                    {"n_cells": 0}, {"n_cells": 15}])
+    def test_rejects_bad_domain(self, kw):
+        with pytest.raises(ValueError):
+            gn.shoot(4, 3.0, **kw)
+        with pytest.raises(ValueError):
+            gn.ground_state(4, 3.0, **kw)
 
 
 class TestGnConstant:

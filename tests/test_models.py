@@ -27,6 +27,10 @@ class TestAffineCoefficient:
             models.affine_coefficient(0.0, 1.0)
         with pytest.raises(ValueError):
             models.affine_coefficient(1.0, -1.0)
+        for a, b in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                     (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                models.affine_coefficient(a, b)
 
     def test_general_passthrough(self):
         co = models.general_coefficient(lambda t: 1.0 + t**2, lambda t: t + t**3 / 3.0, 2.0)

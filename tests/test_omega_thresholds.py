@@ -11,7 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_normalized import make_grid
+from kirchhoff_normalized import (
+    Model, affine_coefficient, gn_constant, gn_fiber_energy, ground_state,
+    make_grid, power_nonlinearity,
+)
 from kirchhoff_normalized.models import two_star
 from kirchhoff_normalized import omega_thresholds as ot
 
@@ -249,23 +252,41 @@ class TestThresholdSet:
         assert ts.existence_ok
         assert ts.c0 is not None and ts.c_star is not None
         assert ts.c1_upper == pytest.approx(2.3)
-        assert ts.c1_upper_variant == pytest.approx(2.3)
         assert ts.c0 < ts.c_star <= ts.c1_upper
         assert ts.delta is not None
-        assert any("variants" in note for note in ts.notes)
         d = ts.to_dict()
         assert d["existence_ok"] and d["c0"] == ts.c0
+        assert "c1_upper_variant" not in d
 
-    def test_exponent_variants_differ_when_a_not_one(self):
-        ts = ot.threshold_set(2.0, 0.01, 2.8, 5, q_mass=1.0, gn_const=0.7)
-        assert ts.c1_upper == pytest.approx(2.0 ** 1.25)
-        assert ts.c1_upper_variant == pytest.approx(2.0 ** 0.8)
+    def test_c1_upper_is_where_the_fiber_energy_changes_sign(self):
+        # at p = 2 + 4/N the GN fiber energy at small scale has the sign
+        # of a - (c/|Q|_2)^(4/N): it flips across a^(N/4) |Q|_2, and not
+        # across the exponent-swapped a^(4/N) |Q|_2
+        n, p, b, t = 5, 2.8, 0.001, 1e-3
+        q = ground_state(n, p)
+        for a in (0.5, 2.0):
+            model = Model(affine_coefficient(a, b), power_nonlinearity(p, n))
+            ts = ot.threshold_set(a, b, p, n, q.q_l2, gn_constant(n, p))
+            assert ts.c1_upper == pytest.approx(a ** (n / 4.0) * q.q_l2, rel=1e-14)
+            below = gn_fiber_energy(model, 0.99 * ts.c1_upper, t)
+            above = gn_fiber_energy(model, 1.01 * ts.c1_upper, t)
+            assert below > 0.0 > above
+            swapped = a ** (4.0 / n) * q.q_l2
+            signs = {math.copysign(1.0, gn_fiber_energy(model, f * swapped, t))
+                     for f in (0.99, 1.01)}
+            assert len(signs) == 1
 
     def test_failed_coercivity_reported_not_raised(self):
         ts = ot.threshold_set(0.001, 0.001, 2.8, 5, q_mass=2.3, gn_const=0.7)
         assert not ts.existence_ok
         assert ts.c0 is None and ts.c_star is None
         assert any("coercivity" in note for note in ts.notes)
+
+    def test_coefficient_outside_the_affine_rule_raises(self):
+        for a, b in ((math.inf, 0.01), (1.0, math.nan), (-1.0, 0.01),
+                     (0.0, 0.01), (1.0, -0.01)):
+            with pytest.raises(ValueError):
+                ot.threshold_set(a, b, 2.8, 5, q_mass=2.3, gn_const=0.7)
 
     def test_n4_borderline(self):
         s = ot.sobolev_constant(4)
