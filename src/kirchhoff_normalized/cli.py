@@ -86,6 +86,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# most tuples one sweep may ask for: a range's count is checked before
+# its axis is built, the axis product before any task list is
+MAX_SWEEP_TUPLES = 100_000
+
+
 def parse_axis(text: str) -> tuple[float, ...]:
     """An axis is `lo:hi:count` (inclusive, evenly spaced) or a comma list."""
     text = text.strip()
@@ -101,6 +106,8 @@ def parse_axis(text: str) -> tuple[float, ...]:
             raise SpecError(f"axis {text!r}: {exc}") from None
         if count < 1:
             raise SpecError(f"axis {text!r}: count must be positive")
+        if count > MAX_SWEEP_TUPLES:
+            raise SpecError(f"axis {text!r}: count exceeds {MAX_SWEEP_TUPLES}")
         if count == 1:
             return (lo,)
         step = (hi - lo) / (count - 1)
@@ -127,9 +134,15 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("p_values", "a_values", "b_values", "c_values"):
-            if not getattr(self, name):
+        axes = (self.p_values, self.a_values, self.b_values, self.c_values)
+        for name, axis in zip(("p_values", "a_values", "b_values",
+                               "c_values"), axes):
+            if not axis:
                 raise SpecError(f"{name} is empty")
+            if not all(math.isfinite(v) for v in axis):
+                raise SpecError(f"every value in {name} must be finite")
+        if math.prod(len(axis) for axis in axes) > MAX_SWEEP_TUPLES:
+            raise SpecError(f"the axes span more than {MAX_SWEEP_TUPLES} tuples")
         if any(c <= 0 for c in self.c_values):
             raise SpecError("every c must be positive")
         if self.jobs < 1:

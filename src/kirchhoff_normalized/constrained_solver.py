@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import interp1d
 from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 from scipy.optimize import brentq
 
@@ -349,11 +348,12 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
     grid = u.grid
     w = grid.weights
     rhs = w * (u.values / tau + u.f_values(model.nonlinearity))
+    w_tau = w / tau
     m = model.coefficient.M(u.grad_norm_sq())
     v = u
     for k in range(INNER_SOLVES):
         ab = ab0 * m
-        ab[1] += w / tau
+        ab[1] += w_tau
         vals = np.zeros_like(u.values)
         # Dirichlet tail: drop the outermost node from the solve
         vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], lower=False,
@@ -848,23 +848,30 @@ def _reparametrize(beads: list[RadialFunction],
                    c: float) -> list[RadialFunction] | None:
     """Redistribute beads to uniform weighted-L2 arc length; None on collapse.
 
-    The endpoints are returned as the same objects, so their evaluations
-    carry over.
+    Each interior bead is the linear interpolant, in arc length, between
+    the two old beads whose arc-length interval holds its target, put
+    back on the sphere.  The operations are those of scipy's linear
+    interp1d, in the same order, so the beads match it bit for bit (the
+    tests keep interp1d as the reference).  The endpoints are returned
+    as the same objects, so their evaluations carry over.
     """
     grid = beads[0].grid
-    rows = np.array([u.values for u in beads])
     gaps = np.sqrt(np.maximum(0.0, np.array(
-        [grid.weights @ (rows[j + 1] - rows[j]) ** 2
-         for j in range(len(rows) - 1)])))
+        [grid.weights @ (b.values - a.values) ** 2
+         for a, b in zip(beads, beads[1:])])))
     cum = np.concatenate([[0.0], np.cumsum(gaps)])
     if cum[-1] <= 1e-12:
         return None
-    cum += np.arange(len(rows)) * (1e-14 * (1.0 + cum[-1]))
-    fresh = interp1d(cum, rows, axis=0, assume_sorted=True)(
-        np.linspace(cum[0], cum[-1], len(rows)))
-    return [beads[0],
-            *(normalize_mass(RadialFunction(grid, row), c) for row in fresh[1:-1]),
-            beads[-1]]
+    cum += np.arange(len(beads)) * (1e-14 * (1.0 + cum[-1]))
+    targets = np.linspace(cum[0], cum[-1], len(beads))[1:-1]
+    his = np.searchsorted(cum, targets).clip(1, len(cum) - 1)
+    fresh = []
+    for x, hi in zip(targets, his):
+        lo = beads[hi - 1].values
+        slope = (beads[hi].values - lo) / (cum[hi] - cum[hi - 1])
+        fresh.append(normalize_mass(
+            RadialFunction(grid, slope * (x - cum[hi - 1]) + lo), c))
+    return [beads[0], *fresh, beads[-1]]
 
 
 def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float,

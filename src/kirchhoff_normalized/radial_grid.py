@@ -232,7 +232,7 @@ class RadialFunction:
         return self._derived("grad_norm_sq", self._grad_norm_sq)
 
     def _grad_norm_sq(self, values: np.ndarray) -> float:
-        d = np.diff(values) / self.grid.cell_widths
+        d = (values[1:] - values[:-1]) / self.grid.cell_widths
         return float(self.grid.cell_volumes @ d**2)
 
     def f_values(self, nonlinearity) -> np.ndarray:

@@ -11,8 +11,9 @@ import os
 
 import pytest
 
-from kirchhoff_normalized import read_profile_csv
+from kirchhoff_normalized import cli, read_profile_csv
 from kirchhoff_normalized.cli import (
+    MAX_SWEEP_TUPLES,
     PHASE_COLUMNS,
     SpecError,
     SweepSpec,
@@ -23,6 +24,10 @@ from kirchhoff_normalized.cli import (
     parse_axis,
     render_report,
 )
+
+
+def _no_sweep(spec):
+    raise AssertionError("a rejected specification must not start a sweep")
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +357,50 @@ class TestConfigAndExits:
         assert _worker_count(100_000, 24) == min(24, cpus)
         assert _worker_count(100_000, 1) == 1
         assert _worker_count(1, 24) == 1
+
+    @pytest.mark.parametrize("axis,value", [
+        ("--c", "nan"), ("--c", "inf"), ("--c", "1,nan"), ("--p", "nan"),
+        ("--a", "inf"), ("--b", "-inf"), ("--c", "1:inf:3"),
+    ])
+    def test_non_finite_axis_exits_2(self, capsys, tmp_path, monkeypatch,
+                                     axis, value):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        axes = {"--p": "2.5", "--a": "1", "--b": "0.1", "--c": "1"}
+        axes[axis] = value
+        # flag=value, so that argparse reads "-inf" as a value
+        rc, out, err = run_cli(capsys, "sweep", "--dim", "4",
+                               *(f"{k}={v}" for k, v in axes.items()),
+                               "--out", str(tmp_path))
+        assert rc == 2
+        assert out == "" and "must be finite" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_axis_count_capped_before_building(self):
+        # one past the cap: harmless to build, so a missing check fails
+        # the test instead of allocating
+        assert len(parse_axis(f"1:4:{MAX_SWEEP_TUPLES}")) == MAX_SWEEP_TUPLES
+        with pytest.raises(SpecError, match="count exceeds"):
+            parse_axis(f"1:4:{MAX_SWEEP_TUPLES + 1}")
+
+    def test_axis_product_capped(self):
+        side = tuple(1.0 + k for k in range(18))  # 18**4 > MAX_SWEEP_TUPLES
+        with pytest.raises(SpecError, match="tuples"):
+            SweepSpec(4, side, side, side, side)
+        assert len(list(SweepSpec(4, side, side, (0.1,), side).tuples())) \
+            == 18**3
+
+    def test_oversized_sweep_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        rc, _, err = run_cli(capsys, "sweep", "--dim", "4", "--p", "2.5",
+                             "--c", f"1:4:{MAX_SWEEP_TUPLES + 1}",
+                             "--out", str(tmp_path))
+        assert rc == 2 and "count exceeds" in err
+        rc, _, err = run_cli(capsys, "sweep", "--dim", "4",
+                             "--p", "2.5:3:20", "--a", "1:2:20",
+                             "--b", "0.1:0.2:20", "--c", "1:4:20",
+                             "--out", str(tmp_path))
+        assert rc == 2 and "tuples" in err
+        assert not any(tmp_path.iterdir())
 
     def test_spec_invariants(self):
         with pytest.raises(SpecError):

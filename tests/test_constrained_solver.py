@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import interp1d
 
 from kirchhoff_normalized import (
     Model,
@@ -503,6 +504,38 @@ class TestMountainPass:
                               "converged_mountain_pass")
         assert rep.path_level > 0
         assert any("dilation ceiling" in note for note in rep.notes)
+
+
+class TestReparametrize:
+    @pytest.fixture
+    def string(self):
+        grid = make_grid(4, 10.0, 300, scheme="graded")
+        rng = np.random.default_rng(11)
+        return [RadialFunction(grid, rng.standard_normal(len(grid.nodes)))
+                for _ in range(cs.BEADS)]
+
+    def test_matches_interp1d_bit_for_bit(self, string):
+        c = 3.0
+        w = string[0].grid.weights
+        rows = np.array([u.values for u in string])
+        gaps = np.sqrt(np.maximum(0.0, np.array(
+            [w @ (rows[j + 1] - rows[j]) ** 2 for j in range(len(rows) - 1)])))
+        cum = np.concatenate([[0.0], np.cumsum(gaps)])
+        cum += np.arange(len(rows)) * (1e-14 * (1.0 + cum[-1]))
+        oracle = interp1d(cum, rows, axis=0, assume_sorted=True)(
+            np.linspace(cum[0], cum[-1], len(rows)))
+        fresh = cs._reparametrize(string, c)
+        assert len(fresh) == len(string)
+        assert fresh[0] is string[0] and fresh[-1] is string[-1]
+        for bead, row in zip(fresh[1:-1], oracle[1:-1]):
+            expected = normalize_mass(RadialFunction(bead.grid, row), c)
+            assert np.array_equal(bead.values, expected.values)
+
+    def test_collapsed_string_is_none(self, string):
+        assert cs._reparametrize([string[0]] * cs.BEADS, 3.0) is None
+        copies = [RadialFunction(string[0].grid, string[0].values.copy())
+                  for _ in range(cs.BEADS)]
+        assert cs._reparametrize(copies, 3.0) is None
 
 
 class TestClassify:

@@ -106,6 +106,15 @@ class TestGradNorm:
         u = rg.RadialFunction(grid, np.full_like(grid.nodes, 1.7))
         assert u.grad_norm_sq() == 0.0
 
+    def test_matches_np_diff_formula_bit_for_bit(self):
+        grid = rg.make_grid(5, 12.0, 400, scheme="graded")
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            v = rng.standard_normal(len(grid.nodes))
+            u = rg.RadialFunction(grid, v)
+            assert u.grad_norm_sq() == float(
+                grid.cell_volumes @ (np.diff(v) / np.diff(grid.nodes)) ** 2)
+
 
 class TestLpNorm:
     def test_gaussian_l4_n2(self):
