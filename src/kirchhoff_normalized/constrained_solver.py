@@ -54,7 +54,7 @@ minimizer is evidence only at the stated restart count and tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded, solveh_banded
@@ -66,7 +66,7 @@ from .functional import (CriticalPointCandidate, energy, fiber_energy,
 from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .omega_thresholds import ThresholdSet, threshold_set
-from .radial_grid import (MIN_CELLS, RadialFunction, RadialGrid,
+from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
 from .scalar_opt import BracketError, golden_min, sign_change_brackets
@@ -142,9 +142,10 @@ class SolveParams:
     to hold the predicted profile width.  The graded grid has n_cells
     cells.
     Construction rejects values that no solve can use: non-finite
-    residual_tol or r_max, n_cells below radial_grid.MIN_CELLS, a
-    negative seed, and a max_iter, restarts, n_cells or seed that is not
-    an integer (bool included; numpy integers are accepted).
+    residual_tol or r_max, n_cells outside [radial_grid.MIN_CELLS,
+    radial_grid.MAX_CELLS], a negative seed, and a max_iter, restarts,
+    n_cells or seed that is not an integer (bool included; numpy
+    integers are accepted).
     """
 
     max_iter: int = 2000
@@ -168,8 +169,9 @@ class SolveParams:
             raise ValueError(f"restarts must lie in [1, 256], got {self.restarts}")
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
-        if not self.n_cells >= MIN_CELLS:
-            raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {self.n_cells}")
+        if not MIN_CELLS <= self.n_cells <= MAX_CELLS:
+            raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], "
+                             f"got {self.n_cells}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -302,7 +304,7 @@ def _fiber_grid(model: Model, params: SolveParams, t: float | None,
     never below params.r_max; t = None keeps params.r_max."""
     r_max = params.r_max
     if t is not None:
-        q = ground_state(model.nonlinearity.dimension, model.nonlinearity.p)
+        q = _gn_extremal(model)
         r_max = max(r_max, min(MAX_R_MAX, reach * q.truncation_radius / t))
     return make_grid(model.nonlinearity.dimension, r_max, params.n_cells, "graded")
 
@@ -328,14 +330,15 @@ def _onto_grid(u: RadialFunction, grid: RadialGrid) -> RadialFunction:
     return RadialFunction(grid, vals)
 
 
-def _pin_tail(u: RadialFunction) -> RadialFunction:
+def _on_sphere(u: RadialFunction, c: float) -> RadialFunction:
+    """u with its Dirichlet tail pinned to zero, rescaled to mass c^2."""
     vals = u.values.copy()
     vals[-1] = 0.0
-    return u.with_values(vals)
+    return normalize_mass(u.with_values(vals), c)
 
 
 def _implicit_step(model: Model, u: RadialFunction, tau: float,
-                   ab0: np.ndarray, lagged: bool) -> RadialFunction:
+                   lagged: bool) -> RadialFunction:
     """One semi-implicit flow step.
 
     lagged (the minimizer's descent) freezes M at its value on u and
@@ -343,16 +346,16 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
     refinement, whose levels depend on the step map, see the module
     docstring) M is relaxed to self-consistency by up to INNER_SOLVES
     solves; the last solve's profile is returned without evaluating M
-    on it.  ab0 is only read: each solve scales it into a fresh array.
+    on it.  Each solve scales the grid's read-only stiffness band into a
+    fresh array.
     """
     grid = u.grid
     w = grid.weights
     rhs = w * (u.values / tau + u.f_values(model.nonlinearity))
     w_tau = w / tau
     m = model.coefficient.M(u.grad_norm_sq())
-    v = u
     for k in range(INNER_SOLVES):
-        ab = ab0 * m
+        ab = grid.stiffness_band * m
         ab[1] += w_tau
         vals = np.zeros_like(u.values)
         # Dirichlet tail: drop the outermost node from the solve
@@ -369,8 +372,8 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
 
 
 def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
-                   tol_norm: float) -> tuple[RadialFunction, float, float, bool]:
-    """Bordered Newton on (gradient, mass constraint); returns (u, lam,
+                   tol_norm: float) -> tuple[RadialFunction, float, bool]:
+    """Bordered Newton on (gradient, mass constraint); returns (u,
     residual, converged).
 
     The Jacobian splits into a tridiagonal part (stiffness, diagonal
@@ -386,20 +389,18 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     """
     grid = u.grid
     w = grid.weights
-    ab0 = grid.stiffness_banded()
-    sup = ab0[0]
-    diag = ab0[1]
+    sup, diag = grid.stiffness_band
     res = pde_residual_norm(model, u, lam)
     for _ in range(POLISH_MAX_ITER):
         if res <= POLISH_DEEPEN * tol_norm:
-            return u, lam, res, True
+            return u, res, True
         vals = u.values
         g = u.grad_norm_sq()
         mcoef = model.coefficient.M(g)
         try:
             fp = model.nonlinearity.f_prime(vals)
         except ExpOverflowError:
-            return u, lam, res, res <= tol_norm
+            return u, res, res <= tol_norm
         stiff = grid.stiffness_apply(vals)
         rho = (mcoef * stiff) / w - u.f_values(model.nonlinearity) - lam * vals
         h = 0.5 * (float(w @ vals**2) - c * c)
@@ -416,17 +417,17 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
                                 np.column_stack([rho[:k], pvec, vals[:k]]),
                                 check_finite=False)
         except (LinAlgError, ValueError):
-            return u, lam, res, res <= tol_norm
+            return u, res, res <= tol_norm
         x_rho, x_p, x_u = sols[:, 0], sols[:, 1], sols[:, 2]
         denom = 1.0 + float(qvec @ x_p)
         if abs(denom) < 1e-300:
-            return u, lam, res, res <= tol_norm
+            return u, res, res <= tol_norm
         b_rho = x_rho - x_p * (float(qvec @ x_rho) / denom)
         b_u = x_u - x_p * (float(qvec @ x_u) / denom)
         wu = w[:k] * vals[:k]
         slope = float(wu @ b_u)
         if abs(slope) < 1e-300:
-            return u, lam, res, res <= tol_norm
+            return u, res, res <= tol_norm
         dlam = (-h + float(wu @ b_rho)) / slope
         du = -b_rho + dlam * b_u
         improved = False
@@ -447,8 +448,8 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
                 break
             scale *= 0.5
         if not improved:
-            return u, lam, res, res <= tol_norm
-    return u, lam, res, res <= tol_norm
+            return u, res, res <= tol_norm
+    return u, res, res <= tol_norm
 
 
 @dataclass
@@ -465,7 +466,7 @@ class _Run:
 
 
 def _trial(model: Model, u: RadialFunction, e: float, tau: float,
-           ab0: np.ndarray, c: float, slack: float = 1e-12,
+           c: float, slack: float = 1e-12,
            recenter=None, lagged: bool = False
            ) -> tuple[RadialFunction, float] | None:
     """One trial flow step from u at energy e: the implicit step (lagged
@@ -477,7 +478,7 @@ def _trial(model: Model, u: RadialFunction, e: float, tau: float,
     including a step whose mass is not finite and positive.
     """
     try:
-        v = _implicit_step(model, u, tau, ab0, lagged)
+        v = _implicit_step(model, u, tau, lagged)
         if not 0.0 < v.mass() < math.inf:
             return None
         v = normalize_mass(v, c)
@@ -493,7 +494,7 @@ def _trial(model: Model, u: RadialFunction, e: float, tau: float,
 
 
 def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
-          ab0: np.ndarray, tau: float, grow: float = 1.3,
+          tau: float, grow: float = 1.3,
           slack: float = 1e-12, recenter=None, polish_at: float = 0.0,
           max_drift: float = math.inf, descent: bool = True) -> _Run:
     """Normalized gradient flow on the sphere from u, with Newton polishes.
@@ -544,7 +545,7 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
         if (stalled_now or polish_at > 0.0 and res <= polish_at * u.h1_norm()) \
                 and it >= next_polish:
             next_polish, polish_gap = it + polish_gap, 2 * polish_gap
-            pu, _, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
+            pu, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
             if ok and math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2)) \
                     <= max_drift * math.sqrt(u.mass()):
                 u = normalize_mass(pu, c)
@@ -555,8 +556,7 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
                 break
         step = None
         while step is None and tau >= STEP_FLOOR:
-            step = _trial(model, u, e, tau, ab0, c, slack, recenter,
-                          lagged=descent)
+            step = _trial(model, u, e, tau, c, slack, recenter, lagged=descent)
             tau = 0.5 * tau if step is None else min(tau * grow, STEP_CAP)
         if step is not None:
             u, e = step
@@ -577,8 +577,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     # the final polish runs even after an in-loop convergence: the flow
     # stops at tol_norm, and the leftover gradient there would dominate
     # the dilation-balance defect of a spread-out profile
-    pu, _, pres, _ = _newton_polish(model, u, lam, c,
-                                    params.residual_tol * u.h1_norm())
+    pu, pres, _ = _newton_polish(model, u, lam, c,
+                                 params.residual_tol * u.h1_norm())
     if pres < res:
         u = normalize_mass(pu, c)
         lam = lagrange_multiplier(model, u, c)
@@ -615,9 +615,8 @@ def _filter_failures(model: Model, u: RadialFunction, c: float, res: float,
 def _q_scaled_values(model: Model, c: float, grid: RadialGrid,
                      t: float) -> np.ndarray:
     """Values of the c-normalized GN extremal dilated to scale t."""
-    nl = model.nonlinearity
-    q = ground_state(nl.dimension, nl.p)
-    return t ** (nl.dimension / 2.0) * (c / q.q_l2) * np.interp(
+    q = _gn_extremal(model)
+    return t ** (q.dimension / 2.0) * (c / q.q_l2) * np.interp(
         t * grid.nodes, q.profile.grid.nodes, q.profile.values, right=0.0)
 
 
@@ -644,13 +643,8 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
         k = int(rng.integers(0, 3))
         shapes.append((f"random {len(shapes)}",
                        (1.0 + r) ** k * np.exp(-0.5 * (r / w) ** 2)))
-    out = []
-    for label, vals in shapes[: params.restarts]:
-        u = _pin_tail(RadialFunction(grid, np.asarray(vals, dtype=float)))
-        if u.mass() <= 0.0:
-            continue
-        out.append((label, normalize_mass(u, c)))
-    return out
+    return [(label, _on_sphere(RadialFunction(grid, vals), c))
+            for label, vals in shapes[: params.restarts]]
 
 
 def _report(model: Model, status: str, run: _Run | None, infimum: float,
@@ -686,18 +680,17 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     if starts is None:
         labeled = _initial_profiles(model, c, grid, params, rng)
     else:
-        labeled = [(f"supplied {i}", normalize_mass(_pin_tail(_onto_grid(s, grid)), c))
+        labeled = [(f"supplied {i}", _on_sphere(_onto_grid(s, grid), c))
                    for i, s in enumerate(starts)]
     if not labeled:
-        raise ValueError("no viable initial profiles on this grid")
-    ab0 = grid.stiffness_banded()
+        raise ValueError("no initial profiles: starts is empty")
     notes: list[str] = []
     best: _Run | None = None
     best_pass: _Run | None = None
     infimum = math.inf
     diverged = False
     for label, u0 in labeled:
-        run = _flow(model, u0, c, params, ab0, STEP)
+        run = _flow(model, u0, c, params, STEP)
         if run.flag == "diverged":
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
@@ -735,8 +728,6 @@ def _exp_safe_scale(model: Model, u: RadialFunction) -> float:
     if nl.kind != "exp":
         return math.inf
     peak = float(np.max(np.abs(u.values)))
-    if peak == 0.0:
-        return math.inf
     n = u.grid.dimension
     return math.log(0.98 * EXP_ARG_CAP / (nl.alpha0 * peak * peak)) / n
 
@@ -791,8 +782,7 @@ def pohozaev_project(model: Model, u: RadialFunction, c: float,
         maxima = [s for s, slope in roots if slope < 0.0]
         pool = maxima if maxima else [s for s, _ in roots]
         s_star = max(pool, key=lambda s: fiber_energy(model, u, s))
-    v = normalize_mass(_pin_tail(fiber_scale(u, s_star)), c)
-    return s_star, v
+    return s_star, _on_sphere(fiber_scale(u, s_star), c)
 
 
 def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float,
@@ -812,34 +802,20 @@ def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float,
 def _right_endpoint(model: Model, base: RadialFunction, s_left: float) -> float:
     """Concentrated path endpoint: beyond the fiber barrier.
 
-    Two geometries occur.  When the fiber energy eventually plunges
-    (planar exponential, N=4 competition), the endpoint is the first
-    scale well below min(0, J(s_left)).  When the Kirchhoff quartic
-    dominates at infinity (N >= 5), the fiber instead dips into an
-    interior well behind the barrier and rises again; the endpoint is
-    then the well bottom.
+    The Gaussian fiber serves the plunging geometry (planar exponential,
+    N=4 competition): the endpoint is the first scale, in steps of 0.05
+    up to the overflow-safe range, where the fiber energy falls well
+    below min(0, J(s_left)).  A well behind the barrier (N >= 5) is not
+    looked for here: mountain_pass strings it along the GN fiber.
     """
     e_left = fiber_energy(model, base, s_left)
     target = min(0.0, e_left) - 0.1 * (1.0 + abs(e_left))
-    s_hi = min(6.0, _exp_safe_scale(model, base))
-    ss = np.arange(0.05, s_hi, 0.05)
-    vals = np.full(len(ss), math.inf)
-    for i, s in enumerate(ss):
+    for s in np.arange(0.05, min(6.0, _exp_safe_scale(model, base)), 0.05):
         try:
-            vals[i] = fiber_energy(model, base, s)
+            if fiber_energy(model, base, s) < target:
+                return float(s)
         except ExpOverflowError:
-            ss, vals = ss[:i], vals[:i]
             break
-        if vals[i] < target:
-            return float(ss[i])
-    if len(ss) >= 3:
-        k_bar = int(np.argmax(vals))
-        if k_bar < len(ss) - 1:
-            k_well = k_bar + 1 + int(np.argmin(vals[k_bar + 1:]))
-            drop = vals[k_bar] - vals[k_well]
-            if k_well < len(ss) - 1 and drop > 1e-9 * (1.0 + abs(vals[k_bar])) \
-                    and vals[k_well] < vals[k_bar]:
-                return float(ss[k_well])
     raise BracketError("no fiber descent beyond a barrier within the safe "
                        "dilation range")
 
@@ -874,8 +850,8 @@ def _reparametrize(beads: list[RadialFunction],
     return [beads[0], *fresh, beads[-1]]
 
 
-def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float,
-                 ab0: np.ndarray) -> tuple[list[RadialFunction], list[float]] | None:
+def _bead_sweeps(model: Model, beads: list[RadialFunction],
+                 c: float) -> tuple[list[RadialFunction], list[float]] | None:
     """Relax the interior beads and reparametrize, sweep after sweep.
 
     Each bead is a RadialFunction kept from the level of one sweep to the
@@ -890,7 +866,7 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float,
             e = energy(model, u).total
             t = tau
             for _ in range(4):
-                step = _trial(model, u, e, t, ab0, c)
+                step = _trial(model, u, e, t, c)
                 if step is not None:
                     beads[j] = step[0]
                     break
@@ -913,7 +889,7 @@ def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
     if not maxima:
         raise FiberMonotoneError("no fiber maximum near the current profile")
     s_star = min(maxima, key=abs)
-    return normalize_mass(_pin_tail(fiber_scale(u, s_star)), c)
+    return _on_sphere(fiber_scale(u, s_star), c)
 
 
 def mountain_pass(model: Model, c: float,
@@ -924,9 +900,12 @@ def mountain_pass(model: Model, c: float,
     saddle regime just below the attainment threshold), the path runs
     along the fiber of the scaled GN extremal from a spread endpoint
     below the barrier down into the well, on a grid sized to the
-    barrier scale.  Otherwise the path follows the dilation fiber of
-    the unit-width Gaussian from a spread small-gradient endpoint to a
-    negative-energy one.
+    barrier scale; this is the one path for a well behind a barrier.
+    Otherwise the path follows the dilation fiber of the unit-width
+    Gaussian, which serves the plunging geometry: from a spread
+    small-gradient endpoint to the first scale where the fiber energy
+    falls well below zero (_right_endpoint).  A Gaussian fiber that
+    never plunges is reported as having no saddle geometry.
 
     path_level is the relaxed string barrier, an upper estimate of the
     min-max level; the report carries it even when the saddle
@@ -950,19 +929,15 @@ def mountain_pass(model: Model, c: float,
                        None if well_bar is None else well_bar[1][0], 2.2)
     if well_bar is not None:
         (t_well, j_well), (t_bar, j_bar) = well_bar
-        base = normalize_mass(_pin_tail(RadialFunction(
-            grid, _q_scaled_values(model, c, grid, t_well))), c)
+        base = _on_sphere(RadialFunction(
+            grid, _q_scaled_values(model, c, grid, t_well)), c)
         notes.append(f"fiber well at scale {t_well:.4g} (J = {j_well:.4g}), "
                      f"barrier at {t_bar:.4g} (J = {j_bar:.4g})")
-    else:
-        vals = np.exp(-0.5 * grid.nodes**2)
-        base = normalize_mass(_pin_tail(RadialFunction(grid, vals)), c)
-    ab0 = grid.stiffness_banded()
-    if well_bar is not None:
-        s_bar = math.log(well_bar[1][0] / well_bar[0][0])
+        s_bar = math.log(t_bar / t_well)
         s_left = _spread_limit(base, s_bar - 0.6, s_bar - 0.05, 0.1)
         s_right = 0.0
     else:
+        base = _on_sphere(RadialFunction(grid, np.exp(-0.5 * grid.nodes**2)), c)
         s_left = _spread_limit(base, -2.5, -1e-3, 0.25)
         try:
             s_right = _right_endpoint(model, base, s_left)
@@ -971,14 +946,12 @@ def mountain_pass(model: Model, c: float,
             # string between, so report absence instead of failing
             notes.append(f"no saddle geometry: {exc}")
             return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
-    swept = None
-    end_levels = (math.nan, math.nan)
     for attempt in range(3):
-        beads = [normalize_mass(_pin_tail(fiber_scale(base, s)), c)
+        beads = [_on_sphere(fiber_scale(base, s), c)
                  for s in np.linspace(s_left, s_right, BEADS)]
         end_levels = (energy(model, beads[0]).total,
                       energy(model, beads[-1]).total)
-        swept = _bead_sweeps(model, beads, c, ab0)
+        swept = _bead_sweeps(model, beads, c)
         if swept is not None:
             beads, levels = swept
             if levels[-1] > max(end_levels) + 1e-9 * (1.0 + abs(levels[-1])):
@@ -1006,15 +979,13 @@ def mountain_pass(model: Model, c: float,
     top = int(np.argmax(bead_energies))
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
-    if path_level <= max(end_levels):
-        notes.append("warning: barrier does not exceed the endpoint energies")
     if nl.kind == "exp":
         ceiling = 0.5 * model.coefficient.Mhat(4.0 * math.pi / nl.alpha0)
         side = "below" if path_level < ceiling else "not below"
         notes.append(f"level estimate {path_level:.6g} is {side} the "
                      f"dilation ceiling {ceiling:.6g}; the estimate is an "
                      "upper bound, it never certifies the strict inequality")
-    run = _flow(model, beads[top], c, params, ab0,
+    run = _flow(model, beads[top], c, params,
                 0.25 * STEP, grow=1.2, slack=1e-11,
                 recenter=lambda v: _recenter_on_fiber_max(model, v, c, 0.8),
                 polish_at=1e-2, max_drift=0.25, descent=False)
@@ -1049,21 +1020,11 @@ class ClassificationRecord:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.p,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "predicted": self.predicted,
-            "observed_status": self.observed_status,
-            "infimum_estimate": self.infimum_estimate,
-            "infimum_sign": self.infimum_sign,
-            "multiplier": self.multiplier,
-            "agreement": self.agreement,
-            "thresholds": None if self.thresholds is None else self.thresholds.to_dict(),
-            "notes": list(self.notes),
-        }
+        """Every field but report, in field order."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report"}
+        d["thresholds"] = None if self.thresholds is None else self.thresholds.to_dict()
+        d["notes"] = list(self.notes)
+        return d
 
 
 def _predicted_branch(thr: ThresholdSet, c: float) -> str:
@@ -1139,9 +1100,8 @@ def classify(model: Model, c: float,
     coef = model.coefficient
     if nl.kind == "exp":
         return ClassificationRecord(
-            2, None, getattr(coef, "a", math.nan), getattr(coef, "b", math.nan),
-            c, BRANCH_MOUNTAIN_PASS, "not_run", math.nan, "undetermined",
-            None, "inconclusive", None, None,
+            2, None, coef.a, coef.b, c, BRANCH_MOUNTAIN_PASS, "not_run",
+            math.nan, "undetermined", None, "inconclusive", None, None,
             ("solver not run; call mountain_pass to probe",))
     if coef.kind != "affine":
         raise ValueError("explicit thresholds need the affine coefficient "

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import two_star
-from .radial_grid import MIN_CELLS, RadialFunction, make_grid
+from .radial_grid import MAX_CELLS, MIN_CELLS, RadialFunction, make_grid
 
 # classification outcomes for a single integration
 _CROSSED = 1
@@ -192,7 +192,8 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     With certify=True the shoot is repeated on a doubled domain at the
     same step and the mass difference is reported as richardson_gap (a
     truncation certificate, not an assertion).  An r_max that is not
-    positive and finite, or n_cells below MIN_CELLS, is a ValueError.
+    positive and finite, n_cells below MIN_CELLS, or a grid (the doubled
+    certification grid included) above MAX_CELLS is a ValueError.
     """
     if r_max is None:
         r_max = default_r_max(dimension, p)
@@ -200,6 +201,9 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if not n_cells >= MIN_CELLS:
         raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {n_cells}")
+    if (2 * n_cells if certify else n_cells) > MAX_CELLS:
+        raise ValueError(f"n_cells {n_cells} exceeds the cap of {MAX_CELLS} cells"
+                         + (" on the doubled certification grid" if certify else ""))
     u, height, kappa, m, steps, r_cut = _shoot_core(dimension, p, r_max, n_cells)
 
     n = int(dimension)

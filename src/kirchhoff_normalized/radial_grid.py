@@ -40,6 +40,10 @@ from scipy.interpolate import PchipInterpolator
 SCHEMES = ("uniform", "graded", "custom")
 
 MIN_CELLS = 16
+# largest cell count of a built grid (make_grid) and of a solve or shoot:
+# a 10^6-cell grid already holds about 50 MB of arrays, and a larger
+# request would hang in the shooting or the solve instead of failing
+MAX_CELLS = 1_000_000
 MAX_DIMENSION = 10
 # largest relative mass fiber_scale may push off the grid
 MASS_LOSS_TOL = 1e-6
@@ -70,6 +74,8 @@ class RadialGrid:
     weights : node quadrature weights, angular measure included.
     cell_volumes : per-cell integrals of the measure, omega_{N-1} * int r^{N-1} dr.
     scheme : the node-placement rule used to build the grid.
+    stiffness_band : upper-form (2, K+1) band of the stiffness operator A,
+        built once per grid and read-only.
     """
 
     dimension: int
@@ -113,14 +119,17 @@ class RadialGrid:
         out[1:] += flux
         return out
 
-    def stiffness_banded(self) -> np.ndarray:
-        """Upper-form banded representation of A for scipy.linalg.solveh_banded."""
+    @cached_property
+    def stiffness_band(self) -> np.ndarray:
+        """Upper-form banded A for scipy.linalg.solveh_banded, computed once
+        per grid and read-only."""
         k = self.cell_volumes / self.cell_widths**2
         n = len(self.nodes)
         ab = np.zeros((2, n))
         ab[1, :-1] += k
         ab[1, 1:] += k
         ab[0, 1:] = -k
+        ab.flags.writeable = False
         return ab
 
     def __post_init__(self) -> None:
@@ -164,12 +173,14 @@ def make_grid(dimension: int, r_max: float, n_cells: int, scheme: str = "uniform
 
     scheme 'uniform' spaces nodes evenly; 'graded' uses the quadratic
     grading r_i = r_max (i/K)^2, clustering resolution near the origin.
+    n_cells must lie in [MIN_CELLS, MAX_CELLS].
     """
     _validate_dimension(dimension)
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
-    if n_cells < MIN_CELLS:
-        raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {n_cells}")
+    if not MIN_CELLS <= n_cells <= MAX_CELLS:
+        raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], "
+                         f"got {n_cells}")
     if scheme == "uniform":
         nodes = np.linspace(0.0, r_max, n_cells + 1)
     elif scheme == "graded":

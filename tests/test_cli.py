@@ -8,10 +8,12 @@ so the CLI layer is plumbing under test, not the solver again.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from kirchhoff_normalized import cli, read_profile_csv
+from kirchhoff_normalized import cli, gn_ground_state, read_profile_csv
 from kirchhoff_normalized.cli import (
     MAX_SWEEP_TUPLES,
     PHASE_COLUMNS,
@@ -24,10 +26,18 @@ from kirchhoff_normalized.cli import (
     parse_axis,
     render_report,
 )
+from kirchhoff_normalized.radial_grid import MAX_CELLS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _no_sweep(spec):
     raise AssertionError("a rejected specification must not start a sweep")
+
+
+def _no_solve(*args):
+    raise AssertionError("a rejected grid size must not start a solve")
 
 
 def run_cli(capsys, *argv):
@@ -142,8 +152,11 @@ class TestSolve:
         ("--rmax", "inf", "r_max"),
         ("--tol", "inf", "residual_tol"),
         ("--grid-size", "-5", "n_cells"),
+        ("--grid-size", str(MAX_CELLS + 1), "n_cells"),
     ])
-    def test_bad_solve_params_exit_2(self, capsys, flag, value, field):
+    def test_bad_solve_params_exit_2(self, capsys, monkeypatch, flag, value,
+                                     field):
+        monkeypatch.setattr(cli, "minimize_on_sphere", _no_solve)
         rc, out, err = run_cli(capsys, "solve", "--dim", "4", "--p", "3",
                                "--c", "1", flag, value)
         assert rc == 2
@@ -321,12 +334,56 @@ class TestConfigAndExits:
         ("thresholds", "--dim", "5", "--p", "2.8", "--b", "nan"),
         ("thresholds", "--dim", "5", "--p", "2.8", "--a", "-1"),
         ("sweep", "--dim", "4", "--p", "2.5", "--c", "1", "--seed", "-1"),
+        ("sweep", "--dim", "4", "--p", "2.5", "--c", "1", "--jobs", "0"),
+        ("moser", "--n-list", ","),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert rc == 2
         assert out == "" and err.startswith("error:")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["gn", "solve", "sweep"])
+    def test_oversized_grid_exits_2(self, capsys, tmp_path, monkeypatch,
+                                    command):
+        monkeypatch.setattr(gn_ground_state, "_shoot_core", _no_solve)
+        monkeypatch.setattr(cli, "minimize_on_sphere", _no_solve)
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        rc, out, err = run_cli(capsys, command, *COMMAND_ARGS[command],
+                               "--grid-size", str(MAX_CELLS + 1),
+                               "--out", str(tmp_path))
+        assert rc == 2
+        assert out == "" and str(MAX_CELLS) in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "want a JSON object"),
+    ])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc, out, err = run_cli(capsys, "thresholds", "--dim", "4", "--p", "3",
+                               "--config", str(cfg))
+        assert rc == 2
+        assert out == "" and err.startswith("error:") and message in err
+
+    def test_module_entry_point(self, tmp_path):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "kirchhoff_normalized", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+                timeout=120)
+        done = module("thresholds", "--dim", "4", "--p", "3")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["dimension"] == 4
+        done = module("thresholds", "--dim", "4", "--p", "3", "--seed", "1")
+        assert done.returncode == 2
+        assert "unrecognized arguments" in done.stderr
 
     def test_bad_p_is_spec_error(self, capsys):
         rc, _, err = run_cli(capsys, "thresholds", "--dim", "5", "--p", "9")
@@ -409,3 +466,5 @@ class TestConfigAndExits:
             SweepSpec(4, (3.0,), (1.0,), (1.0,), (-1.0,))
         with pytest.raises(SpecError):
             render_report([], "csv")
+        with pytest.raises(SpecError, match="unknown format"):
+            render_report([dict.fromkeys(PHASE_COLUMNS)], "xml")

@@ -39,9 +39,10 @@ from kirchhoff_normalized import (
     recommended_grid,
 )
 from kirchhoff_normalized import constrained_solver as cs
-from kirchhoff_normalized.functional import fiber_pohozaev
+from kirchhoff_normalized.functional import CriticalPointCandidate, fiber_pohozaev
 from kirchhoff_normalized.models import Nonlinearity
-from kirchhoff_normalized.radial_grid import MIN_CELLS
+from kirchhoff_normalized.omega_thresholds import ThresholdSet
+from kirchhoff_normalized.radial_grid import MAX_CELLS, MIN_CELLS
 
 
 def affine_power(n, p, a=1.0, b=1.0):
@@ -221,6 +222,10 @@ class TestProjection:
 
 
 class TestMinimize:
+    def test_empty_starts_rejected(self):
+        with pytest.raises(ValueError, match="starts is empty"):
+            minimize_on_sphere(affine_power(4, 2.5), 1.0, starts=[])
+
     def test_subcritical_always_attained(self):
         rep = minimize_on_sphere(affine_power(4, 2.5), 1.0)
         assert rep.status == "converged_minimizer"
@@ -350,7 +355,7 @@ class TestFlowStep:
         c = 22.0
         gauss = np.exp(-0.5 * (grid.nodes / 2.0) ** 2)
         u = normalize_mass(RadialFunction(grid, gauss), c)
-        return model, u, c, grid.stiffness_banded()
+        return model, u, c
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -364,18 +369,17 @@ class TestFlowStep:
         return calls
 
     def test_lagged_trial_makes_one_solve(self, start, monkeypatch):
-        model, u, c, ab0 = start
+        model, u, c = start
         calls = self.count_solves(monkeypatch)
-        step = cs._trial(model, u, energy(model, u).total, cs.STEP, ab0, c,
+        step = cs._trial(model, u, energy(model, u).total, cs.STEP, c,
                          lagged=True)
         assert step is not None
         assert len(calls) == 1
 
     def test_relaxed_trial_makes_several_solves(self, start, monkeypatch):
-        model, u, c, ab0 = start
+        model, u, c = start
         calls = self.count_solves(monkeypatch)
-        step = cs._trial(model, u, energy(model, u).total, 0.2 * cs.STEP,
-                         ab0, c)
+        step = cs._trial(model, u, energy(model, u).total, 0.2 * cs.STEP, c)
         assert step is not None
         assert len(calls) > 1
 
@@ -434,7 +438,7 @@ class TestFlowStep:
         def recorded(model, u, lam, c, tol_norm):
             attempts.append(len(evaluations))
             if len(attempts) <= succeed_after:
-                return u, lam, math.inf, False
+                return u, math.inf, False
             return polish(model, u, lam, c, tol_norm)
         monkeypatch.setattr(cs, "lagrange_multiplier", counted)
         monkeypatch.setattr(cs, "_newton_polish", recorded)
@@ -464,11 +468,11 @@ class TestFlowStep:
         assert report.iterations == attempts[5] < 1000
 
     def test_non_finite_step_is_a_rejected_trial(self, start, monkeypatch):
-        model, u, c, ab0 = start
+        model, u, c = start
         monkeypatch.setattr(
             cs, "_implicit_step",
             lambda model, u, *args: u.with_values(np.full_like(u.values, np.nan)))
-        assert cs._trial(model, u, energy(model, u).total, cs.STEP, ab0, c,
+        assert cs._trial(model, u, energy(model, u).total, cs.STEP, c,
                          lagged=True) is None
 
 
@@ -599,6 +603,76 @@ class TestClassify:
         assert d["agreement"] == "corroborated"
 
 
+def _thresholds(n, p, existence_ok=True, **constants):
+    """A ThresholdSet with placeholder norms and the given thresholds."""
+    return ThresholdSet(n, p, 1.0, 1.0, 1.0, 1.0, 1.0, existence_ok, **constants)
+
+
+def _outcome(status, infimum, energy=None, lam=None):
+    """A SolveReport with a candidate of the given energy and multiplier."""
+    cand = None if energy is None else CriticalPointCandidate(None, lam, energy, 0.0, 0.0)
+    return cs.SolveReport(status, cand, infimum, None, 0, 1)
+
+
+class TestClassificationTable:
+    """Every return of the branch table, of the agreement verdicts and of
+    the sign labels, on hand-built thresholds and reports; no solve runs."""
+
+    @pytest.mark.parametrize("thr,c,branch", [
+        (_thresholds(4, 3.0, existence_ok=False, c1_exact=2.0), 3.0,
+         cs.BRANCH_UNCLASSIFIED),
+        (_thresholds(4, 3.0, c1_exact=2.0), 2.0, cs.BRANCH_ZERO_INF),
+        (_thresholds(4, 3.0, c1_exact=2.0), 2.5, cs.BRANCH_GROUND_STATE),
+        (_thresholds(5, 2.8, c_star=2.0, c1_upper=3.0), 2.0, cs.BRANCH_ZERO_INF),
+        (_thresholds(5, 2.8, c_star=2.0, c1_upper=3.0), 3.5,
+         cs.BRANCH_GROUND_STATE),
+        (_thresholds(5, 2.8, c_star=2.0, c1_upper=3.0), 2.5, cs.BRANCH_TRANSITION),
+        (_thresholds(5, 2.8), 2.5, cs.BRANCH_TRANSITION),
+        (_thresholds(5, 2.5), 1.0, cs.BRANCH_GROUND_STATE),
+        (_thresholds(5, 3.0, c0=2.0), 1.0, cs.BRANCH_NO_SOLUTION),
+        (_thresholds(5, 3.0, c0=2.0), 2.0, cs.BRANCH_TRANSITION),
+        (_thresholds(5, 3.0), 1.0, cs.BRANCH_TRANSITION),
+    ])
+    def test_predicted_branch(self, thr, c, branch):
+        assert cs._predicted_branch(thr, c) == branch
+
+    @pytest.mark.parametrize("predicted,report,verdict", [
+        (cs.BRANCH_NO_SOLUTION, _outcome(cs.STATUS_NONE_FOUND, 0.5), "corroborated"),
+        (cs.BRANCH_NO_SOLUTION, _outcome(cs.STATUS_MINIMIZER, -1.0, -1.0, -0.5),
+         "contradicted"),
+        (cs.BRANCH_NO_SOLUTION, _outcome(cs.STATUS_NONE_FOUND, -1.0), "inconclusive"),
+        (cs.BRANCH_NO_SOLUTION, _outcome(cs.STATUS_DIVERGED, -math.inf),
+         "inconclusive"),
+        (cs.BRANCH_GROUND_STATE, _outcome(cs.STATUS_MINIMIZER, -1.0, -1.0, -0.5),
+         "corroborated"),
+        (cs.BRANCH_GROUND_STATE, _outcome(cs.STATUS_MINIMIZER, 1.0, 1.0, -0.5),
+         "inconclusive"),
+        (cs.BRANCH_GROUND_STATE, _outcome(cs.STATUS_NONE_FOUND, 0.5), "inconclusive"),
+        (cs.BRANCH_ZERO_INF, _outcome(cs.STATUS_NONE_FOUND, 0.0), "corroborated"),
+        (cs.BRANCH_ZERO_INF, _outcome(cs.STATUS_MINIMIZER, -1.0, -1.0, -0.5),
+         "contradicted"),
+        (cs.BRANCH_ZERO_INF, _outcome(cs.STATUS_MINIMIZER, 0.0, 0.0, -0.5),
+         "inconclusive"),
+        (cs.BRANCH_TRANSITION, _outcome(cs.STATUS_MINIMIZER, -1.0, -1.0, -0.5),
+         "inconclusive"),
+        (cs.BRANCH_UNCLASSIFIED, _outcome(cs.STATUS_NONE_FOUND, 0.5), "inconclusive"),
+    ])
+    def test_agreement(self, predicted, report, verdict):
+        assert cs._agreement(predicted, report) == verdict
+
+    @pytest.mark.parametrize("value,label", [
+        (-math.inf, "unbounded"),
+        (math.inf, "undetermined"),
+        (math.nan, "undetermined"),
+        (-1e-3, "negative"),
+        (1e-3, "positive"),
+        (0.0, "zero"),
+        (-0.5 * cs.ZERO_LEVEL_TOL, "zero"),
+    ])
+    def test_sign_label(self, value, label):
+        assert cs._sign_label(value) == label
+
+
 def rec_c0(model):
     from kirchhoff_normalized import gn_constant, threshold_set
     nl = model.nonlinearity
@@ -630,6 +704,7 @@ class TestParamsValidation:
         {"seed": False},
         {"seed": "3"},
         {"seed": -1},
+        {"n_cells": MAX_CELLS + 1},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):

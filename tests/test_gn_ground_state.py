@@ -18,6 +18,11 @@ from kirchhoff_normalized import RadialFunction, make_grid
 from kirchhoff_normalized import gn_ground_state as gn
 
 TOWNES_MASS = 11.700877
+
+
+def _no_shoot(*args):
+    raise AssertionError("a rejected domain must not start the shooting")
+
 TOWNES_HEIGHT = 2.2062009
 ORACLE_HEIGHT_4_3 = 4.335967150005
 
@@ -75,12 +80,30 @@ class TestShoot:
 
     @pytest.mark.parametrize("kw", [{"r_max": 0.0}, {"r_max": -1.0},
                                     {"r_max": math.inf}, {"r_max": math.nan},
-                                    {"n_cells": 0}, {"n_cells": 15}])
-    def test_rejects_bad_domain(self, kw):
+                                    {"n_cells": 0}, {"n_cells": 15},
+                                    {"n_cells": gn.MAX_CELLS + 1}])
+    def test_rejects_bad_domain(self, kw, monkeypatch):
+        monkeypatch.setattr(gn, "_shoot_core", _no_shoot)
         with pytest.raises(ValueError):
             gn.shoot(4, 3.0, **kw)
         with pytest.raises(ValueError):
             gn.ground_state(4, 3.0, **kw)
+
+    def test_certification_grid_counts_against_the_cap(self, monkeypatch):
+        # the certified shoot doubles the grid, so half the cap plus one
+        # is too large for it but not for an uncertified shoot; the
+        # shooting itself is replaced, so neither call runs it
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+        monkeypatch.setattr(gn, "_shoot_core", started)
+        n_cells = gn.MAX_CELLS // 2 + 1
+        with pytest.raises(ValueError, match="certification"):
+            gn.shoot(4, 3.0, n_cells=n_cells)
+        with pytest.raises(Started):
+            gn.shoot(4, 3.0, n_cells=n_cells, certify=False)
 
 
 class TestGnConstant:

@@ -32,6 +32,8 @@ class TestMakeGrid:
             rg.make_grid(2, 1.0, 8)
         with pytest.raises(ValueError):
             rg.make_grid(2, 1.0, 100, scheme="chebyshev")
+        with pytest.raises(ValueError, match=str(rg.MAX_CELLS)):
+            rg.make_grid(2, 1.0, rg.MAX_CELLS + 1)
 
     @pytest.mark.parametrize("dim,r_max,vol", [
         (2, 1.0, math.pi),
@@ -137,6 +139,19 @@ class TestCellWidths:
         assert np.array_equal(widths, np.diff(grid.nodes))
         with pytest.raises(ValueError):
             widths[0] = 1.0
+
+    def test_stiffness_band_computed_once_read_only_and_applies_a(self):
+        grid = rg.make_grid(3, 4.0, 200, scheme="graded")
+        band = grid.stiffness_band
+        assert band is grid.stiffness_band
+        with pytest.raises(ValueError):
+            band[1, 0] = 1.0
+        # the symmetric tridiagonal matrix of the band applies A
+        u = np.random.default_rng(0).standard_normal(len(grid.nodes))
+        applied = band[1] * u
+        applied[:-1] += band[0, 1:] * u[1:]
+        applied[1:] += band[0, 1:] * u[:-1]
+        assert np.allclose(applied, grid.stiffness_apply(u), rtol=1e-12, atol=1e-9)
 
 
 class CountingNonlinearity:
