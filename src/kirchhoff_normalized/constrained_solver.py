@@ -36,7 +36,14 @@ energy of the scaled GN extremal (gn_fiber_energy) predicts where the
 negative well sits, and recommended_grid sizes the domain to hold a
 profile of that width.  Minimizers near the existence thresholds are
 very spread out, and solving them on a unit-scale grid silently turns
-an existence question into a truncation artifact.
+an existence question into a truncation artifact.  That fiber energy
+is a sum of at most four powers of the scale t, so its wells and
+barriers are exact: the roots of t J'(t) in log t, each alone on a
+monotone piece found by Rolle recursion and solved by brentq, with no
+scan (Descartes' rule for such sums bounds how many there are; Jameson,
+Math. Gazette 90 (2006) 223-234).  The minimizer's GN restart starts in
+the well, so where a positive well behind a barrier competes with the
+mountain-pass saddle the descent reaches the local minimizer.
 
 Saddle points are located by relaxing a string of beads along the
 dilation fiber (bead-wise descent plus arc-length reparametrization),
@@ -69,7 +76,7 @@ from .omega_thresholds import ThresholdSet, threshold_set
 from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
-from .scalar_opt import BracketError, golden_min, sign_change_brackets
+from .scalar_opt import BracketError, sign_change_brackets
 
 STATUS_MINIMIZER = "converged_minimizer"
 STATUS_MOUNTAIN_PASS = "converged_mountain_pass"
@@ -98,12 +105,9 @@ STALL_WINDOW = 10
 # the graded grid's cost is independent of the radius, so the cap only
 # guards against absurd scale requests near degenerate thresholds
 MAX_R_MAX = 20000.0
-# GN fiber scans: log grid from GN_T_LO to GN_T_HI (to the well scale
-# for the barrier), with this many points
+# window of GN fiber scales t for wells, barriers and the fiber minimum
 GN_T_LO = 1e-4
 GN_T_HI = 1e2
-GN_SCAN = 600
-GN_BARRIER_SCAN = 400
 # M relaxations per relaxed implicit step (string and saddle only; the
 # minimizer's descent lags M and solves once)
 INNER_SOLVES = 4
@@ -210,91 +214,121 @@ class SolveReport:
 
 
 def _gn_extremal(model: Model):
-    """The GN extremal of a power model's (N, p); the fiber family needs one."""
+    """The GN extremal of a power model's (N, p); the fiber family needs
+    one, and its closed form needs the affine coefficient."""
     nl = model.nonlinearity
-    if nl.kind != "power":
-        raise ValueError("the GN fiber family needs a power nonlinearity")
+    if nl.kind != "power" or model.coefficient.kind != "affine":
+        raise ValueError("the GN fiber family needs a power nonlinearity "
+                         "and the affine coefficient M(t) = a + b t")
     return ground_state(nl.dimension, nl.p)
 
 
-def _fiber_energy(model: Model, q, c: float, t: float) -> float:
-    """gn_fiber_energy on a given extremal q."""
-    nl = model.nonlinearity
-    n, p = nl.dimension, nl.p
-    ratio = c / q.q_l2
-    g = (c * t) ** 2 * q.grad_sq / q.mass
-    val = 0.5 * model.coefficient.Mhat(g)
-    val -= ratio**p * q.lp / p * t ** (0.5 * n * (p - 2.0))
-    if nl.include_critical and q.crit is not None:
+def _gn_fiber_terms(model: Model, c: float) -> list[tuple[float, float]]:
+    """The GN fiber energy J(t) as (exponent, coefficient) terms.
+
+    With A = c^2 |grad Q|_2^2 / |Q|_2^2 for the GN extremal Q and
+    M(t) = a + b t,
+
+        J(t) = a A t^2/2 + b A^2 t^4/4 - B' t^(N(p-2)/2) - C' t^(2*),
+
+    the last term only when the model keeps the critical part.  Terms
+    come sorted by exponent, and exponents within 1e-12 of each other
+    merge (mass-critical p, and 2* = 4 at N = 4).
+    """
+    q = _gn_extremal(model)
+    co = model.coefficient
+    n, p = q.dimension, q.p
+    big_a = c * c * q.grad_sq / q.mass
+    raw = [(2.0, 0.5 * co.a * big_a), (4.0, 0.25 * co.b * big_a * big_a),
+           (0.5 * n * (p - 2.0), -(c / q.q_l2) ** p * q.lp / p)]
+    if model.nonlinearity.include_critical and q.crit is not None:
         qs = two_star(n)
-        val -= ratio**qs * q.crit / qs * t ** (0.5 * n * (qs - 2.0))
-    return val
+        raw.append((qs, -(c / q.q_l2) ** qs * q.crit / qs))
+    merged: dict[float, float] = {}
+    for e, k in raw:
+        key = next((e_in for e_in in merged if abs(e_in - e) <= 1e-12), e)
+        merged[key] = merged.get(key, 0.0) + k
+    return sorted(merged.items())
+
+
+def _fiber_value(terms: list[tuple[float, float]], t: float) -> float:
+    return sum(k * t**e for e, k in terms)
 
 
 def gn_fiber_energy(model: Model, c: float, t: float) -> float:
     """Energy of the c-normalized GN extremal dilated to scale t, in
-    closed form from the extremal's norms (power models only)."""
-    return _fiber_energy(model, _gn_extremal(model), c, t)
+    closed form from the extremal's norms (power models with the affine
+    coefficient only)."""
+    return _fiber_value(_gn_fiber_terms(model, c), t)
 
 
-def _gn_fiber_scan(model: Model, c: float, t_hi: float, n_coarse: int,
-                   sign: float) -> tuple[tuple[float, float],
-                                         tuple[float, float] | None]:
-    """Log scan of j = sign * gn_fiber_energy on [GN_T_LO, t_hi].
+def _exp_sum_roots(terms: list[tuple[float, float]], lo: float,
+                   hi: float) -> list[tuple[float, bool]]:
+    """Roots in (lo, hi) of h(s) = sum k exp(e s) over the terms (e, k),
+    sorted by exponent, each with whether h rises through it.
 
-    Every interior local minimum of the scan is polished by golden
-    section.  Returns the minimum of j (the polished one when the coarse
-    minimum is interior, the scan point otherwise) and the deepest
-    polished interior minimum, or None when there is none; sign = -1
-    turns the maxima of the fiber energy into minima.  j is evaluated
-    point by point, so a scalar-only coefficient works and the polishes
-    see the same bits as the scan; the extremal is looked up once.
+    Rolle recursion: h exp(-e0 s) has the roots of h, and its derivative
+    is a sum with one term fewer, so between consecutive roots of that
+    derivative it is monotone and has at most one root; each such piece
+    that changes sign is solved by brentq.  A root where h touches zero
+    without crossing is not returned.
     """
-    q = _gn_extremal(model)
+    if len(terms) < 2:
+        return []
+    e0 = terms[0][0]
 
-    def j(t: float) -> float:
-        return sign * _fiber_energy(model, q, c, t)
-    ts = np.exp(np.linspace(math.log(GN_T_LO), math.log(t_hi), n_coarse))
-    vals = np.array([j(t) for t in ts])
-    extrema = {k: golden_min(j, ts[k - 1], ts[k + 1])
-               for k in range(1, n_coarse - 1)
-               if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]}
-    k = int(np.argmin(vals))
-    deepest = min(extrema.values(), key=lambda tv: tv[1], default=None)
-    return extrema.get(k, (ts[k], vals[k])), deepest
+    def h(s: float) -> float:
+        return sum(k * math.exp((e - e0) * s) for e, k in terms)
+    knots = [lo, *(s for s, _ in _exp_sum_roots(
+        [(e - e0, k * (e - e0)) for e, k in terms[1:]], lo, hi)), hi]
+    return [(brentq(h, a, b, xtol=1e-15), h(a) < 0.0)
+            for a, b in sign_change_brackets(h, knots) if a < b]
+
+
+def _fiber_extrema(terms: list[tuple[float, float]], t_hi: float,
+                   minima: bool) -> list[tuple[float, float]]:
+    """Interior local minima (or maxima) (t, J(t)) of the fiber energy
+    with these terms on (GN_T_LO, t_hi): the roots of t J'(t) in log t
+    where it rises (or falls)."""
+    roots = _exp_sum_roots([(e, e * k) for e, k in terms],
+                           math.log(GN_T_LO), math.log(t_hi))
+    return [(math.exp(s), _fiber_value(terms, math.exp(s)))
+            for s, rising in roots if rising == minima]
 
 
 def gn_fiber_min(model: Model, c: float) -> tuple[float, float]:
-    """Scale t minimizing gn_fiber_energy and the value there.
+    """Scale t minimizing gn_fiber_energy on [GN_T_LO, GN_T_HI] and the
+    value there.
 
-    The coarse log grid is polished by golden section when the minimum
-    is interior; a boundary minimum is returned as-is (GN_T_LO signals
-    the spread-to-zero regime where no negative well exists).
+    The minimum is the lowest of the interior wells and the two window
+    edges; GN_T_LO signals the spread-to-zero regime where no negative
+    well exists, GN_T_HI a fiber that plunges.
     """
-    (t, v), _ = _gn_fiber_scan(model, c, GN_T_HI, GN_SCAN, 1.0)
-    return float(t), float(v)
+    terms = _gn_fiber_terms(model, c)
+    ends = [(t, _fiber_value(terms, t)) for t in (GN_T_LO, GN_T_HI)]
+    return min(ends + _fiber_extrema(terms, GN_T_HI, True), key=lambda tj: tj[1])
 
 
 def gn_fiber_well(model: Model, c: float) -> tuple[float, float] | None:
-    """Deepest interior local minimum of the GN fiber energy, or None.
+    """Deepest interior local minimum of the GN fiber energy on
+    (GN_T_LO, GN_T_HI), or None.
 
     Distinct from gn_fiber_min when the global minimum sits at the
     spread boundary: just below the attainment threshold the fiber
     still has a positive-depth well behind a barrier, which is what
     the saddle search and the grid-width heuristic need to see.
     """
-    _, well = _gn_fiber_scan(model, c, GN_T_HI, GN_SCAN, 1.0)
-    return None if well is None else (float(well[0]), float(well[1]))
+    wells = _fiber_extrema(_gn_fiber_terms(model, c), GN_T_HI, True)
+    return min(wells, key=lambda tj: tj[1], default=None)
 
 
 def gn_fiber_barrier(model: Model, c: float,
                      t_hi: float) -> tuple[float, float] | None:
     """Highest interior local maximum of the GN fiber energy on
     (GN_T_LO, t_hi), or None when the fiber has no barrier there."""
-    if not t_hi > GN_T_LO:
-        return None
-    _, bar = _gn_fiber_scan(model, c, t_hi, GN_BARRIER_SCAN, -1.0)
-    return None if bar is None else (float(bar[0]), float(-bar[1]))
+    bars = _fiber_extrema(_gn_fiber_terms(model, c), t_hi, False) \
+        if t_hi > GN_T_LO else []
+    return max(bars, key=lambda tj: tj[1], default=None)
 
 
 def _fiber_grid(model: Model, params: SolveParams, t: float | None,
@@ -625,11 +659,10 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
                       rng: np.random.Generator) -> list[tuple[str, RadialFunction]]:
     r = grid.nodes
     shapes: list[tuple[str, np.ndarray]] = []
-    nl = model.nonlinearity
-    if nl.kind == "power":
-        t_star, j_star = gn_fiber_min(model, c)
-        label = f"gn extremal t={t_star:.4g}"
-        shapes.append((label, _q_scaled_values(model, c, grid, t_star)))
+    if model.nonlinearity.kind == "power":
+        t_star, _ = gn_fiber_well(model, c) or gn_fiber_min(model, c)
+        shapes.append((f"gn extremal t={t_star:.4g}",
+                       _q_scaled_values(model, c, grid, t_star)))
     # width fractions of the domain cover the spread regimes, the fixed
     # widths cover the concentrated ones; a fraction that repeats a fixed
     # width is doubled until it does not, so no restart repeats another
@@ -850,12 +883,14 @@ def _reparametrize(beads: list[RadialFunction],
     return [beads[0], *fresh, beads[-1]]
 
 
-def _bead_sweeps(model: Model, beads: list[RadialFunction],
-                 c: float) -> tuple[list[RadialFunction], list[float]] | None:
+def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
+                 ) -> tuple[list[RadialFunction], list[float], int] | None:
     """Relax the interior beads and reparametrize, sweep after sweep.
 
-    Each bead is a RadialFunction kept from the level of one sweep to the
-    start of the next, so its energy is evaluated once.
+    Returns the beads, the string level after each sweep and the index
+    of the top bead.  Each bead is a RadialFunction kept from the level
+    of one sweep to the start of the next, so its energy is evaluated
+    once.
     """
     tau = 0.2 * STEP
     levels: list[float] = []
@@ -874,11 +909,12 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction],
         beads = _reparametrize(beads, c)
         if beads is None:
             return None
-        levels.append(max(energy(model, u).total for u in beads))
+        bead_energies = [energy(model, u).total for u in beads]
+        levels.append(max(bead_energies))
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
                 <= 1e-10 * (1.0 + abs(levels[-1])):
             break
-    return beads, levels
+    return beads, levels, int(np.argmax(bead_energies))
 
 
 def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
@@ -918,17 +954,11 @@ def mountain_pass(model: Model, c: float,
     params = params or SolveParams()
     nl = model.nonlinearity
     notes: list[str] = []
-    well_bar: tuple[tuple[float, float], tuple[float, float]] | None = None
-    if nl.kind == "power":
-        well = gn_fiber_well(model, c)
-        if well is not None:
-            bar = gn_fiber_barrier(model, c, well[0])
-            if bar is not None and bar[1] > well[1]:
-                well_bar = (well, bar)
-    grid = _fiber_grid(model, params,
-                       None if well_bar is None else well_bar[1][0], 2.2)
-    if well_bar is not None:
-        (t_well, j_well), (t_bar, j_bar) = well_bar
+    well = gn_fiber_well(model, c) if nl.kind == "power" else None
+    bar = None if well is None else gn_fiber_barrier(model, c, well[0])
+    grid = _fiber_grid(model, params, None if bar is None else bar[0], 2.2)
+    if bar is not None:
+        (t_well, j_well), (t_bar, j_bar) = well, bar
         base = _on_sphere(RadialFunction(
             grid, _q_scaled_values(model, c, grid, t_well)), c)
         notes.append(f"fiber well at scale {t_well:.4g} (J = {j_well:.4g}), "
@@ -953,11 +983,11 @@ def mountain_pass(model: Model, c: float,
                       energy(model, beads[-1]).total)
         swept = _bead_sweeps(model, beads, c)
         if swept is not None:
-            beads, levels = swept
+            beads, levels, top = swept
             if levels[-1] > max(end_levels) + 1e-9 * (1.0 + abs(levels[-1])):
                 break
             swept = None
-        if well_bar is not None:
+        if bar is not None:
             notes.append(f"attempt {attempt}: path collapsed, spreading the "
                          "left endpoint")
             try:
@@ -973,10 +1003,7 @@ def mountain_pass(model: Model, c: float,
     if swept is None:
         notes.append("string collapsed onto its endpoints after retries")
         return _report(model, STATUS_DIVERGED, None, math.nan, notes)
-    beads, levels = swept
     path_level = levels[-1]
-    bead_energies = [energy(model, u).total for u in beads]
-    top = int(np.argmax(bead_energies))
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
     if nl.kind == "exp":

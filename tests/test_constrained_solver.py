@@ -1,10 +1,12 @@
 """Constrained minimization, saddle search, projection, classification.
 
 Closed-form oracles: the fiber energy of the scaled GN extremal is a
-three-term expression in the extremal's norms, so gn_fiber_energy is
-checked against the discrete energy of the actually-scaled profile and
-against frozen values recomputed from the norms in-test.  Projection
-roots are checked against a plain midpoint bisection written here.
+sum of at most four powers of the scale in the extremal's norms, so
+gn_fiber_energy is checked against the discrete energy of the
+actually-scaled profile and against frozen values recomputed from the
+norms in-test, and its exact wells and barriers against a dense log
+scan of the same sum written here.  Projection roots are checked
+against a plain midpoint bisection written here.
 Solver candidates must pass the report filters and reproduce frozen
 energies from independent earlier runs of the same discretization.
 """
@@ -23,6 +25,7 @@ from kirchhoff_normalized import (
     classify,
     energy,
     fiber_energy,
+    general_coefficient,
     gn_fiber_barrier,
     gn_fiber_energy,
     gn_fiber_min,
@@ -91,6 +94,57 @@ def saddle_report(shallow_kirchhoff):
     return mountain_pass(model, 0.97 * c1)
 
 
+def oracle_terms(n, p, a, b, c):
+    """The fiber energy's four power terms (exponent, coefficient),
+    unmerged, written out from the extremal's norms."""
+    q = ground_state(n, p)
+    big_a = c * c * q.grad_sq / q.mass
+    ratio = c / q.q_l2
+    terms = [(2.0, a * big_a / 2), (4.0, b * big_a**2 / 4),
+             (n * (p - 2) / 2, -ratio**p * q.lp / p)]
+    if q.crit is not None:
+        qs = 2 * n / (n - 2)
+        terms.append((qs, -ratio**qs * q.crit / qs))
+    return terms
+
+
+def oracle_energy(terms, t):
+    return sum(k * np.asarray(t) ** e for e, k in terms)
+
+
+def scan_extrema(terms, t_lo, t_hi):
+    """Interior local minima and maxima in t of the fiber energy: a
+    20 001-point scan in log t, each strict local extremum zoomed in on
+    twice with 2 001 points between its scan neighbours."""
+    def zoom(s, sign):
+        for _ in range(2):
+            k = int(np.argmin(sign * oracle_energy(terms, np.exp(s))))
+            s = np.linspace(s[max(k - 1, 0)], s[min(k + 1, len(s) - 1)], 2001)
+        return float(np.exp(s[1000]))
+    s = np.linspace(math.log(t_lo), math.log(t_hi), 20001)
+    v = oracle_energy(terms, np.exp(s))
+    mid, left, right = v[1:-1], v[:-2], v[2:]
+    found = []
+    for sign in (1.0, -1.0):
+        ks = 1 + np.flatnonzero((sign * mid < sign * left) & (sign * mid < sign * right))
+        found.append([zoom(s[k - 1:k + 2], sign) for k in ks])
+    return found
+
+
+# (N, p, b, c, interior minima, interior maxima) on [GN_T_LO, GN_T_HI] at
+# a = 1: the deep well, the well and barrier at 0.97 c1 (c1 = 50.7224),
+# the positive well behind a barrier at c=45, mass-critical rows with no
+# well, and the N=4 plunge
+EXACT_GEOMETRY_CASES = [
+    (5, 2.5, 1.0, 160.0, 1, 0),
+    (5, 2.9, 0.001, 0.97 * 50.7224, 1, 1),
+    (5, 3.0, 0.001, 45.0, 1, 1),
+    (5, 2.8, 0.001, 3.0, 0, 0),
+    (5, 2.8, 0.1, 4.0, 0, 0),
+    (4, 3.0, 0.001, 22.0, 0, 0),
+]
+
+
 class TestFiberClosedForm:
     def test_matches_discrete_energy_of_scaled_extremal(self):
         model = affine_power(5, 2.5)
@@ -131,6 +185,65 @@ class TestFiberClosedForm:
         model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
         with pytest.raises(ValueError):
             gn_fiber_energy(model, 1.0, 1.0)
+
+    def test_power_model_needs_affine_coefficient(self):
+        model = Model(general_coefficient(lambda t: 1.0 + t,
+                                          lambda t: t + t * t / 2, 1.0),
+                      power_nonlinearity(3.0, 5))
+        for call in (lambda: gn_fiber_energy(model, 45.0, 1.0),
+                     lambda: minimize_on_sphere(model, 45.0),
+                     lambda: mountain_pass(model, 45.0)):
+            with pytest.raises(ValueError, match="affine"):
+                call()
+
+    @pytest.mark.parametrize("n, p, b, c, n_min, n_max", EXACT_GEOMETRY_CASES)
+    def test_critical_points_match_a_dense_scan(self, n, p, b, c, n_min, n_max):
+        terms = oracle_terms(n, p, 1.0, b, c)
+        mins, maxs = scan_extrema(terms, cs.GN_T_LO, cs.GN_T_HI)
+        assert (len(mins), len(maxs)) == (n_min, n_max)
+        exact = cs._gn_fiber_terms(affine_power(n, p, b=b), c)
+        for minima, scanned in ((True, mins), (False, maxs)):
+            found = cs._fiber_extrema(exact, cs.GN_T_HI, minima)
+            assert len(found) == len(scanned)
+            for (t, j), t_scan in zip(found, scanned):
+                assert t == pytest.approx(t_scan, rel=1e-6)
+                assert j == pytest.approx(oracle_energy(terms, t), rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, b, c, n_min, n_max", EXACT_GEOMETRY_CASES)
+    def test_returned_points_are_critical_to_rounding(self, n, p, b, c,
+                                                      n_min, n_max):
+        model = affine_power(n, p, b=b)
+        terms = oracle_terms(n, p, 1.0, b, c)
+        well = gn_fiber_well(model, c)
+        bar = None if well is None else gn_fiber_barrier(model, c, well[0])
+        points = [pt for pt in (well, bar) if pt is not None]
+        assert len(points) == min(n_min, 1) + min(n_max, 1)
+        for t, _ in points:
+            slope = [e * k * t**e for e, k in terms]
+            assert abs(sum(slope)) <= 1e-12 * sum(map(abs, slope))
+
+    @pytest.mark.parametrize("n, p", [(5, 2.5), (5, 2.8), (4, 2.5), (4, 3.0)])
+    def test_equal_exponents_merge(self, n, p):
+        # mass-critical p puts N(p-2)/2 on 2, and N=4 puts 2* on 4
+        raw = oracle_terms(n, p, 1.0, 0.001, 3.0)
+        terms = cs._gn_fiber_terms(affine_power(n, p, b=0.001), 3.0)
+        exponents = [e for e, _ in terms]
+        assert exponents == sorted(exponents)
+        assert len(terms) == 4 - (n == 4) - (p == 2 + 4 / n)
+        for e, k in terms:
+            assert k == pytest.approx(sum(k_raw for e_raw, k_raw in raw
+                                          if abs(e_raw - e) <= 1e-12), rel=1e-12)
+
+    def test_window_edges(self):
+        # mass-critical rows spread to the lower edge, the N=4 plunge
+        # runs to the upper one
+        for b in (0.001, 0.1):
+            for c in (1.0, 2.0, 3.0, 4.0):
+                assert gn_fiber_min(affine_power(5, 2.8, b=b), c)[0] == cs.GN_T_LO
+        t, j = gn_fiber_min(affine_power(4, 3.0, b=0.001), 22.0)
+        assert t == cs.GN_T_HI
+        assert j == pytest.approx(oracle_energy(
+            oracle_terms(4, 3.0, 1.0, 0.001, 22.0), cs.GN_T_HI), rel=1e-12)
 
 
 class TestGridSizing:
@@ -251,6 +364,15 @@ class TestMinimize:
         assert rep.status == "no_nontrivial_solution_found"
         assert rep.candidate is None
         assert rep.infimum_estimate >= -1e-6
+
+    def test_minimizer_not_the_saddle_behind_a_barrier(self):
+        # the fiber has a positive well (J = 51.58) behind a barrier; the
+        # GN restart starts in the well and converges to the local
+        # minimizer, below the mountain-pass level I = 52.166
+        rep = minimize_on_sphere(affine_power(5, 3.0, b=0.001), 45.0)
+        assert rep.status == "converged_minimizer"
+        assert rep.candidate.energy == pytest.approx(43.8123, rel=1e-5)
+        assert rep.candidate.lam == pytest.approx(-0.13283, rel=1e-3)
 
     def test_deep_well_above_shallow_threshold(self, shallow_kirchhoff):
         model, c1 = shallow_kirchhoff
@@ -587,7 +709,6 @@ class TestClassify:
                 classify(model, bad)
 
     def test_power_needs_affine_coefficient(self):
-        from kirchhoff_normalized import general_coefficient
         model = Model(general_coefficient(lambda t: 1.0 + t,
                                           lambda t: t + t * t / 2, 1.0),
                       power_nonlinearity(2.5, 4))
