@@ -7,8 +7,9 @@ drives the iterate into a basin: each step solves the SPD banded system
     (diag(w)/tau + M A) v = w (u/tau + f(u)),
 
 with the scalar M lagged, i.e. frozen at M(|grad u|^2) of the current
-iterate, so each trial step is one banded solve; it then renormalizes v
-to the sphere and backtracks on tau until the energy decreases.  The
+iterate, so each trial step is one tridiagonal solve (solveh_banded, a
+single LAPACK ptsv call); it then renormalizes v to the sphere and
+backtracks on tau until the energy decreases.  The
 bead string and the saddle refinement below take the same step with M
 relaxed to self-consistency by an inner fixed point instead: their
 levels are read off a relaxation that is not run to convergence, so
@@ -64,7 +65,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dptsv
 from scipy.optimize import brentq
 
 from .functional import (CriticalPointCandidate, energy, fiber_energy,
@@ -371,30 +373,45 @@ def _on_sphere(u: RadialFunction, c: float) -> RadialFunction:
     return normalize_mass(u.with_values(vals), c)
 
 
+def solveh_banded(diag: np.ndarray, sup: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system with this diagonal and super- (=
+    sub-) diagonal by one LAPACK ptsv call, as scipy.linalg.solveh_banded
+    does for a two-row band, without its validation and band copy.
+
+    diag and sup are overwritten, so pass fresh arrays; rhs is not (the
+    relaxed step reuses it).  Raises LinAlgError, as SciPy does, when a
+    leading minor is not positive definite.
+    """
+    _, _, x, info = dptsv(diag, sup, rhs, overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    return x
+
+
 def _implicit_step(model: Model, u: RadialFunction, tau: float,
                    lagged: bool) -> RadialFunction:
     """One semi-implicit flow step.
 
     lagged (the minimizer's descent) freezes M at its value on u and
-    makes one banded solve.  Otherwise (the string and the saddle
+    makes one tridiagonal solve.  Otherwise (the string and the saddle
     refinement, whose levels depend on the step map, see the module
     docstring) M is relaxed to self-consistency by up to INNER_SOLVES
     solves; the last solve's profile is returned without evaluating M
-    on it.  Each solve scales the grid's read-only stiffness band into a
-    fresh array.
+    on it.  Each solve hands solveh_banded the fresh diagonals
+    M diag(A) + w/tau and M sup(A) of the interior nodes and the one
+    right-hand side w (u/tau + f(u)), which it does not overwrite.
     """
     grid = u.grid
     w = grid.weights
-    rhs = w * (u.values / tau + u.f_values(model.nonlinearity))
-    w_tau = w / tau
+    # Dirichlet tail: the outermost node is left out of the solve
+    rhs = (w * (u.values / tau + u.f_values(model.nonlinearity)))[:-1]
+    w_tau = w[:-1] / tau
+    sup, diag = grid.stiffness_band[0, 1:-1], grid.stiffness_band[1, :-1]
     m = model.coefficient.M(u.grad_norm_sq())
     for k in range(INNER_SOLVES):
-        ab = grid.stiffness_band * m
-        ab[1] += w_tau
         vals = np.zeros_like(u.values)
-        # Dirichlet tail: drop the outermost node from the solve
-        vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], lower=False,
-                                  overwrite_ab=True, check_finite=False)
+        vals[:-1] = solveh_banded(m * diag + w_tau, m * sup, rhs)
         v = u.with_values(vals)
         if lagged or k == INNER_SOLVES - 1:
             break
@@ -705,6 +722,12 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     domain when the predicted minimizer is spread out.  starts, when
     given, replaces the built-in initial profiles: each is resampled
     onto the solver grid and renormalized.
+
+    The reported restart (the lowest passing one, else the lowest) is
+    replaced by a later restart only when that one is lower by more than
+    residual_tol^2 (1 + |I|): the energy error at residual r is O(r^2),
+    so restarts that reach one minimizer tie, and the first of them is
+    reported whatever their last bits say.
     """
     c = mass_radius(c)
     params = params or SolveParams()
@@ -717,6 +740,10 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
                    for i, s in enumerate(starts)]
     if not labeled:
         raise ValueError("no initial profiles: starts is empty")
+
+    def beats(run: _Run, incumbent: _Run | None) -> bool:
+        return incumbent is None or incumbent.energy - run.energy \
+            > params.residual_tol**2 * (1.0 + abs(run.energy))
     notes: list[str] = []
     best: _Run | None = None
     best_pass: _Run | None = None
@@ -735,9 +762,9 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
         else:
             notes.append(f"{label}: candidate with I = {run.energy:.9g}, "
                          f"lambda = {run.lam:.9g}")
-            if best_pass is None or run.energy < best_pass.energy:
+            if beats(run, best_pass):
                 best_pass = run
-        if best is None or run.energy < best.energy:
+        if beats(run, best):
             best = run
     if best_pass is not None:
         if diverged:

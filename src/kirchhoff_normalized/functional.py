@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import Model
 from .radial_grid import RadialFunction
 
@@ -101,9 +103,11 @@ def fiber_pohozaev(model: Model, u: RadialFunction, s: float) -> float:
     """Pohozaev balance along the fiber, G(T(u, s)) = d/ds I(T(u, s))."""
     n = u.grid.dimension
     g = math.exp(2.0 * s) * u.grad_norm_sq()
-    scaled = math.exp(0.5 * n * s) * u.values
-    big_f = u.grid.integrate(model.nonlinearity.F(scaled))
-    f_int = u.grid.integrate(model.nonlinearity.f(scaled) * scaled)
+    # a profile of the scaled values, so f and F come as one pair when
+    # the nonlinearity has a joint kernel
+    scaled = u.with_values(math.exp(0.5 * n * s) * u.values)
+    big_f = u.grid.integrate(scaled.F_values(model.nonlinearity))
+    f_int = u.grid.integrate(scaled.f_values(model.nonlinearity) * scaled.values)
     return model.coefficient.M(g) * g + math.exp(-n * s) * (n * big_f - 0.5 * n * f_int)
 
 
@@ -114,11 +118,15 @@ def l2_gradient(model: Model, u: RadialFunction, lam: float = 0.0) -> RadialFunc
     - lam u - f(u); at the origin the stiffness stencil supplies the
     regularized Laplacian limit automatically.
     """
+    return u.with_values(_l2_gradient_values(model, u, lam))
+
+
+def _l2_gradient_values(model: Model, u: RadialFunction, lam: float) -> np.ndarray:
+    """The nodal values of l2_gradient, in a fresh array."""
     g = u.grad_norm_sq()
     stiff = u.grid.stiffness_apply(u.values)
-    vals = (model.coefficient.M(g) * stiff) / u.grid.weights \
+    return (model.coefficient.M(g) * stiff) / u.grid.weights \
         - u.f_values(model.nonlinearity) - lam * u.values
-    return u.with_values(vals)
 
 
 def lagrange_multiplier(model: Model, u: RadialFunction, c: float) -> float:
@@ -147,7 +155,6 @@ def pde_residual_norm(model: Model, u: RadialFunction, lam: float) -> float:
     The outermost node is left out: the solvers hold it at zero as the
     Dirichlet tail, and it carries the constraint force.
     """
-    res = l2_gradient(model, u, lam)
-    vals = res.values.copy()
+    vals = _l2_gradient_values(model, u, lam)
     vals[-1] = 0.0
     return math.sqrt(float(u.grid.weights @ vals**2))

@@ -6,6 +6,8 @@ primitive F and derivative f').  Two nonlinearity families are provided:
 
 * power, optionally augmented by the Sobolev-critical term:
       f(u) = |u|^{p-2} u + |u|^{2^*-2} u,   2^* = 2N/(N-2),
+  whose f and F come together from one pair of powers |u|^{p-1},
+  |u|^{2^*-1} (Nonlinearity.f_and_F, which profiles memoize),
 * exponential with Trudinger-Moser-critical growth, built by splicing a
   pure power u^{sigma-1} below a height u_1 onto
       f_1(u) = beta (alpha0 u^2 - 1) e^{alpha0 u^2} / (alpha0 u^3)
@@ -112,24 +114,37 @@ class Nonlinearity:
     u1: float = 0.0
 
     def f(self, u):
-        u = np.asarray(u, dtype=float)
         if self.kind == "power":
-            out = np.sign(u) * np.abs(u) ** (self.p - 1)
-            if self.include_critical:
-                q = two_star(self.dimension)
-                out = out + np.sign(u) * np.abs(u) ** (q - 1)
-            return out
-        return self._exp_f(u)
+            return self._power_f_and_F(u)[0]
+        return self._exp_f(np.asarray(u, dtype=float))
 
     def F(self, u):
-        u = np.asarray(u, dtype=float)
         if self.kind == "power":
-            out = np.abs(u) ** self.p / self.p
-            if self.include_critical:
-                q = two_star(self.dimension)
-                out = out + np.abs(u) ** q / q
-            return out
-        return self._exp_F(u)
+            return self._power_f_and_F(u)[1]
+        return self._exp_F(np.asarray(u, dtype=float))
+
+    @property
+    def f_and_F(self):
+        """The joint kernel u -> (f(u), F(u)) of a family that has one,
+        else None.
+
+        The power family has one (f and F return its parts, so direct and
+        joint values are the same bits); the exponential family has none,
+        so its f and F stay separate and reading F never computes f.
+        """
+        return self._power_f_and_F if self.kind == "power" else None
+
+    def _power_f_and_F(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """f and F of the power family from one evaluation of |u|^{p-1}
+        (and |u|^{2^*-1}): f = sign(u) (...) and F = |u| (.../p + .../2^*)."""
+        u = np.asarray(u, dtype=float)
+        au = np.abs(u)
+        lower = au ** (self.p - 1.0)
+        if not self.include_critical:
+            return np.copysign(lower, u), au * (lower / self.p)
+        q = two_star(self.dimension)
+        upper = au ** (q - 1.0)
+        return np.copysign(lower + upper, u), au * (lower / self.p + upper / q)
 
     def f_prime(self, u):
         """f'(u), the diagonal Jacobian of u -> f(u).

@@ -23,7 +23,9 @@ nonlinearity) is computed at most once per profile.  The solvers
 evaluate one iterate many times over (multiplier, residual, step
 right-hand side, energy, filters); all of those read the stored
 numbers, so the cost is one evaluation per iterate and the answers are
-those of evaluating afresh each time.
+those of evaluating afresh each time.  A nonlinearity that offers a
+joint kernel (f_and_F, the power family) gives f(u) and F(u) together
+from one call; any other computes each on first read.
 """
 
 from __future__ import annotations
@@ -106,24 +108,29 @@ class RadialGrid:
     def ball_volume(self) -> float:
         return ball_volume(self.dimension, self.r_max)
 
+    @cached_property
+    def _widths_sq(self) -> np.ndarray:
+        return self.cell_widths**2
+
     def stiffness_apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the Dirichlet stiffness operator A with a(u,v) = v.A u.
 
         a(u, v) = sum_i cell_volumes_i * D_i(u) * D_i(v) where D_i is the
         difference quotient on cell i, so a(u, u) equals grad_norm_sq.
         """
-        u = np.asarray(values, dtype=float)
-        flux = self.cell_volumes * np.diff(u) / self.cell_widths**2
-        out = np.zeros_like(u)
+        flux = self.cell_volumes * np.diff(np.asarray(values, dtype=float)) \
+            / self._widths_sq
+        # node j gets flux_{j-1} - flux_j, with flux_{-1} = flux_K = 0
+        out = np.concatenate(([0.0], flux))
         out[:-1] -= flux
-        out[1:] += flux
         return out
 
     @cached_property
     def stiffness_band(self) -> np.ndarray:
-        """Upper-form banded A for scipy.linalg.solveh_banded, computed once
-        per grid and read-only."""
-        k = self.cell_volumes / self.cell_widths**2
+        """Upper-form (2, K+1) band of A, computed once per grid and
+        read-only: row 0 holds the superdiagonal from column 1, row 1 the
+        diagonal."""
+        k = self.cell_volumes / self._widths_sq
         n = len(self.nodes)
         ab = np.zeros((2, n))
         ab[1, :-1] += k
@@ -222,12 +229,14 @@ class RadialFunction:
             raise ValueError("values must match the grid node count")
 
     def _derived(self, key, compute):
-        """compute(values), evaluated on first use under key and kept."""
+        """compute(values), evaluated on first use under key and kept; the
+        arrays it returns, alone or in a tuple, become read-only."""
         out = self._memo.get(key)
         if out is None:
             out = compute(self.values)
-            if isinstance(out, np.ndarray):
-                out.flags.writeable = False
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             self._memo[key] = out
         return out
 
@@ -248,11 +257,21 @@ class RadialFunction:
 
     def f_values(self, nonlinearity) -> np.ndarray:
         """f(u) at the nodes for the given nonlinearity, read-only."""
-        return self._derived(("f", nonlinearity), nonlinearity.f)
+        return self._nonlinear(nonlinearity, 0)
 
     def F_values(self, nonlinearity) -> np.ndarray:
         """F(u) at the nodes for the given nonlinearity, read-only."""
-        return self._derived(("F", nonlinearity), nonlinearity.F)
+        return self._nonlinear(nonlinearity, 1)
+
+    def _nonlinear(self, nonlinearity, part: int) -> np.ndarray:
+        """f(u) (part 0) or F(u) (part 1): both from one call of the
+        nonlinearity's joint kernel when it offers one (f_and_F not None),
+        else each from its own method on first read."""
+        joint = getattr(nonlinearity, "f_and_F", None)
+        if joint is None:
+            name = "fF"[part]
+            return self._derived((name, nonlinearity), getattr(nonlinearity, name))
+        return self._derived(("f_and_F", nonlinearity), joint)[part]
 
     def lp_norm(self, p: float) -> float:
         if p < 1:

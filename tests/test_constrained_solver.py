@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import interp1d
+from scipy.linalg import LinAlgError, solveh_banded
 
 from kirchhoff_normalized import (
     Model,
@@ -381,6 +382,32 @@ class TestMinimize:
         assert rep.candidate.energy < 0
         assert rep.candidate.lam < 0
 
+    def test_tied_restarts_report_the_first(self):
+        # the GN start and the w=0.5 Gaussian reach one minimizer in 3 and
+        # 42 iterations, with energies a few ulps apart; ordered so the
+        # later start is the lower one, the pair must still report what
+        # the earlier start reports alone
+        model = affine_power(5, 2.5, b=0.001)
+        params = SolveParams()
+        grid = recommended_grid(model, 1.0, params)
+        labeled = cs._initial_profiles(model, 1.0, grid, params,
+                                       np.random.default_rng(0))
+        runs = [(minimize_on_sphere(model, 1.0, params, starts=[u]), u)
+                for _, u in labeled[:2]]
+        (first, u_first), (second, u_second) = sorted(
+            runs, key=lambda ru: ru[0].candidate.energy, reverse=True)
+        gap = first.candidate.energy - second.candidate.energy
+        assert 0.0 <= gap <= params.residual_tol**2
+        assert first.iterations != second.iterations
+        both = minimize_on_sphere(model, 1.0, params, starts=[u_first, u_second])
+        assert both.status == first.status == cs.STATUS_MINIMIZER
+        assert both.iterations == first.iterations
+        assert both.candidate.energy == first.candidate.energy
+        assert both.candidate.lam == first.candidate.lam
+        assert both.candidate.u.values.tobytes() == first.candidate.u.values.tobytes()
+        assert both.residual_history == first.residual_history
+        assert both.energy_history == first.energy_history
+
     def test_candidate_invariants(self, wide_minimizer_report):
         cand = wide_minimizer_report.candidate
         c_sq = cand.u.mass()
@@ -519,14 +546,15 @@ class TestFlowStep:
         assert trials and len(calls) == len(trials)
 
     def test_minimizer_flow_evaluates_f_once_per_iterate(self, monkeypatch):
-        # every f(u) of the flow, tau retries and the final polish
-        # included, comes from the profile's cache
+        # every f(u) and F(u) of the flow, tau retries and the final polish
+        # included, comes from the profile's cache, one joint evaluation
+        # of the power pair per profile
         seen = []
-        f = Nonlinearity.f
+        joint = Nonlinearity._power_f_and_F
 
         def counted(nl, u):
             seen.append(np.asarray(u, dtype=float).tobytes())
-            return f(nl, u)
+            return joint(nl, u)
         # the r_max/6 Gaussian on the widened grid enters the Newton
         # basin late, so the flow runs all 30 iterations
         model = affine_power(4, 3.0, b=0.019)
@@ -534,7 +562,7 @@ class TestFlowStep:
         grid = recommended_grid(model, 22.0, params)
         start = RadialFunction(
             grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 6.0)) ** 2))
-        monkeypatch.setattr(Nonlinearity, "f", counted)
+        monkeypatch.setattr(Nonlinearity, "_power_f_and_F", counted)
         report = minimize_on_sphere(model, 22.0, params, starts=[start])
         assert report.iterations == 30
         assert len(seen) > 30 and len(set(seen)) == len(seen)
@@ -595,6 +623,72 @@ class TestFlowStep:
             cs, "_implicit_step",
             lambda model, u, *args: u.with_values(np.full_like(u.values, np.nan)))
         assert cs._trial(model, u, energy(model, u).total, cs.STEP, c,
+                         lagged=True) is None
+
+
+class TestTridiagonalSolve:
+    """solveh_banded is one LAPACK ptsv call with SciPy's bits."""
+
+    @pytest.fixture
+    def band(self):
+        grid = make_grid(5, 30.0, 800, "graded")
+        return grid, grid.stiffness_band
+
+    @pytest.mark.parametrize("m, tau", [(1.0, 0.5), (3.7, 1e-3), (0.02, 40.0)])
+    def test_matches_scipy_bit_for_bit(self, band, m, tau):
+        grid, ab = band
+        rhs = np.random.default_rng(0).standard_normal(grid.n_cells)
+        keep = rhs.copy()
+        ref_band = ab[:, :-1] * m
+        ref_band[1] += grid.weights[:-1] / tau
+        ref = solveh_banded(ref_band, rhs, lower=False, check_finite=False)
+        x = cs.solveh_banded(m * ab[1, :-1] + grid.weights[:-1] / tau,
+                             m * ab[0, 1:-1], rhs)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(rhs, keep)
+
+    @staticmethod
+    def scipy_relaxed_step(model, u, tau):
+        """The relaxed step written with scipy.linalg.solveh_banded on the
+        full two-row band."""
+        w = u.grid.weights
+        rhs = w * (u.values / tau + model.nonlinearity.f(u.values))
+        m = model.coefficient.M(u.grad_norm_sq())
+        for k in range(cs.INNER_SOLVES):
+            ab = u.grid.stiffness_band * m
+            ab[1] += w / tau
+            vals = np.zeros_like(u.values)
+            vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], check_finite=False)
+            v = RadialFunction(u.grid, vals)
+            if k == cs.INNER_SOLVES - 1:
+                break
+            m_new = model.coefficient.M(v.grad_norm_sq())
+            if abs(m_new - m) <= 1e-12 * (1.0 + m):
+                break
+            m = 0.5 * (m + m_new)
+        return vals, k + 1
+
+    def test_relaxed_step_matches_a_scipy_loop(self):
+        # several solves share one right-hand side, so a solve that wrote
+        # into it would move every one after the first
+        model = affine_power(5, 2.8, b=0.1)
+        grid = make_grid(5, 24.0, 1000, "graded")
+        u = normalize_mass(RadialFunction(grid, np.exp(-0.5 * grid.nodes**2)), 3.0)
+        ref, solves = self.scipy_relaxed_step(model, u, 0.1)
+        assert solves > 1
+        assert np.array_equal(cs._implicit_step(model, u, 0.1, lagged=False).values, ref)
+
+    def test_indefinite_band_raises_and_the_trial_fails(self):
+        with pytest.raises(LinAlgError):
+            cs.solveh_banded(np.array([1.0, -4.0, 4.0]), np.array([1.0, 1.0]),
+                             np.ones(3))
+        model = affine_power(4, 3.0, b=0.019)
+        grid = make_grid(4, 24.0, 400, "graded")
+        u = normalize_mass(RadialFunction(grid, np.exp(-0.5 * grid.nodes**2)), 22.0)
+        # a negative step makes the diagonal w/tau + M diag(A) negative
+        with pytest.raises(LinAlgError):
+            cs._implicit_step(model, u, -1e-3, lagged=True)
+        assert cs._trial(model, u, energy(model, u).total, -1e-3, 22.0,
                          lagged=True) is None
 
 

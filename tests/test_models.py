@@ -60,6 +60,39 @@ class TestPowerNonlinearity:
         u = np.array([-1.5])
         assert nl.f(u)[0] == -nl.f(np.array([1.5]))[0]
 
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 4, 5)
+                                      for p in (2.5, 2.0 + 4.0 / n, 3.0)])
+    @pytest.mark.parametrize("critical", [True, False])
+    def test_pair_matches_the_separate_powers(self, n, p, critical):
+        # f and F from one pair of powers against the textbook formulas,
+        # each power taken on its own (p = 2 + 4/N is mass-critical)
+        nl = models.power_nonlinearity(p, n, include_critical=critical)
+        u = np.concatenate([np.geomspace(1e-8, 30.0, 400), -np.geomspace(1e-3, 5.0, 50)])
+        f_old = np.sign(u) * np.abs(u) ** (p - 1)
+        F_old = np.abs(u) ** p / p
+        if nl.include_critical:
+            q = models.two_star(n)
+            f_old = f_old + np.sign(u) * np.abs(u) ** (q - 1)
+            F_old = F_old + np.abs(u) ** q / q
+        np.testing.assert_allclose(nl.f(u), f_old, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(nl.F(u), F_old, rtol=1e-14, atol=0.0)
+        f, F = nl.f_and_F(u)
+        assert np.array_equal(f, nl.f(u)) and np.array_equal(F, nl.F(u))
+
+    @pytest.mark.parametrize("n, p", [(2, 2.5), (4, 3.0), (5, 2.8)])
+    def test_pair_is_exactly_odd_and_even_and_zero_at_zero(self, n, p):
+        nl = models.power_nonlinearity(p, n)
+        u = np.geomspace(1e-6, 20.0, 300)
+        f, F = nl.f_and_F(np.concatenate([[0.0], u, -u]))
+        assert f[0] == 0.0 and F[0] == 0.0
+        pos, neg = slice(1, 301), slice(301, None)
+        assert np.array_equal(f[neg], -f[pos])
+        assert np.array_equal(F[neg], F[pos])
+
+    def test_only_the_power_family_has_a_pair(self):
+        assert models.power_nonlinearity(2.5, 4).f_and_F is not None
+        assert models.make_exp_critical(1.0, 1.0, 1.0).f_and_F is None
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             models.power_nonlinearity(2.0, 4)

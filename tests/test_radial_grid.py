@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from kirchhoff_normalized import radial_grid as rg
-from kirchhoff_normalized.models import (ExpOverflowError, make_exp_critical,
-                                         power_nonlinearity)
+from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity,
+                                         make_exp_critical, power_nonlinearity)
 
 
 def gauss(grid, width=1.0):
@@ -153,6 +153,15 @@ class TestCellWidths:
         applied[1:] += band[0, 1:] * u[:-1]
         assert np.allclose(applied, grid.stiffness_apply(u), rtol=1e-12, atol=1e-9)
 
+    def test_stiffness_apply_is_the_flux_scatter_bit_for_bit(self):
+        grid = rg.make_grid(4, 6.0, 300, scheme="graded")
+        u = np.random.default_rng(1).standard_normal(len(grid.nodes))
+        flux = grid.cell_volumes * np.diff(u) / grid.cell_widths**2
+        scattered = np.zeros_like(u)
+        scattered[:-1] -= flux
+        scattered[1:] += flux
+        assert np.array_equal(grid.stiffness_apply(u), scattered)
+
 
 class CountingNonlinearity:
     """Hashable stand-in that counts its f and F evaluations."""
@@ -221,6 +230,40 @@ class TestProfileMemo:
             assert np.array_equal(u.F_values(nl), nl.F(u.values))
         assert not np.array_equal(u.f_values(power_nonlinearity(2.5, 5)),
                                   u.f_values(power_nonlinearity(3.0, 5)))
+
+    def test_power_profile_makes_one_joint_evaluation(self, monkeypatch):
+        nl = power_nonlinearity(2.8, 5)
+        u = gauss(rg.make_grid(5, 8.0, 200))
+        calls = []
+        joint = Nonlinearity._power_f_and_F
+        monkeypatch.setattr(Nonlinearity, "_power_f_and_F",
+                            lambda self, v: calls.append("f_and_F") or joint(self, v))
+        for name in ("f", "F"):
+            monkeypatch.setattr(Nonlinearity, name,
+                                lambda self, v, n=name: calls.append(n))
+        Fu = u.F_values(nl)
+        fu = u.f_values(nl)
+        assert u.F_values(nl) is Fu and u.f_values(nl) is fu
+        assert calls == ["f_and_F"]
+        monkeypatch.undo()
+        assert np.array_equal(fu, nl.f(u.values)) and np.array_equal(Fu, nl.F(u.values))
+
+    def test_exponential_profile_reads_F_without_f(self, monkeypatch):
+        nl = make_exp_critical(1.0, 1.0, 1.0)
+        grid = rg.make_grid(2, 8.0, 200)
+        # heights on both sides of the splice u_1
+        u = rg.RadialFunction(grid, 3.0 * np.exp(-grid.nodes**2))
+        assert u.values.max() > nl.u1
+        calls = []
+        for name in ("_exp_f", "_exp_F"):
+            kernel = getattr(Nonlinearity, name)
+            monkeypatch.setattr(Nonlinearity, name,
+                                lambda self, v, k=kernel, n=name: calls.append(n) or k(self, v))
+        u.F_values(nl)
+        u.F_values(nl)
+        assert calls == ["_exp_F"]
+        u.f_values(nl)
+        assert calls == ["_exp_F", "_exp_f"]
 
     def test_exponential_overflow_raises_on_every_call(self):
         nl = make_exp_critical(1.0, 1.0, 1.0)
