@@ -40,16 +40,16 @@ very spread out, and solving them on a unit-scale grid silently turns
 an existence question into a truncation artifact.  That fiber energy
 is a sum of at most four powers of the scale t, so its wells and
 barriers are exact: the roots of t J'(t) in log t, each alone on a
-monotone piece found by Rolle recursion and solved by brentq, with no
-scan (Descartes' rule for such sums bounds how many there are; Jameson,
-Math. Gazette 90 (2006) 223-234).  The minimizer's GN restart starts in
+monotone piece found by Rolle recursion (scalar_opt.power_sum_roots)
+and solved by brentq, with no scan.  The minimizer's GN restart starts in
 the well, so where a positive well behind a barrier competes with the
 mountain-pass saddle the descent reaches the local minimizer.
 
 Saddle points are located by relaxing a string of beads along the
 dilation fiber (bead-wise descent plus arc-length reparametrization),
 then refining the barrier bead: descent steps alternate with a
-recentering onto the nearest fiber maximum of the dilation balance, and
+recentering onto the nearest fiber maximum (a root of the dilation
+balance where its scan values fall from positive to negative), and
 the Newton polish takes over once the refinement is close.  At a fiber
 maximum the gradient has no fiber component, so the recentered step is
 a genuine descent on the maximum branch.
@@ -78,7 +78,7 @@ from .omega_thresholds import ThresholdSet, threshold_set
 from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
-from .scalar_opt import BracketError, sign_change_brackets
+from .scalar_opt import BracketError, power_sum_roots, sign_change_brackets
 
 STATUS_MINIMIZER = "converged_minimizer"
 STATUS_MOUNTAIN_PASS = "converged_mountain_pass"
@@ -240,12 +240,18 @@ def _gn_fiber_terms(model: Model, c: float) -> list[tuple[float, float]]:
     q = _gn_extremal(model)
     co = model.coefficient
     n, p = q.dimension, q.p
-    big_a = c * c * q.grad_sq / q.mass
-    raw = [(2.0, 0.5 * co.a * big_a), (4.0, 0.25 * co.b * big_a * big_a),
-           (0.5 * n * (p - 2.0), -(c / q.q_l2) ** p * q.lp / p)]
-    if model.nonlinearity.include_critical and q.crit is not None:
-        qs = two_star(n)
-        raw.append((qs, -(c / q.q_l2) ** qs * q.crit / qs))
+    try:
+        big_a = c * c * q.grad_sq / q.mass
+        raw = [(2.0, 0.5 * co.a * big_a), (4.0, 0.25 * co.b * big_a * big_a),
+               (0.5 * n * (p - 2.0), -(c / q.q_l2) ** p * q.lp / p)]
+        if model.nonlinearity.include_critical and q.crit is not None:
+            qs = two_star(n)
+            raw.append((qs, -(c / q.q_l2) ** qs * q.crit / qs))
+        if not all(math.isfinite(k) for _, k in raw):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"mass radius c = {c:g} is too large: the GN fiber "
+                         "energy's coefficients overflow") from None
     merged: dict[float, float] = {}
     for e, k in raw:
         key = next((e_in for e_in in merged if abs(e_in - e) <= 1e-12), e)
@@ -264,36 +270,13 @@ def gn_fiber_energy(model: Model, c: float, t: float) -> float:
     return _fiber_value(_gn_fiber_terms(model, c), t)
 
 
-def _exp_sum_roots(terms: list[tuple[float, float]], lo: float,
-                   hi: float) -> list[tuple[float, bool]]:
-    """Roots in (lo, hi) of h(s) = sum k exp(e s) over the terms (e, k),
-    sorted by exponent, each with whether h rises through it.
-
-    Rolle recursion: h exp(-e0 s) has the roots of h, and its derivative
-    is a sum with one term fewer, so between consecutive roots of that
-    derivative it is monotone and has at most one root; each such piece
-    that changes sign is solved by brentq.  A root where h touches zero
-    without crossing is not returned.
-    """
-    if len(terms) < 2:
-        return []
-    e0 = terms[0][0]
-
-    def h(s: float) -> float:
-        return sum(k * math.exp((e - e0) * s) for e, k in terms)
-    knots = [lo, *(s for s, _ in _exp_sum_roots(
-        [(e - e0, k * (e - e0)) for e, k in terms[1:]], lo, hi)), hi]
-    return [(brentq(h, a, b, xtol=1e-15), h(a) < 0.0)
-            for a, b in sign_change_brackets(h, knots) if a < b]
-
-
 def _fiber_extrema(terms: list[tuple[float, float]], t_hi: float,
                    minima: bool) -> list[tuple[float, float]]:
     """Interior local minima (or maxima) (t, J(t)) of the fiber energy
     with these terms on (GN_T_LO, t_hi): the roots of t J'(t) in log t
     where it rises (or falls)."""
-    roots = _exp_sum_roots([(e, e * k) for e, k in terms],
-                           math.log(GN_T_LO), math.log(t_hi))
+    roots = power_sum_roots([(e, e * k) for e, k in terms],
+                            math.log(GN_T_LO), math.log(t_hi))
     return [(math.exp(s), _fiber_value(terms, math.exp(s)))
             for s, rising in roots if rising == minima]
 
@@ -793,21 +776,16 @@ def _exp_safe_scale(model: Model, u: RadialFunction) -> float:
 
 
 def _balance_roots(model: Model, u: RadialFunction, lo: float, hi: float,
-                   n_scan: int) -> list[tuple[float, float]]:
-    """Roots of s -> G(T(u, s)) in [lo, hi] with their slopes."""
+                   n_scan: int) -> list[tuple[float, bool]]:
+    """Roots of s -> G(T(u, s)) in [lo, hi], each with whether G rises
+    through it (a fiber minimum) or falls (a fiber maximum)."""
     def g_of(s: float) -> float:
         try:
             return fiber_pohozaev(model, u, s)
         except ExpOverflowError:
             return math.nan
-    xs = np.linspace(lo, hi, n_scan)
-    out = []
-    for a, b in sign_change_brackets(g_of, xs):
-        root = a if a == b else float(brentq(g_of, a, b, xtol=1e-13))
-        h = 1e-6
-        slope = (g_of(root + h) - g_of(root - h)) / (2.0 * h)
-        out.append((root, slope))
-    return out
+    return [(a if a == b else float(brentq(g_of, a, b, xtol=1e-13)), rising)
+            for a, b, rising in sign_change_brackets(g_of, np.linspace(lo, hi, n_scan))]
 
 
 def pohozaev_project(model: Model, u: RadialFunction, c: float,
@@ -839,7 +817,7 @@ def pohozaev_project(model: Model, u: RadialFunction, c: float,
         s_star = min((s for s, _ in roots),
                      key=lambda s: fiber_energy(model, u, s))
     else:
-        maxima = [s for s, slope in roots if slope < 0.0]
+        maxima = [s for s, rising in roots if not rising]
         pool = maxima if maxima else [s for s, _ in roots]
         s_star = max(pool, key=lambda s: fiber_energy(model, u, s))
     return s_star, _on_sphere(fiber_scale(u, s_star), c)
@@ -915,9 +893,11 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
     """Relax the interior beads and reparametrize, sweep after sweep.
 
     Returns the beads, the string level after each sweep and the index
-    of the top bead.  Each bead is a RadialFunction kept from the level
-    of one sweep to the start of the next, so its energy is evaluated
-    once.
+    of the top bead, or None when the string collapses onto its
+    endpoints: a reparametrization finds no arc length, or the final
+    level does not rise above both endpoint energies.  Each bead is a
+    RadialFunction kept from the level of one sweep to the start of the
+    next, so its energy is evaluated once.
     """
     tau = 0.2 * STEP
     levels: list[float] = []
@@ -941,6 +921,9 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
                 <= 1e-10 * (1.0 + abs(levels[-1])):
             break
+    ends = max(bead_energies[0], bead_energies[-1])
+    if not levels[-1] > ends + 1e-9 * (1.0 + abs(levels[-1])):
+        return None
     return beads, levels, int(np.argmax(bead_energies))
 
 
@@ -948,7 +931,7 @@ def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
                            window: float) -> RadialFunction:
     hi = min(window, _exp_safe_scale(model, u))
     roots = _balance_roots(model, u, -window, hi, 25)
-    maxima = [s for s, slope in roots if slope < 0.0]
+    maxima = [s for s, rising in roots if not rising]
     if not maxima:
         raise FiberMonotoneError("no fiber maximum near the current profile")
     s_star = min(maxima, key=abs)
@@ -968,7 +951,9 @@ def mountain_pass(model: Model, c: float,
     Gaussian, which serves the plunging geometry: from a spread
     small-gradient endpoint to the first scale where the fiber energy
     falls well below zero (_right_endpoint).  A Gaussian fiber that
-    never plunges is reported as having no saddle geometry.
+    never plunges is reported as having no saddle geometry.  The string
+    is built and relaxed once: when it collapses onto its endpoints
+    (_bead_sweeps returns None) the report says diverged at once.
 
     path_level is the relaxed string barrier, an upper estimate of the
     min-max level; the report carries it even when the saddle
@@ -1003,33 +988,13 @@ def mountain_pass(model: Model, c: float,
             # string between, so report absence instead of failing
             notes.append(f"no saddle geometry: {exc}")
             return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
-    for attempt in range(3):
-        beads = [_on_sphere(fiber_scale(base, s), c)
-                 for s in np.linspace(s_left, s_right, BEADS)]
-        end_levels = (energy(model, beads[0]).total,
-                      energy(model, beads[-1]).total)
-        swept = _bead_sweeps(model, beads, c)
-        if swept is not None:
-            beads, levels, top = swept
-            if levels[-1] > max(end_levels) + 1e-9 * (1.0 + abs(levels[-1])):
-                break
-            swept = None
-        if bar is not None:
-            notes.append(f"attempt {attempt}: path collapsed, spreading the "
-                         "left endpoint")
-            try:
-                s_left = _spread_limit(base, s_left - 0.5, s_left - 0.05, 0.1)
-            except BracketError:
-                break
-        else:
-            notes.append(f"attempt {attempt}: path collapsed, stretching the fiber")
-            safe = _exp_safe_scale(model, base)
-            s_right = s_right + 0.75 * (attempt + 1)
-            if math.isfinite(safe):
-                s_right = min(s_right, safe - 1e-9)
+    beads = [_on_sphere(fiber_scale(base, s), c)
+             for s in np.linspace(s_left, s_right, BEADS)]
+    swept = _bead_sweeps(model, beads, c)
     if swept is None:
-        notes.append("string collapsed onto its endpoints after retries")
+        notes.append("string collapsed onto its endpoints")
         return _report(model, STATUS_DIVERGED, None, math.nan, notes)
+    beads, levels, top = swept
     path_level = levels[-1]
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")

@@ -232,32 +232,39 @@ def _exp_tail_f(u: float, alpha0: float, beta: float) -> float:
 def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     """Build the spliced exponential nonlinearity for the planar problem.
 
-    sigma = 2 theta + 4 must not exceed 6, and the splice height u_1
-    solves f_1(u_1) = u_1^{sigma-1} (bracketed root, expanded as needed).
+    sigma = 2 theta + 4 must lie in (2, 6]: above 2 so that the power
+    piece u^{sigma-1} is o(u) at 0, at most 6 by the growth cap.  The
+    splice height u_1 solves f_1(u_1) = u_1^{sigma-1} (bracketed root,
+    expanded as needed).  Raises ValueError for non-finite or
+    inadmissible parameters and for any splice it cannot build.
     """
-    if alpha0 <= 0 or beta <= 0:
-        raise ValueError("alpha0 and beta must be positive")
+    if not (0 < alpha0 < math.inf and 0 < beta < math.inf and math.isfinite(theta)):
+        raise ValueError("alpha0 and beta must be positive and finite, theta finite")
     sigma = 2.0 * theta + 4.0
-    if sigma > 6.0 + 1e-12:
-        raise ValueError(f"sigma = 2 theta + 4 = {sigma:g} exceeds the admissible cap 6")
+    if not 2.0 < sigma <= 6.0 + 1e-12:
+        raise ValueError(f"sigma = 2 theta + 4 = {sigma:g} must lie in (2, 6]")
 
     def gap(u: float) -> float:
         return _exp_tail_f(u, alpha0, beta) - u ** (sigma - 1.0)
 
     lo, hi = 1e-3, 10.0
-    while gap(lo) >= 0 and lo > 1e-12:
-        lo /= 10.0
-    while gap(hi) <= 0:
-        hi *= 10.0
-        if hi > 1e9:
-            raise RuntimeError("failed to bracket the splice height u_1")
+    try:
+        while gap(lo) >= 0 and lo > 1e-12:
+            lo /= 10.0
+        while gap(hi) <= 0:
+            hi *= 10.0
+            if hi > 1e9:
+                raise ValueError("failed to bracket the splice height u_1")
+    except OverflowError:
+        raise ValueError("the splice search overflows: e^(alpha0 u^2) leaves "
+                         f"the float range for alpha0 = {alpha0:g}") from None
     u1 = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     nl = Nonlinearity(
         "exp", dimension=2, alpha0=alpha0, beta=beta, theta=theta, sigma=sigma, u1=u1
     )
     mismatch = abs(_exp_tail_f(u1, alpha0, beta) - u1 ** (sigma - 1.0))
     if mismatch > 1e-10 * max(1.0, u1 ** (sigma - 1.0)):
-        raise RuntimeError(f"splice continuity residual {mismatch:.3e} too large")
+        raise ValueError(f"splice continuity residual {mismatch:.3e} too large")
     return nl
 
 

@@ -5,7 +5,10 @@ Everything here reduces to the two-term-over-two-term infimum
     omega = inf_{t>0} (k1 t^q1 + k2 t^q2) / (k3 t^q3 + k4 t^q4),
 
 which is positive and attained whenever the active denominator powers sit
-strictly between the numerator powers.  In the quadratic-quartic
+strictly between the numerator powers.  It is computed exactly: the
+derivative condition is a sum of powers of t with one sign change, so
+its one root (scalar_opt.power_sum_roots) is the minimum, with no scan.
+In the quadratic-quartic
 configuration (q1, q2) = (2, 4) with a single denominator power q in
 (2, 4) the infimum has a closed form; combined with the Sobolev constant
 of the critical embedding and the mass of the interpolation extremal it
@@ -19,6 +22,7 @@ injected by the caller (see gn_ground_state); nothing is hard-coded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -26,7 +30,7 @@ from scipy.optimize import brentq
 
 from .models import two_star
 from .radial_grid import RadialFunction, RadialGrid, make_grid
-from .scalar_opt import log_grid_min
+from .scalar_opt import power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
 # margin parameter delta; keeps the reported constant strictly certified
@@ -41,10 +45,10 @@ SOBOLEV_CELLS = 20000
 class OmegaQuery:
     """Coefficients and exponents of the two-over-two infimum.
 
-    k1, k2 > 0 always; k3, k4 >= 0 with at least one positive.  An
-    exponent whose coefficient vanishes may be None.  Every active
-    denominator exponent must lie strictly inside (q1, q2), otherwise
-    the infimum degenerates to zero.
+    k1, k2 > 0 always; k3, k4 >= 0 with at least one positive; all
+    finite.  An exponent whose coefficient vanishes may be None and is
+    not read.  Every active denominator exponent must lie strictly
+    inside (q1, q2), otherwise the infimum degenerates to zero.
     """
 
     k1: float
@@ -57,32 +61,76 @@ class OmegaQuery:
     q4: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
-            raise ValueError("numerator coefficients must be positive")
-        if self.k3 < 0.0 or self.k4 < 0.0 or (self.k3 == 0.0 and self.k4 == 0.0):
-            raise ValueError("denominator needs nonnegative coefficients, not both zero")
-        if not self.q1 < self.q2:
-            raise ValueError("numerator exponents must be ordered q1 < q2")
+        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
+            raise ValueError("numerator coefficients must be positive and finite")
+        if not (0.0 <= self.k3 < math.inf and 0.0 <= self.k4 < math.inf) \
+                or self.k3 == self.k4 == 0.0:
+            raise ValueError("denominator needs finite nonnegative coefficients, "
+                             "not both zero")
+        if not -math.inf < self.q1 < self.q2 < math.inf:
+            raise ValueError("numerator exponents must be finite and ordered q1 < q2")
         for k, q, name in ((self.k3, self.q3, "q3"), (self.k4, self.q4, "q4")):
             if k > 0.0:
                 if q is None or not (self.q1 < q < self.q2):
                     raise ValueError(
                         f"{name} must lie strictly inside ({self.q1:g}, {self.q2:g})")
 
+    def powers(self) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+        """(exponent, coefficient) pairs of the numerator and of the
+        active denominator terms."""
+        return ([(self.q1, self.k1), (self.q2, self.k2)],
+                [(q, k) for q, k in ((self.q3, self.k3), (self.q4, self.k4)) if k > 0.0])
+
     def ratio(self, t: float) -> float:
-        num = self.k1 * t**self.q1 + self.k2 * t**self.q2
-        den = 0.0
-        if self.k3 > 0.0:
-            den += self.k3 * t**self.q3
-        if self.k4 > 0.0:
-            den += self.k4 * t**self.q4
-        return num / den
+        """The ratio at t > 0.
+
+        Raises ValueError where a term leaves the normal float range:
+        there it overflows, or rounds too coarsely to be trusted.
+        """
+        num, den = self.powers()
+        try:
+            parts = [k * t**q for q, k in num + den]
+        except OverflowError:
+            parts = [math.inf]
+        if not all(sys.float_info.min <= x < math.inf for x in parts):
+            raise ValueError(f"a term of the ratio at t = {t:.6g} leaves "
+                             "the normal float range")
+        return (parts[0] + parts[1]) / sum(parts[2:])
 
 
 def omega(query: OmegaQuery) -> tuple[float, float]:
-    """Infimum of the two-over-two ratio; returns (value, argmin t*)."""
-    t_star, value = log_grid_min(query.ratio)
-    return value, t_star
+    """Infimum of the two-over-two ratio; returns (value, argmin t*).
+
+    With N and D the numerator and denominator, t (N'D - N D') is the
+    power sum of (q_i - q_j) k_i k_j t^(q_i + q_j) over numerator terms
+    i and active denominator terms j.  Every denominator exponent lies
+    inside (q1, q2), so in exponent order the signs run - - + +: one
+    sign change, hence exactly one root, the global minimum, found by
+    power_sum_roots.  The bracket comes from the terms: the sum is
+    negative where one falling term outweighs m times each rising one
+    (m the number of terms) and positive where one rising term
+    outweighs m times each falling one.  Coefficients stay as logs
+    until the terms are rescaled to the bracket's midpoint, so no power
+    overflows on the way.  Raises ValueError when t* or a term of the
+    ratio there leaves the normal float range.
+    """
+    num, den = query.powers()
+    # (exponent, log |coefficient|) of the terms of the q1 row, which
+    # fall, and of the q2 row, which rise
+    falling, rising = ([(qi + qj, math.log(abs(qi - qj)) + math.log(ki) + math.log(kj))
+                        for qj, kj in den] for qi, ki in num)
+    log_m = math.log(2 * len(den))
+    s_lo = max(min((lf - lr - log_m) / (er - ef) for er, lr in rising)
+               for ef, lf in falling)
+    s_hi = min(max((lf - lr + log_m) / (er - ef) for ef, lf in falling)
+               for er, lr in rising)
+    mid = 0.5 * (s_lo + s_hi)
+    top = max(lk + e * mid for e, lk in falling + rising)
+    shifted = sorted([(e, -math.exp(lk + e * mid - top)) for e, lk in falling]
+                     + [(e, math.exp(lk + e * mid - top)) for e, lk in rising])
+    [(x, _)] = power_sum_roots(shifted, s_lo - mid, s_hi - mid)
+    t_star = math.exp(mid + x) if mid + x < math.log(sys.float_info.max) else math.inf
+    return query.ratio(t_star), t_star
 
 
 def omega_closed_form(big_a: float, big_b: float, q: float) -> float:
@@ -222,9 +270,15 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int,
         if not 3.0 < p < 4.0:
             raise ValueError("dimension 4 threshold covers p in [3, 4)")
         excess = b - 1.0 / s**2
-        return (a * q_mass ** ((p - 2.0) / (4.0 - p))
-                / ((4.0 - p) * (p - 2.0) ** (1.0 / (4.0 - p)))
-                * (excess / (p - 3.0)) ** ((p - 3.0) / (4.0 - p)))
+        try:
+            c0 = (a * q_mass ** ((p - 2.0) / (4.0 - p))
+                  / ((4.0 - p) * (p - 2.0) ** (1.0 / (4.0 - p)))
+                  * (excess / (p - 3.0)) ** ((p - 3.0) / (4.0 - p)))
+        except OverflowError:
+            c0 = math.inf
+        if not 0.0 < c0 < math.inf:
+            raise ValueError(f"c0 leaves the float range at p = {p:.9g}")
+        return c0
     raise ValueError("thresholds are defined for dimension >= 4")
 
 

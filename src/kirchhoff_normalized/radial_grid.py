@@ -283,8 +283,10 @@ class RadialFunction:
 
 
 def mass_radius(c) -> float:
-    """c as a float, checked to be a positive finite real number."""
-    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
+    """c as a float, checked to be a positive finite real number (bool
+    excluded)."""
+    if isinstance(c, bool) or not (isinstance(c, numbers.Real)
+                                   and math.isfinite(c) and c > 0):
         raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
     return float(c)
 

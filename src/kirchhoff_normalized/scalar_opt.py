@@ -1,19 +1,21 @@
-"""Scalar bracketing and golden-section search helpers."""
+"""Scalar root finding and extremum search helpers.
+
+power_sum_roots finds every root of a sum of powers of t exactly, by
+Rolle recursion in s = log t; the GN fiber's wells and barriers and the
+coercivity infimum omega both come from it.  sign_change_brackets is
+the scan under it and under the dilation-balance roots of the saddle
+search; log_grid_max scans and refines a maximum on a fixed bracket.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 400
-# log_grid_min: starting bracket in t, coarse scan points, tolerance in
-# log t, and the number of tenfold bracket expansions
-MIN_T_LO, MIN_T_HI = 1e-6, 1e6
-MIN_SCAN = 160
-MIN_TOL = 1e-12
-MAX_EXPAND = 40
 # log_grid_max: coarse scan points and tolerance in log t
 MAX_SCAN = 200
 MAX_TOL = 1e-10
@@ -48,30 +50,6 @@ def golden_min(fn, lo: float, hi: float, tol: float = 1e-12):
     return d, fd
 
 
-def log_grid_min(fn):
-    """Minimize fn(t) for t > 0: coarse scan in log t, then golden refinement.
-
-    The bracket [MIN_T_LO, MIN_T_HI] is expanded by factors of 10, at
-    most MAX_EXPAND times, until the MIN_SCAN-point coarse argmin is
-    interior; the refinement stops at MIN_TOL in log t.
-    """
-    x_lo, x_hi = math.log(MIN_T_LO), math.log(MIN_T_HI)
-    step = math.log(10.0)
-    for _ in range(MAX_EXPAND):
-        xs = np.linspace(x_lo, x_hi, MIN_SCAN)
-        vals = np.array([fn(math.exp(x)) for x in xs])
-        k = int(np.nanargmin(vals))
-        if k == 0:
-            x_lo -= step
-        elif k == MIN_SCAN - 1:
-            x_hi += step
-        else:
-            x, fx = golden_min(lambda x_: fn(math.exp(x_)), xs[k - 1], xs[k + 1],
-                               tol=MIN_TOL)
-            return math.exp(x), fx
-    raise BracketError("could not bracket an interior minimum after expansion")
-
-
 def log_grid_max(fn, t_lo: float, t_hi: float):
     """Maximize fn(t) on a fixed positive bracket: a MAX_SCAN-point scan
     in log t, then golden refinement to MAX_TOL in log t."""
@@ -85,15 +63,48 @@ def log_grid_max(fn, t_lo: float, t_hi: float):
     return math.exp(x), -fneg
 
 
-def sign_change_brackets(fn, xs) -> list[tuple[float, float]]:
-    """All consecutive pairs of xs across which fn changes sign."""
+def sign_change_brackets(fn, xs) -> list[tuple[float, float, bool]]:
+    """All consecutive pairs of xs across which fn changes sign, each
+    with whether fn rises across it.
+
+    A scan value that is exactly zero gives the degenerate pair (a, a),
+    rising when fn is positive at the next point.
+    """
     vals = [fn(x) for x in xs]
     out = []
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if not (np.isfinite(fa) and np.isfinite(fb)):
             continue
         if fa == 0.0:
-            out.append((a, a))
+            out.append((a, a, fb > 0.0))
         elif fa * fb < 0:
-            out.append((a, b))
+            out.append((a, b, fa < 0.0))
     return out
+
+
+def power_sum_roots(terms: list[tuple[float, float]], lo: float,
+                    hi: float) -> list[tuple[float, bool]]:
+    """Roots in (lo, hi) of h(s) = sum k exp(e s) over the terms (e, k),
+    sorted by exponent, each with whether h rises through it.
+
+    In t = exp(s) this is the power sum sum k t^e.  Rolle recursion:
+    h exp(-e0 s) has the roots of h, and its derivative is a sum with
+    one term fewer, so between consecutive roots of that derivative it
+    is monotone and has at most one root; each such piece that changes
+    sign is solved by brentq.  A root where h touches zero without
+    crossing is not returned, unless rounding dips h below zero at the
+    touch; it then comes back as two crossings of opposite direction
+    within rounding of each other.  The count never exceeds the sign
+    changes of the coefficients (Descartes' rule for such sums;
+    Jameson, Math. Gazette 90 (2006) 223-234).
+    """
+    if len(terms) < 2:
+        return []
+    e0 = terms[0][0]
+
+    def h(s: float) -> float:
+        return sum(k * math.exp((e - e0) * s) for e, k in terms)
+    knots = [lo, *(s for s, _ in power_sum_roots(
+        [(e - e0, k * (e - e0)) for e, k in terms[1:]], lo, hi)), hi]
+    return [(brentq(h, a, b, xtol=1e-15), rising)
+            for a, b, rising in sign_change_brackets(h, knots) if a < b]

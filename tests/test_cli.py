@@ -92,6 +92,13 @@ class TestThresholds:
         assert d["c1_exact"] == pytest.approx(20.220462519940906, rel=1e-9)
         assert d["existence_ok"] is True
 
+    def test_c0_past_the_float_range_is_a_note(self, capsys):
+        rc, out, _ = run_cli(capsys, "thresholds", "--dim", "4", "--p", "3.999999")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["c0"] is None
+        assert any(note.startswith("c0 unavailable") for note in d["notes"])
+
     def test_out_dir_mirrors_stdout(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "thresholds", "--dim", "5", "--p", "2.8",
                              "--out", str(tmp_path))
@@ -336,6 +343,14 @@ class TestConfigAndExits:
         ("sweep", "--dim", "4", "--p", "2.5", "--c", "1", "--seed", "-1"),
         ("sweep", "--dim", "4", "--p", "2.5", "--c", "1", "--jobs", "0"),
         ("moser", "--n-list", ","),
+        ("moser", "--theta", "-2"),
+        ("moser", "--theta", "-5"),
+        ("moser", "--theta", "-1.5"),
+        ("moser", "--alpha0", "1e8"),
+        ("moser", "--alpha0", "1e-300"),
+        ("moser", "--beta", "1e8"),
+        ("solve", "--dim", "4", "--p", "3", "--c", "1e300"),
+        ("solve", "--dim", "4", "--p", "3", "--c", "1e100"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

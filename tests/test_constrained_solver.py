@@ -330,9 +330,27 @@ class TestProjection:
 
     def test_rejects_bad_mass(self):
         # c = -1 has c^2 on the sphere, and used to flip the profile's sign
-        for bad in (-1.0, math.nan):
+        for bad in (-1.0, math.nan, True):
             with pytest.raises(ValueError):
                 pohozaev_project(self.model, self.u, bad)
+
+    def test_balance_roots_carry_the_slope_sign(self, shallow_kirchhoff):
+        # the GN extremal at the well scale of the saddle regime: its fiber
+        # rises from the spread side to a barrier, then falls into the well
+        model, c1 = shallow_kirchhoff
+        c = 0.97 * c1
+        t_well, _ = gn_fiber_well(model, c)
+        t_bar, _ = gn_fiber_barrier(model, c, t_well)
+        grid = recommended_grid(model, c, SolveParams())
+        u = normalize_mass(RadialFunction(
+            grid, cs._q_scaled_values(model, c, grid, t_well)), c)
+        roots = cs._balance_roots(model, u, math.log(t_bar / t_well) - 1.0, 0.5, 241)
+        assert [rising for _, rising in roots] == [False, True]
+
+        def g(s):
+            return fiber_pohozaev(model, u, s)
+        for s, rising in roots:
+            assert (g(s + 1e-6) - g(s - 1e-6) > 0.0) == rising
 
 
 class TestMinimize:
@@ -717,6 +735,22 @@ class TestMountainPass:
                                  SolveParams(restarts=2))
         assert saddle_report.path_level > min(low.infimum_estimate, 0.0)
 
+    def test_collapsed_string_diverges_after_one_relaxation(self, monkeypatch):
+        # N=4 with a weak quartic term at large c: the Gaussian fiber
+        # plunges, but the relaxed string sinks onto its endpoints
+        sweeps = []
+        bead_sweeps = cs._bead_sweeps
+
+        def counted(*args):
+            sweeps.append(args)
+            return bead_sweeps(*args)
+        monkeypatch.setattr(cs, "_bead_sweeps", counted)
+        rep = mountain_pass(affine_power(4, 2.5, b=0.001), 30.0)
+        assert rep.status == cs.STATUS_DIVERGED
+        assert len(sweeps) == 1
+        assert "string collapsed onto its endpoints" in rep.notes
+        assert rep.candidate is None and rep.path_level is None
+
     def test_exponential_reports_level_without_asserting_convergence(self):
         model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
         rep = mountain_pass(model, 1.0)
@@ -798,7 +832,7 @@ class TestClassify:
 
     def test_rejects_bad_mass(self):
         model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
-        for bad in (-1.0, math.nan, "x"):
+        for bad in (-1.0, math.nan, "x", True):
             with pytest.raises(ValueError):
                 classify(model, bad)
 

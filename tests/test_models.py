@@ -135,6 +135,17 @@ class TestExpCritical:
     def test_sigma_cap(self):
         with pytest.raises(ValueError):
             models.make_exp_critical(1.0, 1.0, 1.5)  # sigma = 7 > 6
+        # sigma = 2 theta + 4 <= 2: u^(sigma-1) is not o(u) at 0
+        for theta in (-1.0, -1.5, -2.0, -5.0):
+            with pytest.raises(ValueError, match="must lie in"):
+                models.make_exp_critical(1.0, 1.0, theta)
+
+    @pytest.mark.parametrize("alpha0, beta, theta", [
+        (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, -math.inf),
+        (1e8, 1.0, 1.0), (1e-300, 1.0, 1.0), (1.0, 1e8, 1.0)])
+    def test_unbuildable_splice_is_a_value_error(self, alpha0, beta, theta):
+        with pytest.raises(ValueError):
+            models.make_exp_critical(alpha0, beta, theta)
 
     def test_overflow_flagged_not_clipped(self):
         nl = models.make_exp_critical(1.0, 1.0, 1.0)

@@ -7,6 +7,7 @@ infimum, not the closed form, so the two routes stay independent).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,17 +34,54 @@ class TestOmegaQuery:
             ot.OmegaQuery(1.0, 1.0, 0.0, 1.0, q4=4.5)  # outside (2, 4)
         with pytest.raises(ValueError):
             ot.OmegaQuery(1.0, 1.0, 1.0, 0.0, q3=None)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ot.OmegaQuery(bad, 1.0, 0.0, 1.0, q4=3.0)
+            with pytest.raises(ValueError):
+                ot.OmegaQuery(1.0, 1.0, bad, 1.0, q3=2.5, q4=3.0)
+            with pytest.raises(ValueError):
+                ot.OmegaQuery(1.0, 1.0, 0.0, 1.0, q2=bad, q4=3.0)
         ot.OmegaQuery(1.0, 1.0, 0.0, 1.0, q4=3.0)  # fine
 
     def test_simple_values(self):
         # min over t of (t^2 + t^4)/t^3 = t + 1/t is 2 at t = 1
         val, t_star = ot.omega(ot.OmegaQuery(1.0, 1.0, 0.0, 1.0, q4=3.0))
-        assert val == pytest.approx(2.0, rel=1e-10)
-        assert t_star == pytest.approx(1.0, rel=1e-6)
+        assert val == pytest.approx(2.0, rel=1e-15)
+        assert t_star == pytest.approx(1.0, rel=1e-14)
 
         val, t_star = ot.omega(ot.OmegaQuery(2.0, 8.0, 0.0, 1.0, q4=3.0))
-        assert val == pytest.approx(8.0, rel=1e-10)
-        assert t_star == pytest.approx(0.5, rel=1e-6)
+        assert val == pytest.approx(8.0, rel=1e-15)
+        assert t_star == pytest.approx(0.5, rel=1e-14)
+
+    def test_extreme_queries_land_on_the_derivative_root(self):
+        # coefficients over 1e-8..1e8, denominator powers within 1e-4 of
+        # the numerator's, one or two denominator terms; no warning may
+        # be raised on the way
+        rng = np.random.default_rng(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(300):
+                k1, k2, k3, k4 = (float(k) for k in 10.0 ** rng.uniform(-8, 8, 4))
+                q3, q4 = (float(q) for q in rng.uniform(2.0 + 1e-4, 4.0 - 1e-4, 2))
+                q3, q4 = (2.0 + 1e-4, 4.0 - 1e-4) if i % 5 == 0 else (q3, q4)
+                query = ot.OmegaQuery(k1, k2, 0.0 if i % 3 == 0 else k3, k4,
+                                      q3=q3, q4=q4)
+                val, t = ot.omega(query)
+                num, den = query.powers()
+                slope = [(qi - qj) * ki * kj * t ** (qi + qj)
+                         for qi, ki in num for qj, kj in den]
+                assert abs(sum(slope)) <= 1e-13 * sum(map(abs, slope))
+                for f in (1.0 - 1e-6, 1.0 + 1e-6):
+                    assert query.ratio(f * t) >= val * (1.0 - 1e-15)
+
+    def test_minimum_beyond_the_float_range_raises(self):
+        # the infimum is 2, at t* = 1e300, where k1 t^2 overflows; the
+        # answer is an error, never a number read off the overflow edge
+        query = ot.OmegaQuery(1e300, 1e-300, 0.0, 1.0, q4=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                ot.omega(query)
 
     def test_closed_form_values(self):
         assert ot.omega_closed_form(1.0, 1.0, 3.0) == pytest.approx(2.0)
@@ -62,13 +100,13 @@ class TestOmegaQuery:
             q = rng.uniform(2.05, 3.95)
             closed = ot.omega_closed_form(big_a, big_b, q)
             val, _ = ot.omega(ot.OmegaQuery(big_a, big_b, 0.0, 1.0, q4=q))
-            assert val == pytest.approx(closed, rel=1e-8)
+            assert val == pytest.approx(closed, rel=1e-13)
 
     def test_single_denominator_on_q3_slot(self):
         # same closed form applies when the lone denominator power sits
         # in the third slot
         val, _ = ot.omega(ot.OmegaQuery(1.0, 1.0, 1.0, 0.0, q3=2.8))
-        assert val == pytest.approx(ot.omega_closed_form(1.0, 1.0, 2.8), rel=1e-8)
+        assert val == pytest.approx(ot.omega_closed_form(1.0, 1.0, 2.8), rel=1e-13)
 
     def test_monotonicity(self):
         base = ot.OmegaQuery(1.0, 1.0, 1.0, 1.0, q3=2.5, q4=3.5)
