@@ -6,14 +6,16 @@ primitive F and derivative f').  Two nonlinearity families are provided:
 
 * power, optionally augmented by the Sobolev-critical term:
       f(u) = |u|^{p-2} u + |u|^{2^*-2} u,   2^* = 2N/(N-2),
-  whose f and F come together from one pair of powers |u|^{p-1},
-  |u|^{2^*-1} (Nonlinearity.f_and_F, which profiles memoize),
 * exponential with Trudinger-Moser-critical growth, built by splicing a
   pure power u^{sigma-1} below a height u_1 onto
       f_1(u) = beta (alpha0 u^2 - 1) e^{alpha0 u^2} / (alpha0 u^3)
   above it, with u_1 chosen so the splice is continuous.  The primitive
   of f_1 is exact, so F needs no quadrature:
       F_1(u) = (beta / 2 alpha0) u^{-2} e^{alpha0 u^2} + const.
+
+Each family has one kernel, Nonlinearity.f_and_F, that gives f and F
+together from one evaluation of its powers (and of e^{alpha0 u^2});
+f and F are its two parts, and profiles memoize the pair.
 
 Exponential evaluations guard the argument alpha0 u^2 against float64
 overflow: they raise instead of clipping, so a caller that needs values
@@ -114,30 +116,25 @@ class Nonlinearity:
     u1: float = 0.0
 
     def f(self, u):
-        if self.kind == "power":
-            return self._power_f_and_F(u)[0]
-        return self._exp_f(np.asarray(u, dtype=float))
+        return self.f_and_F(u)[0]
 
     def F(self, u):
-        if self.kind == "power":
-            return self._power_f_and_F(u)[1]
-        return self._exp_F(np.asarray(u, dtype=float))
+        return self.f_and_F(u)[1]
 
-    @property
-    def f_and_F(self):
-        """The joint kernel u -> (f(u), F(u)) of a family that has one,
-        else None.
+    def f_and_F(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """f(u) and F(u) from one evaluation of the family's kernel.
 
-        The power family has one (f and F return its parts, so direct and
-        joint values are the same bits); the exponential family has none,
-        so its f and F stay separate and reading F never computes f.
+        f and F return its parts, so direct and joint values are the same
+        bits; profiles memoize the pair.
         """
-        return self._power_f_and_F if self.kind == "power" else None
+        u = np.asarray(u, dtype=float)
+        if self.kind == "power":
+            return self._power_f_and_F(u)
+        return self._exp_f_and_F(u)
 
-    def _power_f_and_F(self, u) -> tuple[np.ndarray, np.ndarray]:
+    def _power_f_and_F(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and F of the power family from one evaluation of |u|^{p-1}
         (and |u|^{2^*-1}): f = sign(u) (...) and F = |u| (.../p + .../2^*)."""
-        u = np.asarray(u, dtype=float)
         au = np.abs(u)
         lower = au ** (self.p - 1.0)
         if not self.include_critical:
@@ -171,17 +168,6 @@ class Nonlinearity:
                 f"cap {EXP_ARG_CAP:g}; use the analytic growth bound instead"
             )
 
-    def _exp_f(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        low = (u > 0) & (u <= self.u1)
-        high = u > self.u1
-        out[low] = u[low] ** (self.sigma - 1)
-        x = u[high]
-        self._guard(x)
-        a0 = self.alpha0
-        out[high] = self.beta * (a0 * x * x - 1.0) * np.exp(a0 * x * x) / (a0 * x**3)
-        return out
-
     def _exp_f_prime(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
         low = (u > 0) & (u <= self.u1)
@@ -196,20 +182,26 @@ class Nonlinearity:
             * (2.0 * arg * arg - 3.0 * arg + 3.0) * self.beta
         return out
 
-    def _exp_F(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
+    def _exp_f_and_F(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and F of the spliced exponential family from one power
+        u^{sigma-1} below u_1 and one e^{alpha0 u^2} above it; zero on
+        u <= 0."""
+        f, F = np.zeros_like(u), np.zeros_like(u)
         low = (u > 0) & (u <= self.u1)
         high = u > self.u1
-        out[low] = u[low] ** self.sigma / self.sigma
+        y = u[low]
+        lower = y ** (self.sigma - 1.0)
+        f[low] = lower
+        F[low] = y * (lower / self.sigma)
         x = u[high]
         self._guard(x)
         a0, b0, u1 = self.alpha0, self.beta, self.u1
-        base = u1**self.sigma / self.sigma
-        tail = (b0 / (2 * a0)) * (
-            np.exp(a0 * x * x) / (x * x) - math.exp(a0 * u1 * u1) / (u1 * u1)
-        )
-        out[high] = base + tail
-        return out
+        arg = a0 * x * x
+        e = np.exp(arg)
+        f[high] = b0 * (arg - 1.0) * e / (a0 * x**3)
+        F[high] = u1**self.sigma / self.sigma + (b0 / (2 * a0)) * (
+            e / (x * x) - math.exp(a0 * u1 * u1) / (u1 * u1))
+        return f, F
 
 
 def power_nonlinearity(p: float, dimension: int, include_critical: bool = True) -> Nonlinearity:
@@ -235,8 +227,10 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     sigma = 2 theta + 4 must lie in (2, 6]: above 2 so that the power
     piece u^{sigma-1} is o(u) at 0, at most 6 by the growth cap.  The
     splice height u_1 solves f_1(u_1) = u_1^{sigma-1} (bracketed root,
-    expanded as needed).  Raises ValueError for non-finite or
-    inadmissible parameters and for any splice it cannot build.
+    expanded as needed; the upper end starts at the exponent cap when
+    that lies below u = 10).  Raises ValueError for non-finite or
+    inadmissible parameters, for any splice it cannot build, and for a
+    splice whose f or F is not finite just below the cap height.
     """
     if not (0 < alpha0 < math.inf and 0 < beta < math.inf and math.isfinite(theta)):
         raise ValueError("alpha0 and beta must be positive and finite, theta finite")
@@ -247,7 +241,8 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     def gap(u: float) -> float:
         return _exp_tail_f(u, alpha0, beta) - u ** (sigma - 1.0)
 
-    lo, hi = 1e-3, 10.0
+    u_cap = math.sqrt(EXP_ARG_CAP / alpha0)
+    lo, hi = 1e-3, min(10.0, u_cap)
     try:
         while gap(lo) >= 0 and lo > 1e-12:
             lo /= 10.0
@@ -265,6 +260,9 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     mismatch = abs(_exp_tail_f(u1, alpha0, beta) - u1 ** (sigma - 1.0))
     if mismatch > 1e-10 * max(1.0, u1 ** (sigma - 1.0)):
         raise ValueError(f"splice continuity residual {mismatch:.3e} too large")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(nl.f_and_F(np.array([0.999 * u_cap])))):
+            raise ValueError(f"f or F overflows below the exponent cap, u = {u_cap:.3g}")
     return nl
 
 
@@ -387,15 +385,15 @@ def check_hypotheses(model: Model) -> HypothesisReport:
             u_max = safe
             note = f"height range clipped to overflow-safe [1e-6, {safe:.3g}]"
     us = np.geomspace(1e-6, u_max, CHECK_SAMPLES)
-    fu = nl.f(us)
-    Fu = nl.F(us)
+    fu, Fu = nl.f_and_F(us)
 
+    probe = min(1.0, u_max)
     ratio_small = nl.f(np.array([1e-4]))[0] / 1e-12
-    ratio_big = nl.f(np.array([1.0]))[0]
+    ratio_big = nl.f(np.array([probe]))[0] / probe**3
     entries["subcubic_origin"] = CheckResult(
         ratio_small < 1e-2 * max(ratio_big, 1e-30),
         ratio_small,
-        "f(u)/u^3 at u = 1e-4 against u = 1",
+        f"f(u)/u^3 at u = 1e-4 against u = {probe:g}",
     )
 
     sig = 2.0 * co.theta + 4.0
@@ -412,14 +410,15 @@ def check_hypotheses(model: Model) -> HypothesisReport:
         top = us[us > 2.0 * nl.u1]
         if top.size < 8:
             top = us[-8:]
-        ratio = nl.f(top) * top * np.exp(-nl.alpha0 * top**2)
+        f_top, F_top = nl.f_and_F(top)
+        ratio = f_top * top * np.exp(-nl.alpha0 * top**2)
         approaches = bool(np.all(np.diff(ratio) >= -1e-9 * nl.beta))
         entries["critical_exponential_growth"] = CheckResult(
             approaches and float(ratio[-1]) >= nl.beta * (1.0 - 1e-2),
             float(ratio[-1]) - nl.beta,
             f"f(u) u e^(-alpha0 u^2) -> {float(ratio[-1]):.6g} vs beta = {nl.beta:g}",
         )
-        fr = nl.F(top) / nl.f(top)
+        fr = F_top / f_top
         entries["primitive_subordinate"] = CheckResult(
             bool(fr[-1] <= fr[0]) and bool(np.isfinite(fr[-1])),
             float(fr[0] - fr[-1]),

@@ -23,9 +23,9 @@ nonlinearity) is computed at most once per profile.  The solvers
 evaluate one iterate many times over (multiplier, residual, step
 right-hand side, energy, filters); all of those read the stored
 numbers, so the cost is one evaluation per iterate and the answers are
-those of evaluating afresh each time.  A nonlinearity that offers a
-joint kernel (f_and_F, the power family) gives f(u) and F(u) together
-from one call; any other computes each on first read.
+those of evaluating afresh each time.  f(u) and F(u) come together from
+one call of the nonlinearity's joint kernel (f_and_F), whichever is
+read first.
 """
 
 from __future__ import annotations
@@ -264,14 +264,9 @@ class RadialFunction:
         return self._nonlinear(nonlinearity, 1)
 
     def _nonlinear(self, nonlinearity, part: int) -> np.ndarray:
-        """f(u) (part 0) or F(u) (part 1): both from one call of the
-        nonlinearity's joint kernel when it offers one (f_and_F not None),
-        else each from its own method on first read."""
-        joint = getattr(nonlinearity, "f_and_F", None)
-        if joint is None:
-            name = "fF"[part]
-            return self._derived((name, nonlinearity), getattr(nonlinearity, name))
-        return self._derived(("f_and_F", nonlinearity), joint)[part]
+        """f(u) (part 0) or F(u) (part 1), both from one call of the
+        nonlinearity's joint kernel f_and_F on first read."""
+        return self._derived(nonlinearity, nonlinearity.f_and_F)[part]
 
     def lp_norm(self, p: float) -> float:
         if p < 1:

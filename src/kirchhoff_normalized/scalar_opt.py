@@ -89,14 +89,16 @@ def power_sum_roots(terms: list[tuple[float, float]], lo: float,
 
     In t = exp(s) this is the power sum sum k t^e.  Rolle recursion:
     h exp(-e0 s) has the roots of h, and its derivative is a sum with
-    one term fewer, so between consecutive roots of that derivative it
-    is monotone and has at most one root; each such piece that changes
-    sign is solved by brentq.  A root where h touches zero without
-    crossing is not returned, unless rounding dips h below zero at the
-    touch; it then comes back as two crossings of opposite direction
-    within rounding of each other.  The count never exceeds the sign
-    changes of the coefficients (Descartes' rule for such sums;
-    Jameson, Math. Gazette 90 (2006) 223-234).
+    one term fewer, so between consecutive roots of that derivative (the
+    knots) it is monotone and has at most one root; each such piece that
+    changes sign is solved by brentq.  A root where h touches zero
+    without crossing sits on a knot and is not returned: when rounding
+    dips h below zero there, the two crossings it makes on either side
+    of that knot are dropped together, since h at the knot is within its
+    rounding bound (each term to (m + |(e - e0) s|) ulps for m terms).
+    The count never exceeds the sign changes of the coefficients
+    (Descartes' rule for such sums; Jameson, Math. Gazette 90 (2006)
+    223-234).
     """
     if len(terms) < 2:
         return []
@@ -104,7 +106,16 @@ def power_sum_roots(terms: list[tuple[float, float]], lo: float,
 
     def h(s: float) -> float:
         return sum(k * math.exp((e - e0) * s) for e, k in terms)
+
+    def rounding(s: float) -> float:
+        return math.ulp(1.0) * sum(abs(k) * math.exp((e - e0) * s)
+                                   * (len(terms) + abs((e - e0) * s)) for e, k in terms)
     knots = [lo, *(s for s, _ in power_sum_roots(
         [(e - e0, k * (e - e0)) for e, k in terms[1:]], lo, hi)), hi]
-    return [(brentq(h, a, b, xtol=1e-15), rising)
-            for a, b, rising in sign_change_brackets(h, knots) if a < b]
+    roots = []
+    for a, b, rising in sign_change_brackets(h, knots):
+        if roots and roots[-1][2] == a and abs(h(a)) <= rounding(a):
+            roots.pop()
+        elif a < b:
+            roots.append((brentq(h, a, b, xtol=1e-15), rising, b))
+    return [root[:2] for root in roots]

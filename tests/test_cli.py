@@ -183,6 +183,12 @@ class TestMoser:
             assert float(margin) == pytest.approx(
                 float(bound) - float(max_g), abs=1e-9)
 
+    def test_alpha0_four_pi_runs(self, capsys):
+        rc, out, _ = run_cli(capsys, "moser", "--n-list", "10",
+                             "--alpha0", "12.566370614359172")
+        assert rc == 0
+        assert float(out.strip().splitlines()[1].split(",")[-1]) > 0
+
     @pytest.mark.parametrize("n_list", ["inf", "1e400", "2.7", "nan"])
     def test_non_integral_n_is_spec_error(self, capsys, n_list):
         rc, out, err = run_cli(capsys, "moser", "--n-list", n_list)

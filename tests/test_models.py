@@ -89,10 +89,6 @@ class TestPowerNonlinearity:
         assert np.array_equal(f[neg], -f[pos])
         assert np.array_equal(F[neg], F[pos])
 
-    def test_only_the_power_family_has_a_pair(self):
-        assert models.power_nonlinearity(2.5, 4).f_and_F is not None
-        assert models.make_exp_critical(1.0, 1.0, 1.0).f_and_F is None
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             models.power_nonlinearity(2.0, 4)
@@ -146,6 +142,48 @@ class TestExpCritical:
     def test_unbuildable_splice_is_a_value_error(self, alpha0, beta, theta):
         with pytest.raises(ValueError):
             models.make_exp_critical(alpha0, beta, theta)
+
+    @pytest.mark.parametrize("alpha0, beta, theta", [
+        (1.0, 1.0, 1.0), (2.0, 0.5, 0.5), (4 * math.pi, 1.0, 1.0), (100.0, 2.0, 0.0)])
+    def test_pair_matches_the_separate_pieces(self, alpha0, beta, theta):
+        # oracle: the separate f and F expressions the joint kernel replaced
+        nl = models.make_exp_critical(alpha0, beta, theta)
+        a0, b0, u1, sig = alpha0, beta, nl.u1, nl.sigma
+        cap = math.sqrt(models.EXP_ARG_CAP / a0)
+        low = np.linspace(0.0, u1, 300)[1:]
+        x = np.linspace(u1, cap, 300)[1:-1]
+        f_low, F_low = low ** (sig - 1), low ** sig / sig
+        f_high = b0 * (a0 * x * x - 1.0) * np.exp(a0 * x * x) / (a0 * x**3)
+        F_high = u1**sig / sig + (b0 / (2 * a0)) * (
+            np.exp(a0 * x * x) / (x * x) - math.exp(a0 * u1 * u1) / (u1 * u1))
+        f, F = nl.f_and_F(np.concatenate([[0.0], low, x]))
+        assert f[0] == 0.0 and F[0] == 0.0
+        assert np.array_equal(f[1:], np.concatenate([f_low, f_high]))
+        # F's low piece is u (u^(sigma-1) / sigma), the power family's
+        # form: one rounding more than u^sigma / sigma, within two ulps
+        F_old = np.concatenate([F_low, F_high])
+        assert np.all(np.abs(F[1:] - F_old) <= 2 * np.spacing(F_old))
+        assert np.array_equal(F[300:], F_high)
+        assert np.array_equal(nl.f(low), f_low) and np.array_equal(nl.F(x), F[300:])
+        with pytest.raises(models.ExpOverflowError):
+            nl.f_and_F(np.array([0.5 * u1, 1.01 * cap]))
+
+    @pytest.mark.parametrize("alpha0", [4 * math.pi, 100.0, 1e5])
+    def test_builds_where_u_10_overflows(self, alpha0):
+        # e^(alpha0 10^2) leaves the float range, but the splice lies
+        # below the exponent cap and is built there; at alpha0 = 1e5 the
+        # hypotheses' u = 1 probe lies past the cap and is clipped
+        nl = models.make_exp_critical(alpha0, 1.0, 1.0)
+        assert nl.u1 < math.sqrt(models.EXP_ARG_CAP / alpha0)
+        if alpha0 == 4 * math.pi:
+            assert nl.u1 == pytest.approx(0.282121, abs=5e-7)
+        # f_1 vanishes at alpha0 u^2 = 1, just below u_1 at alpha0 = 4 pi,
+        # so it is steep there: compare one ulp either side
+        below, above = nl.f(np.nextafter(nl.u1, [0.0, math.inf]))
+        assert above == pytest.approx(below, rel=1e-9)
+        report = models.check_hypotheses(
+            models.Model(models.affine_coefficient(1.0, 1.0), nl))
+        assert report.passed(*report.entries), report.summary()
 
     def test_overflow_flagged_not_clipped(self):
         nl = models.make_exp_critical(1.0, 1.0, 1.0)

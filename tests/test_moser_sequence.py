@@ -241,6 +241,14 @@ class TestBoundCheck:
         with pytest.raises(ValueError):
             msq.mp_bound_check(model, 1.0, [100])
 
+    @pytest.mark.parametrize("alpha0", [4 * math.pi, 100.0])
+    def test_positive_margin_where_u_10_overflows(self, alpha0):
+        # e^(alpha0 10^2) overflows; the splice lies below the exponent cap
+        rec = msq.mp_bound_check(exp_model(alpha0=alpha0), 1.0, [10]).records[0]
+        assert rec.margin > 0
+        if alpha0 == 4 * math.pi:
+            assert rec.margin == pytest.approx(0.625, abs=1e-3)
+
     @pytest.mark.parametrize("bad", [10.7, math.inf, math.nan, "100"])
     def test_rejects_non_integral_n(self, bad):
         with pytest.raises(ValueError, match="finite integer"):

@@ -164,19 +164,15 @@ class TestCellWidths:
 
 
 class CountingNonlinearity:
-    """Hashable stand-in that counts its f and F evaluations."""
+    """Hashable stand-in that counts its joint f and F evaluations."""
 
     def __init__(self, p):
         self.p = p
-        self.calls = {"f": 0, "F": 0}
+        self.calls = 0
 
-    def f(self, u):
-        self.calls["f"] += 1
-        return np.abs(u) ** (self.p - 2.0) * u
-
-    def F(self, u):
-        self.calls["F"] += 1
-        return np.abs(u) ** self.p / self.p
+    def f_and_F(self, u):
+        self.calls += 1
+        return np.abs(u) ** (self.p - 2.0) * u, np.abs(u) ** self.p / self.p
 
 
 class TestProfileMemo:
@@ -199,8 +195,8 @@ class TestProfileMemo:
         assert u.grad_norm_sq() is u.grad_norm_sq()
         fu = u.f_values(nl)
         assert u.f_values(nl) is fu and u.F_values(nl) is u.F_values(nl)
-        assert nl.calls == {"f": 1, "F": 1}
-        assert np.array_equal(fu, nl.f(u.values))
+        assert nl.calls == 1
+        assert np.array_equal(fu, nl.f_and_F(u.values)[0])
         with pytest.raises(ValueError):
             fu[0] = 0.0
         with pytest.raises(ValueError):
@@ -216,7 +212,7 @@ class TestProfileMemo:
         for new in (v, w):
             assert new._memo == {}
             new.f_values(nl)
-        assert nl.calls["f"] == 3
+        assert nl.calls == 3
         assert v.mass() == pytest.approx(4.0 * m, rel=1e-14)
         assert v.grad_norm_sq() == pytest.approx(4.0 * g, rel=1e-14)
         assert w.mass() == pytest.approx(9.0, rel=1e-14)
@@ -231,39 +227,35 @@ class TestProfileMemo:
         assert not np.array_equal(u.f_values(power_nonlinearity(2.5, 5)),
                                   u.f_values(power_nonlinearity(3.0, 5)))
 
-    def test_power_profile_makes_one_joint_evaluation(self, monkeypatch):
-        nl = power_nonlinearity(2.8, 5)
-        u = gauss(rg.make_grid(5, 8.0, 200))
+    @staticmethod
+    def one_joint_evaluation(monkeypatch, nl, kernel):
+        """Read F, then f, twice each: one call of the family's kernel and
+        none of f or F."""
+        grid = rg.make_grid(nl.dimension, 8.0, 200)
+        u = rg.RadialFunction(grid, 3.0 * np.exp(-grid.nodes**2))
         calls = []
-        joint = Nonlinearity._power_f_and_F
-        monkeypatch.setattr(Nonlinearity, "_power_f_and_F",
-                            lambda self, v: calls.append("f_and_F") or joint(self, v))
+        joint = getattr(Nonlinearity, kernel)
+        monkeypatch.setattr(Nonlinearity, kernel,
+                            lambda self, v: calls.append(kernel) or joint(self, v))
         for name in ("f", "F"):
             monkeypatch.setattr(Nonlinearity, name,
                                 lambda self, v, n=name: calls.append(n))
         Fu = u.F_values(nl)
         fu = u.f_values(nl)
         assert u.F_values(nl) is Fu and u.f_values(nl) is fu
-        assert calls == ["f_and_F"]
+        assert calls == [kernel]
         monkeypatch.undo()
         assert np.array_equal(fu, nl.f(u.values)) and np.array_equal(Fu, nl.F(u.values))
+        return u
 
-    def test_exponential_profile_reads_F_without_f(self, monkeypatch):
+    def test_power_profile_makes_one_joint_evaluation(self, monkeypatch):
+        self.one_joint_evaluation(monkeypatch, power_nonlinearity(2.8, 5), "_power_f_and_F")
+
+    def test_exponential_profile_makes_one_joint_evaluation(self, monkeypatch):
         nl = make_exp_critical(1.0, 1.0, 1.0)
-        grid = rg.make_grid(2, 8.0, 200)
+        u = self.one_joint_evaluation(monkeypatch, nl, "_exp_f_and_F")
         # heights on both sides of the splice u_1
-        u = rg.RadialFunction(grid, 3.0 * np.exp(-grid.nodes**2))
         assert u.values.max() > nl.u1
-        calls = []
-        for name in ("_exp_f", "_exp_F"):
-            kernel = getattr(Nonlinearity, name)
-            monkeypatch.setattr(Nonlinearity, name,
-                                lambda self, v, k=kernel, n=name: calls.append(n) or k(self, v))
-        u.F_values(nl)
-        u.F_values(nl)
-        assert calls == ["_exp_F"]
-        u.f_values(nl)
-        assert calls == ["_exp_F", "_exp_f"]
 
     def test_exponential_overflow_raises_on_every_call(self):
         nl = make_exp_critical(1.0, 1.0, 1.0)

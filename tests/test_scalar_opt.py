@@ -51,11 +51,27 @@ class TestPowerSumRoots:
         # (t - 2)^2 touches zero at t = 2 without crossing; the derivative
         # root there is a knot where h rounds to zero or above
         assert power_sum_roots([(0.0, 4.0), (1.0, -4.0), (2.0, 1.0)], lo, hi) == []
+        # (t - 1)^2: on (-5, 5) h rounds below zero at the knot s ~ 0, so a
+        # falling and a rising crossing 2e-15 apart straddle it
+        assert power_sum_roots([(0.0, 1.0), (1.0, -2.0), (2.0, 1.0)], lo, hi) == []
         # (t - 2)^2 (t - 3): only the crossing at t = 3 is a root
         roots = power_sum_roots([(0.0, -12.0), (1.0, 16.0), (2.0, -7.0), (3.0, 1.0)],
                                 lo, max(hi, 2.0))
         assert len(roots) == 1 and roots[0][1]
         assert math.exp(roots[0][0]) == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.5, 2.0, 3.0, 5.0])
+    def test_double_root_beside_a_crossing(self, a):
+        # (t - a)^2 (t - b): one rising crossing at t = b; for most of these
+        # (a, b) h rounds below zero at the touch a, up to 4e-8 wide in s
+        for b in (0.5, 1.0, 2.0, 4.0, 7.0):
+            if b == a:
+                continue
+            coefs = np.poly([a, a, b])[::-1].tolist()
+            roots = power_sum_roots([(float(e), k) for e, k in enumerate(coefs)],
+                                    -5.0, 5.0)
+            assert len(roots) == 1 and roots[0][1]
+            assert math.exp(roots[0][0]) == pytest.approx(b, rel=1e-13)
 
     def test_one_term_has_no_root(self):
         assert power_sum_roots([(2.0, 3.0)], -5.0, 5.0) == []
