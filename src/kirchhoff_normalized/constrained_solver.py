@@ -23,6 +23,17 @@ folded in by a Woodbury correction, so every Newton step costs three
 banded solves.  Newton does not care about the Morse index, which is
 what lets the same polish certify saddle points.
 
+A descent whose stall-triggered polish fails also jumps along the
+iterate's own dilation fiber.  The gradient flow creeps along a nearly
+flat fiber, rescaling its profile a fraction of a percent per step.
+For a power model with M(t) = a + b t the fiber energy of any profile
+is, like the GN fiber energy below, a sum of at most four powers of the
+scale, with the profile's |grad u|^2, int |u|^p and int |u|^(2*) in its
+coefficients.  So the deepest well of that fiber is exact, the iterate
+is dilated there by one fiber_scale resample, and the result is kept
+only if its energy is lower.  Jumps ride on the polish attempts, so
+they are as rare; the saddle refinement and the string never jump.
+
 A converged candidate must pass four filters before it is reported:
 the PDE residual relative to the H^1 norm, the dilation balance
 |G(u)| relative to M(g) g, nontriviality of the gradient norm, and the
@@ -225,38 +236,50 @@ def _gn_extremal(model: Model):
     return ground_state(nl.dimension, nl.p)
 
 
-def _gn_fiber_terms(model: Model, c: float) -> list[tuple[float, float]]:
-    """The GN fiber energy J(t) as (exponent, coefficient) terms.
+def _fiber_terms(model: Model, g: float, lp: float,
+                 crit: float | None) -> list[tuple[float, float]]:
+    """The fiber energy J(t) = I(T(u, log t)) of a profile u as
+    (exponent, coefficient) terms, for a power model with M(t) = a + b t.
 
-    With A = c^2 |grad Q|_2^2 / |Q|_2^2 for the GN extremal Q and
-    M(t) = a + b t,
+    With g = |grad u|_2^2, lp = int |u|^p and crit = int |u|^(2*),
 
-        J(t) = a A t^2/2 + b A^2 t^4/4 - B' t^(N(p-2)/2) - C' t^(2*),
+        J(t) = a g t^2/2 + b g^2 t^4/4 - lp t^(N(p-2)/2)/p - crit t^(2*)/2*,
 
-    the last term only when the model keeps the critical part.  Terms
-    come sorted by exponent, and exponents within 1e-12 of each other
-    merge (mass-critical p, and 2* = 4 at N = 4).
+    the last term only when crit is not None.  Terms come sorted by
+    exponent, and exponents within 1e-12 of each other merge
+    (mass-critical p, and 2* = 4 at N = 4).  Raises OverflowError when a
+    coefficient is not finite.
     """
-    q = _gn_extremal(model)
     co = model.coefficient
-    n, p = q.dimension, q.p
-    try:
-        big_a = c * c * q.grad_sq / q.mass
-        raw = [(2.0, 0.5 * co.a * big_a), (4.0, 0.25 * co.b * big_a * big_a),
-               (0.5 * n * (p - 2.0), -(c / q.q_l2) ** p * q.lp / p)]
-        if model.nonlinearity.include_critical and q.crit is not None:
-            qs = two_star(n)
-            raw.append((qs, -(c / q.q_l2) ** qs * q.crit / qs))
-        if not all(math.isfinite(k) for _, k in raw):
-            raise OverflowError
-    except OverflowError:
-        raise ValueError(f"mass radius c = {c:g} is too large: the GN fiber "
-                         "energy's coefficients overflow") from None
+    n, p = model.nonlinearity.dimension, model.nonlinearity.p
+    raw = [(2.0, 0.5 * co.a * g), (4.0, 0.25 * co.b * g * g),
+           (0.5 * n * (p - 2.0), -lp / p)]
+    if crit is not None:
+        qs = two_star(n)
+        raw.append((qs, -crit / qs))
+    if not all(math.isfinite(k) for _, k in raw):
+        raise OverflowError
     merged: dict[float, float] = {}
     for e, k in raw:
         key = next((e_in for e_in in merged if abs(e_in - e) <= 1e-12), e)
         merged[key] = merged.get(key, 0.0) + k
     return sorted(merged.items())
+
+
+def _gn_fiber_terms(model: Model, c: float) -> list[tuple[float, float]]:
+    """The GN fiber energy J(t) as (exponent, coefficient) terms: the
+    fiber terms of the GN extremal Q scaled to mass c^2, whose norms are
+    those of Q times powers of c / |Q|_2."""
+    q = _gn_extremal(model)
+    try:
+        crit = None
+        if model.nonlinearity.include_critical and q.crit is not None:
+            crit = (c / q.q_l2) ** two_star(q.dimension) * q.crit
+        return _fiber_terms(model, c * c * q.grad_sq / q.mass,
+                            (c / q.q_l2) ** q.p * q.lp, crit)
+    except OverflowError:
+        raise ValueError(f"mass radius c = {c:g} is too large: the GN fiber "
+                         "energy's coefficients overflow") from None
 
 
 def _fiber_value(terms: list[tuple[float, float]], t: float) -> float:
@@ -281,6 +304,13 @@ def _fiber_extrema(terms: list[tuple[float, float]], t_hi: float,
             for s, rising in roots if rising == minima]
 
 
+def _deepest_well(terms: list[tuple[float, float]]) -> tuple[float, float] | None:
+    """Deepest interior local minimum (t, J(t)) of the fiber energy with
+    these terms on (GN_T_LO, GN_T_HI), or None."""
+    return min(_fiber_extrema(terms, GN_T_HI, True), key=lambda tj: tj[1],
+               default=None)
+
+
 def gn_fiber_min(model: Model, c: float) -> tuple[float, float]:
     """Scale t minimizing gn_fiber_energy on [GN_T_LO, GN_T_HI] and the
     value there.
@@ -303,8 +333,7 @@ def gn_fiber_well(model: Model, c: float) -> tuple[float, float] | None:
     still has a positive-depth well behind a barrier, which is what
     the saddle search and the grid-width heuristic need to see.
     """
-    wells = _fiber_extrema(_gn_fiber_terms(model, c), GN_T_HI, True)
-    return min(wells, key=lambda tj: tj[1], default=None)
+    return _deepest_well(_gn_fiber_terms(model, c))
 
 
 def gn_fiber_barrier(model: Model, c: float,
@@ -486,6 +515,35 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     return u, res, res <= tol_norm
 
 
+def _fiber_jump(model: Model, u: RadialFunction, e: float,
+                c: float) -> tuple[RadialFunction, float]:
+    """u at energy e dilated to the deepest well of its own fiber energy
+    and put back on the sphere, with its energy.
+
+    The wells are exact, from the fiber terms of u's norms on scales
+    (GN_T_LO, GN_T_HI) relative to u; the one resample is fiber_scale,
+    made only when the well lies below J(1).  (u, e) comes back unchanged
+    unless the model is a power model with the affine coefficient and
+    the dilated profile is lower than e, so a jump never raises I.
+    """
+    nl = model.nonlinearity
+    if nl.kind != "power" or model.coefficient.kind != "affine":
+        return u, e
+    au = np.abs(u.values)
+    crit = u.grid.integrate(au ** two_star(nl.dimension)) \
+        if nl.include_critical else None
+    terms = _fiber_terms(model, u.grad_norm_sq(), u.grid.integrate(au ** nl.p), crit)
+    well = _deepest_well(terms)
+    if well is None or not well[1] < _fiber_value(terms, 1.0):
+        return u, e
+    try:
+        v = _on_sphere(fiber_scale(u, math.log(well[0])), c)
+    except TruncationLossError:
+        return u, e
+    ev = energy(model, v).total
+    return (v, ev) if ev < e else (u, e)
+
+
 @dataclass
 class _Run:
     u: RadialFunction
@@ -541,8 +599,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     recenters the start and every step with recenter, also polishes once
     res <= polish_at |u|_H1, and accepts a polish only if it moves u by
     at most max_drift |u|_2: the saddle must not slide into a well.  A
-    descent also stops when the energy runs off to -infinity, and ends
-    with a polish.
+    descent tries _fiber_jump after each polish that fails, also stops
+    when the energy runs off to -infinity, and ends with a polish.
 
     Polish attempts back off geometrically, for both kinds of trigger:
     after an attempt the next one waits polish_gap iterations, and
@@ -588,6 +646,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
                 res_hist.append(pres)
                 flag = "converged"
                 break
+            if descent:
+                u, e = _fiber_jump(model, u, e, c)
         step = None
         while step is None and tau >= STEP_FLOOR:
             step = _trial(model, u, e, tau, c, slack, recenter, lagged=descent)

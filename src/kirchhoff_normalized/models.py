@@ -198,7 +198,15 @@ class Nonlinearity:
         a0, b0, u1 = self.alpha0, self.beta, self.u1
         arg = a0 * x * x
         e = np.exp(arg)
-        f[high] = b0 * (arg - 1.0) * e / (a0 * x**3)
+        with np.errstate(over="ignore"):
+            f_high = b0 * (arg - 1.0) * e / (a0 * x**3)
+        # the product overflows near the cap although f is finite there:
+        # divide first on those elements only, so every other f keeps the
+        # bits of multiplying first
+        big = ~np.isfinite(f_high)
+        if big.any():
+            f_high[big] = e[big] / (a0 * x[big] ** 3) * (arg[big] - 1.0) * b0
+        f[high] = f_high
         F[high] = u1**self.sigma / self.sigma + (b0 / (2 * a0)) * (
             e / (x * x) - math.exp(a0 * u1 * u1) / (u1 * u1))
         return f, F
@@ -218,7 +226,13 @@ def power_nonlinearity(p: float, dimension: int, include_critical: bool = True) 
 
 
 def _exp_tail_f(u: float, alpha0: float, beta: float) -> float:
-    return beta * (alpha0 * u * u - 1.0) * math.exp(alpha0 * u * u) / (alpha0 * u**3)
+    """f_1(u), multiplied first as in the kernel, divided first where
+    that product overflows."""
+    e = math.exp(alpha0 * u * u)
+    f = beta * (alpha0 * u * u - 1.0) * e / (alpha0 * u**3)
+    if math.isfinite(f):
+        return f
+    return e / (alpha0 * u**3) * (alpha0 * u * u - 1.0) * beta
 
 
 def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:

@@ -5,7 +5,9 @@ sum of at most four powers of the scale in the extremal's norms, so
 gn_fiber_energy is checked against the discrete energy of the
 actually-scaled profile and against frozen values recomputed from the
 norms in-test, and its exact wells and barriers against a dense log
-scan of the same sum written here.  Projection roots are checked
+scan of the same sum written here.  The same power terms built from a
+profile's own norms, which the descent's fiber jump reads, are checked
+against fiber_energy's value scaling.  Projection roots are checked
 against a plain midpoint bisection written here.
 Solver candidates must pass the report filters and reproduce frozen
 energies from independent earlier runs of the same discretization.
@@ -573,13 +575,14 @@ class TestFlowStep:
         def counted(nl, u):
             seen.append(np.asarray(u, dtype=float).tobytes())
             return joint(nl, u)
-        # the r_max/6 Gaussian on the widened grid enters the Newton
-        # basin late, so the flow runs all 30 iterations
+        # the r_max/4 Gaussian on the widened grid enters the Newton
+        # basin after 30 iterations (43, fiber jump included), so the
+        # flow runs all 30
         model = affine_power(4, 3.0, b=0.019)
         params = SolveParams(restarts=1, max_iter=30)
         grid = recommended_grid(model, 22.0, params)
         start = RadialFunction(
-            grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 6.0)) ** 2))
+            grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 4.0)) ** 2))
         monkeypatch.setattr(Nonlinearity, "_power_f_and_F", counted)
         report = minimize_on_sphere(model, 22.0, params, starts=[start])
         assert report.iterations == 30
@@ -642,6 +645,126 @@ class TestFlowStep:
             lambda model, u, *args: u.with_values(np.full_like(u.values, np.nan)))
         assert cs._trial(model, u, energy(model, u).total, cs.STEP, c,
                          lagged=True) is None
+
+
+def gn_terms_before_fiber_terms(model, c):
+    """_gn_fiber_terms as written before it became a call of _fiber_terms:
+    the reference its bits must keep."""
+    q = ground_state(model.nonlinearity.dimension, model.nonlinearity.p)
+    co = model.coefficient
+    n, p = q.dimension, q.p
+    big_a = c * c * q.grad_sq / q.mass
+    raw = [(2.0, 0.5 * co.a * big_a), (4.0, 0.25 * co.b * big_a * big_a),
+           (0.5 * n * (p - 2.0), -(c / q.q_l2) ** p * q.lp / p)]
+    if model.nonlinearity.include_critical and q.crit is not None:
+        qs = 2.0 * n / (n - 2.0)
+        raw.append((qs, -(c / q.q_l2) ** qs * q.crit / qs))
+    merged = {}
+    for e, k in raw:
+        key = next((e_in for e_in in merged if abs(e_in - e) <= 1e-12), e)
+        merged[key] = merged.get(key, 0.0) + k
+    return sorted(merged.items())
+
+
+class TestFiberJump:
+    """A stalled descent dilates its iterate to the deepest well of the
+    iterate's own fiber, whose power terms come from the iterate's norms."""
+
+    # (N, p, b, c), each c with a negative GN fiber well
+    MODELS = [(4, 3.0, 0.019, 22.0), (5, 2.9, 0.001, 60.0), (3, 3.5, 1.0, 30.0),
+              (2, 3.0, 0.5, 3.0)]
+
+    @staticmethod
+    def profile_terms(model, u):
+        nl = model.nonlinearity
+        crit = None
+        if nl.include_critical:
+            crit = u.grid.integrate(np.abs(u.values) ** (2 * nl.dimension / (nl.dimension - 2)))
+        return cs._fiber_terms(model, u.grad_norm_sq(),
+                               u.grid.integrate(np.abs(u.values) ** nl.p), crit)
+
+    @staticmethod
+    def gaussians(n, c):
+        grid = make_grid(n, 300.0, 1500, "graded")
+        return [normalize_mass(RadialFunction(grid, np.exp(-0.5 * (grid.nodes / w) ** 2)
+                                              * (1.0 + k * grid.nodes)), c)
+                for w, k in ((0.7, 0.0), (3.0, 1.0), (9.0, 0.0))]
+
+    @pytest.mark.parametrize("n, p, b, c", MODELS)
+    def test_terms_match_value_scaled_fiber_energy(self, n, p, b, c):
+        # oracle: functional.fiber_energy, which scales the sampled values
+        # and evaluates M_hat and F on them
+        model = affine_power(n, p, b=b)
+        for u in self.gaussians(n, c):
+            terms = self.profile_terms(model, u)
+            for s in (-2.0, -0.5, 0.0, 0.3, 1.5):
+                t = math.exp(s)
+                scale = sum(abs(k) * t**e for e, k in terms)
+                assert abs(cs._fiber_value(terms, t) - fiber_energy(model, u, s)) \
+                    <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, p, b", [(4, 3.0, 0.019), (5, 2.9, 0.001), (3, 3.5, 1.0),
+                                         (2, 3.0, 0.5), (5, 2.8, 0.1), (4, 2.5, 0.001)])
+    @pytest.mark.parametrize("c", [0.5, 3.0, 22.0, 0.97 * 50.7224])
+    def test_gn_terms_keep_their_bits(self, n, p, b, c):
+        model = affine_power(n, p, b=b)
+        assert cs._gn_fiber_terms(model, c) == gn_terms_before_fiber_terms(model, c)
+
+    @pytest.mark.parametrize("n, p, b, c", MODELS)
+    def test_jump_never_raises_the_energy(self, n, p, b, c):
+        model = affine_power(n, p, b=b)
+        jumped = 0
+        for u in self.gaussians(n, c):
+            e = energy(model, u).total
+            v, ev = cs._fiber_jump(model, u, e, c)
+            assert ev <= e
+            assert ev == energy(model, v).total
+            assert abs(v.mass() - c * c) <= 1e-12 * c * c
+            jumped += v is not u
+            # a dilated profile not below the current energy is dropped
+            floor = ev - 1e-3 * (1.0 + abs(ev))
+            assert cs._fiber_jump(model, u, floor, c) == (u, floor)
+        assert jumped
+
+    def test_other_models_never_jump(self):
+        power = power_nonlinearity(3.0, 4)
+        grid = make_grid(4, 24.0, 400, "graded")
+        u = normalize_mass(RadialFunction(grid, np.exp(-0.5 * (grid.nodes / 6.0) ** 2)), 3.0)
+        for model in (Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1)),
+                      Model(general_coefficient(lambda t: 1.0 + t,
+                                                lambda t: t + t * t / 2, 1.0), power)):
+            v, ev = cs._fiber_jump(model, u, 0.25, 3.0)
+            assert v is u and ev == 0.25
+
+    def test_spread_restart_reaches_the_well_quickly(self):
+        # without the jump the r_max/6 Gaussian at the quick-start point
+        # crept along its nearly flat fiber for 1 281 iterations
+        model, c = affine_power(4, 3.0, b=0.019), 22.0
+        params = SolveParams()
+        grid = recommended_grid(model, c, params)
+        labeled = cs._initial_profiles(model, c, grid, params,
+                                       np.random.default_rng(0))
+        (gn_label, gn_start), (spread_label, spread_start) = labeled[0], labeled[5]
+        assert gn_label.startswith("gn extremal")
+        assert spread_label == f"gaussian w={grid.r_max / 6.0:g}"
+        gn = cs._flow(model, gn_start, c, params, cs.STEP)
+        spread = cs._flow(model, spread_start, c, params, cs.STEP)
+        assert gn.flag == spread.flag == "converged"
+        assert spread.iterations <= 40
+        assert spread.energy == pytest.approx(gn.energy, rel=1e-9)
+
+    def test_restart_evidence_kept(self):
+        # a jump shortens restarts, it never drops one: the quick-start
+        # and zero-infimum rows keep 6, the nonexistence row 12
+        quick = Model(affine_coefficient(1.0, 0.019), power_nonlinearity(3.0, 4))
+        for c, status in ((22.0, cs.STATUS_MINIMIZER), (10.0, cs.STATUS_NONE_FOUND)):
+            rec = classify(quick, c)
+            assert (rec.observed_status, rec.report.restarts_used) == (status, 6)
+            assert rec.agreement == "corroborated"
+        model = affine_power(4, 3.5)
+        rec = classify(model, 0.5 * rec_c0(model), SolveParams(restarts=12))
+        assert (rec.observed_status, rec.report.restarts_used) == (cs.STATUS_NONE_FOUND, 12)
+        assert rec.agreement == "corroborated"
 
 
 class TestTridiagonalSolve:

@@ -185,6 +185,26 @@ class TestExpCritical:
             models.Model(models.affine_coefficient(1.0, 1.0), nl))
         assert report.passed(*report.entries), report.summary()
 
+    @pytest.mark.parametrize("beta", [103.0, 150.0])
+    def test_large_beta_builds(self, beta):
+        # beta (alpha0 u^2 - 1) e^(alpha0 u^2) overflows near the cap
+        # although f is about 1.4e304 there: f divides first on those
+        # elements only, every other f keeps its multiply-first bits
+        nl = models.make_exp_critical(1.0, beta, 1.0)
+        below, above = nl.f(np.nextafter(nl.u1, [0.0, math.inf]))
+        assert above == pytest.approx(below, rel=1e-9)
+        cap = math.sqrt(models.EXP_ARG_CAP)
+        x = np.linspace(nl.u1, cap, 2000)[1:]
+        f = nl.f(x)
+        assert np.all(np.isfinite(f)) and np.all(np.diff(f) > 0)
+        with np.errstate(over="ignore"):
+            multiplied = beta * (x * x - 1.0) * np.exp(x * x) / x**3
+        finite = np.isfinite(multiplied)
+        assert not finite.all()
+        assert np.array_equal(f[finite], multiplied[finite])
+        assert f[-1] == pytest.approx((cap * cap - 1.0) * math.exp(cap * cap)
+                                      / cap**3 * beta, rel=1e-12)
+
     def test_overflow_flagged_not_clipped(self):
         nl = models.make_exp_critical(1.0, 1.0, 1.0)
         with pytest.raises(models.ExpOverflowError):
