@@ -21,15 +21,20 @@ first-order system (gradient plus mass constraint) polishes the pair
 (u, lambda) to the residual tolerance; the Kirchhoff rank-one term is
 folded in by a Woodbury correction, so every Newton step costs three
 banded solves.  Newton does not care about the Morse index, which is
-what lets the same polish certify saddle points.
+what lets the same polish certify saddle points.  For the same reason
+a descent keeps a polish only if it ends no higher than the flow and
+at Morse index 0 on the sphere (_tangent_index: a Sturm count of the
+tridiagonal Hessian part plus the inertia of a 2x2 Schur complement,
+O(n)); a polish started early in the flow often converges to a
+saddle instead.
 
-A descent whose stall-triggered polish fails also jumps along the
-iterate's own dilation fiber.  The gradient flow creeps along a nearly
-flat fiber, rescaling its profile a fraction of a percent per step.
-For a power model with M(t) = a + b t the fiber energy of any profile
-is, like the GN fiber energy below, a sum of at most four powers of the
-scale, with the profile's |grad u|^2, int |u|^p and int |u|^(2*) in its
-coefficients.  So the deepest well of that fiber is exact, the iterate
+A descent whose stall-triggered polish fails or is refused also jumps
+along the iterate's own dilation fiber.  The gradient flow creeps along
+a nearly flat fiber, rescaling its profile a fraction of a percent per
+step.  For a power model with M(t) = a + b t the fiber energy of any
+profile is, like the GN fiber energy below, a sum of at most four
+powers of the scale, with the profile's |grad u|^2, int |u|^p and
+int |u|^(2*) in its coefficients.  So the deepest well of that fiber is exact, the iterate
 is dilated there by one fiber_scale resample, and the result is kept
 only if its energy is lower.  Jumps ride on the polish attempts, so
 they are as rare; the saddle refinement and the string never jump.
@@ -77,7 +82,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dpttrf
 from scipy.optimize import brentq
 
 from .functional import (CriticalPointCandidate, energy, fiber_energy,
@@ -113,8 +118,11 @@ DIVERGENCE_GRAD_SQ = 1e14
 ZERO_LEVEL_TOL = 1e-6
 # flow-progress window: attempt the Newton polish when the residual has
 # not halved over this many iterations; it is also the first wait between
-# attempts, which doubles after each one (see _flow)
-STALL_WINDOW = 10
+# attempts, which doubles after each one (see _flow).  A flow that no
+# longer halves its residual in 3 steps is in its slow linear tail, which
+# one polish usually finishes; an attempt this early can land on a
+# saddle, which a descent refuses (_descends)
+STALL_WINDOW = 3
 # the graded grid's cost is independent of the radius, so the cap only
 # guards against absurd scale requests near degenerate thresholds
 MAX_R_MAX = 20000.0
@@ -515,6 +523,69 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     return u, res, res <= tol_norm
 
 
+def _negative_pivots(d: np.ndarray, off: np.ndarray) -> int:
+    """Number of negative eigenvalues of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal off: by Sylvester's law of inertia,
+    the negative pivots of its LDL^T factorization.
+
+    LAPACK pttrf factors up to the first pivot that is not positive; the
+    factorization resumes after it, a zero pivot taken as +0, so there is
+    one call per negative pivot."""
+    d = d.copy()
+    k = len(d)
+    count = start = 0
+    while start < k - 1:
+        piv, _, info = dpttrf(d[start:], off[start:])
+        if info == 0:
+            return count
+        i = start + info - 1
+        count += int(piv[info - 1] < 0.0)
+        if i == k - 1:
+            return count
+        d[i + 1] -= off[i] ** 2 / (piv[info - 1] or 1e-300)
+        start = i + 1
+    return count + int(d[-1] < 0.0)
+
+
+def _tangent_index(model: Model, u: RadialFunction, lam: float) -> int:
+    """Morse index of (u, lam) on the sphere: the number of negative
+    eigenvalues of the Hessian of I - lam/2 |u|_2^2 on the tangent space
+    {v : <u, v> = 0}, on the interior nodes as in _newton_polish.
+
+    The Hessian is the symmetric tridiagonal T = M(g) A - diag(w (f' +
+    lam)) plus beta q q^T, with beta = 2 M'(g) and q = A u; the tangent
+    space is bordered by a = w u.  Eliminating the rank-one term through
+    an extra unknown with pivot -1/beta, and then T, gives by the
+    additivity of inertia (Haynsworth) index = n_-(T) + n_-(S) - 2,
+    where S is the 2x2 Schur complement -1/beta e_1 e_1^T - [q a]^T
+    T^{-1} [q a].  With beta = 0 the rank-one term drops out and index =
+    n_-(T) + n_-(-a^T T^{-1} a) - 1.  Cost: one banded LU solve and the
+    negative pivots of T.  A singular T raises LinAlgError.
+    """
+    grid = u.grid
+    w = grid.weights
+    sup, diag = grid.stiffness_band
+    vals = u.values
+    k = len(vals) - 1
+    g = u.grad_norm_sq()
+    mcoef = model.coefficient.M(g)
+    beta = 2.0 * model.coefficient.M_prime(g)
+    d = mcoef * diag[:k] - w[:k] * (model.nonlinearity.f_prime(vals)[:k] + lam)
+    off = mcoef * sup[1:k]
+    neg_t = _negative_pivots(d, off)
+    band = np.zeros((3, k))
+    band[0, 1:] = off
+    band[1, :] = d
+    band[2, :-1] = off
+    qa = np.column_stack([grid.stiffness_apply(vals)[:k], w[:k] * vals[:k]])
+    schur = -qa.T @ solve_banded((1, 1), band, qa, check_finite=False)
+    if beta > 0.0:
+        schur[0, 0] -= 1.0 / beta
+        neg_s = int(np.sum(np.linalg.eigvalsh(0.5 * (schur + schur.T)) < 0.0))
+        return neg_t + neg_s - 2
+    return neg_t + int(schur[1, 1] < 0.0) - 1
+
+
 def _fiber_jump(model: Model, u: RadialFunction, e: float,
                 c: float) -> tuple[RadialFunction, float]:
     """u at energy e dilated to the deepest well of its own fiber energy
@@ -542,6 +613,22 @@ def _fiber_jump(model: Model, u: RadialFunction, e: float,
         return u, e
     ev = energy(model, v).total
     return (v, ev) if ev < e else (u, e)
+
+
+def _descends(model: Model, u: RadialFunction, lam: float, e_new: float,
+              e: float, slack: float) -> bool:
+    """Whether a descent at energy e may take the polished (u, lam) at
+    energy e_new: it must not climb by more than slack (1 + |e|), the
+    test _trial applies to every step, and its Morse index must be 0.
+    Newton converges to the nearest critical point, which can be a saddle
+    above or below the flow; an index that cannot be evaluated refuses.
+    """
+    if not e_new <= e + slack * (1.0 + abs(e)):
+        return False
+    try:
+        return _tangent_index(model, u, lam) == 0
+    except (ExpOverflowError, LinAlgError):
+        return False
 
 
 @dataclass
@@ -599,13 +686,16 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     recenters the start and every step with recenter, also polishes once
     res <= polish_at |u|_H1, and accepts a polish only if it moves u by
     at most max_drift |u|_2: the saddle must not slide into a well.  A
-    descent tries _fiber_jump after each polish that fails, also stops
-    when the energy runs off to -infinity, and ends with a polish.
+    descent keeps a polish, in the loop or at the end, only if the
+    polished profile back on the sphere passes _descends: no higher than
+    the flow's energy and Morse index 0.  A descent tries _fiber_jump
+    after each in-loop polish that fails or is refused, also stops when
+    the energy runs off to -infinity, and ends with a polish.
 
     Polish attempts back off geometrically, for both kinds of trigger:
     after an attempt the next one waits polish_gap iterations, and
     polish_gap doubles, starting from STALL_WINDOW, so attempts come at
-    about 10, 20, 40, 80, ... iterations up to max_iter.  A flow that is
+    about 4, 7, 13, 25, ... iterations up to max_iter.  A flow that is
     not yet in the Newton basin keeps being retried, with no cap, while
     its polishes grow only like log(max_iter).
     """
@@ -640,12 +730,15 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
             pu, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
             if ok and math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2)) \
                     <= max_drift * math.sqrt(u.mass()):
-                u = normalize_mass(pu, c)
-                e = energy(model, u).total
-                e_hist.append(e)
-                res_hist.append(pres)
-                flag = "converged"
-                break
+                pu = normalize_mass(pu, c)
+                pe = energy(model, pu).total
+                if not descent or _descends(model, pu, lagrange_multiplier(model, pu, c),
+                                            pe, e, slack):
+                    u, e = pu, pe
+                    e_hist.append(e)
+                    res_hist.append(pres)
+                    flag = "converged"
+                    break
             if descent:
                 u, e = _fiber_jump(model, u, e, c)
         step = None
@@ -674,10 +767,12 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     pu, pres, _ = _newton_polish(model, u, lam, c,
                                  params.residual_tol * u.h1_norm())
     if pres < res:
-        u = normalize_mass(pu, c)
-        lam = lagrange_multiplier(model, u, c)
-        res = pde_residual_norm(model, u, lam)
-        e = energy(model, u).total
+        pu = normalize_mass(pu, c)
+        plam = lagrange_multiplier(model, pu, c)
+        pe = energy(model, pu).total
+        if _descends(model, pu, plam, pe, e, slack):
+            u, lam, e = pu, plam, pe
+            res = pde_residual_norm(model, u, lam)
     if res <= params.residual_tol * u.h1_norm():
         flag = "converged"
     elif flag == "converged":
@@ -949,15 +1044,14 @@ def _reparametrize(beads: list[RadialFunction],
 
 
 def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
-                 ) -> tuple[list[RadialFunction], list[float], int] | None:
+                 ) -> tuple[list[RadialFunction], list[float], int, float] | None:
     """Relax the interior beads and reparametrize, sweep after sweep.
 
-    Returns the beads, the string level after each sweep and the index
-    of the top bead, or None when the string collapses onto its
-    endpoints: a reparametrization finds no arc length, or the final
-    level does not rise above both endpoint energies.  Each bead is a
-    RadialFunction kept from the level of one sweep to the start of the
-    next, so its energy is evaluated once.
+    Returns the beads, the string level after each sweep, the index of
+    the top bead and the higher endpoint energy, or None when the string
+    collapses onto its endpoints: a reparametrization finds no arc
+    length.  Each bead is a RadialFunction kept from the level of one
+    sweep to the start of the next, so its energy is evaluated once.
     """
     tau = 0.2 * STEP
     levels: list[float] = []
@@ -981,10 +1075,8 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
                 <= 1e-10 * (1.0 + abs(levels[-1])):
             break
-    ends = max(bead_energies[0], bead_energies[-1])
-    if not levels[-1] > ends + 1e-9 * (1.0 + abs(levels[-1])):
-        return None
-    return beads, levels, int(np.argmax(bead_energies))
+    return beads, levels, int(np.argmax(bead_energies)), \
+        max(bead_energies[0], bead_energies[-1])
 
 
 def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
@@ -1011,9 +1103,11 @@ def mountain_pass(model: Model, c: float,
     Gaussian, which serves the plunging geometry: from a spread
     small-gradient endpoint to the first scale where the fiber energy
     falls well below zero (_right_endpoint).  A Gaussian fiber that
-    never plunges is reported as having no saddle geometry.  The string
-    is built and relaxed once: when it collapses onto its endpoints
-    (_bead_sweeps returns None) the report says diverged at once.
+    never plunges, and a relaxed string whose level does not rise above
+    both endpoint energies, are reported as having no saddle geometry:
+    there is no barrier between the endpoints.  The string is built and
+    relaxed once: when it collapses in arc length (_bead_sweeps returns
+    None) the report says diverged at once.
 
     path_level is the relaxed string barrier, an upper estimate of the
     min-max level; the report carries it even when the saddle
@@ -1054,8 +1148,13 @@ def mountain_pass(model: Model, c: float,
     if swept is None:
         notes.append("string collapsed onto its endpoints")
         return _report(model, STATUS_DIVERGED, None, math.nan, notes)
-    beads, levels, top = swept
+    beads, levels, top, ends = swept
     path_level = levels[-1]
+    if not path_level > ends + 1e-9 * (1.0 + abs(path_level)):
+        notes.append(f"no saddle geometry: the relaxed string level "
+                     f"{path_level:.9g} does not rise above its endpoint "
+                     f"energy {ends:.9g}")
+        return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
     if nl.kind == "exp":

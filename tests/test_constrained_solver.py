@@ -389,11 +389,45 @@ class TestMinimize:
     def test_minimizer_not_the_saddle_behind_a_barrier(self):
         # the fiber has a positive well (J = 51.58) behind a barrier; the
         # GN restart starts in the well and converges to the local
-        # minimizer, below the mountain-pass level I = 52.166
+        # minimizer, below the mountain-pass level I = 52.166; the infimum
+        # estimate is a lower restart that the filters reject, and an
+        # early polish that climbed to a critical point would raise it
         rep = minimize_on_sphere(affine_power(5, 3.0, b=0.001), 45.0)
         assert rep.status == "converged_minimizer"
         assert rep.candidate.energy == pytest.approx(43.8123, rel=1e-5)
         assert rep.candidate.lam == pytest.approx(-0.13283, rel=1e-3)
+        assert rep.infimum_estimate == pytest.approx(4.0124, rel=1e-4)
+        # the w=0.5 restart's early polish descends from I = 62.1 onto the
+        # saddle; only its Morse index (1) refuses it
+        assert not any("52.166" in note for note in rep.notes)
+
+    def test_truncated_flow_does_not_end_on_the_saddle(self):
+        # after 8 iterations from this Gaussian the end-of-flow polish
+        # would converge to the mountain-pass saddle (I = 52.166); the
+        # descent refuses it, so the unconverged restart is rejected
+        model = affine_power(5, 3.0, b=0.001)
+        params = SolveParams(restarts=1, max_iter=8)
+        grid = recommended_grid(model, 45.0, params)
+        start = RadialFunction(grid, np.exp(-0.5 * (grid.nodes / 2.0) ** 2))
+        rep = minimize_on_sphere(model, 45.0, params, starts=[start])
+        assert rep.status == "no_nontrivial_solution_found"
+        assert rep.candidate is None
+        assert not any("52.166" in note for note in rep.notes)
+
+    def test_gaussian_starts_do_not_polish_up_to_the_saddle(self):
+        # from these Gaussians a Newton polish converges to the
+        # mountain-pass saddle (I = 52.166), above the flow's energy; the
+        # descent refuses that climb and that index, so no restart reports
+        # the saddle
+        model = affine_power(5, 3.0, b=0.001)
+        params = SolveParams()
+        grid = recommended_grid(model, 45.0, params)
+        starts = [RadialFunction(grid, np.exp(-0.5 * (grid.nodes / w) ** 2))
+                  for w in (1.0, 2.0, 4.0)]
+        rep = minimize_on_sphere(model, 45.0, params, starts=starts)
+        assert rep.status == "converged_minimizer"
+        assert rep.candidate.energy == pytest.approx(43.8123, rel=1e-5)
+        assert not any("52.166" in note for note in rep.notes)
 
     def test_deep_well_above_shallow_threshold(self, shallow_kirchhoff):
         model, c1 = shallow_kirchhoff
@@ -443,14 +477,19 @@ class TestMinimize:
 
     def test_unbounded_descent_is_diverged(self):
         # b = 0.001 below 1/S^2 = 0.0095 at N=4, p=3: the quartic term
-        # cannot hold the mass-critical power, the energy is unbounded below
+        # cannot hold the mass-critical power, the energy is unbounded below.
+        # At c = 5 an early polish of the Gaussian restarts would climb
+        # from I = 9.72 to a critical point at I = 18.27; a descent must
+        # not accept it as a minimizer
         model = affine_power(4, 3.0, b=0.001)
-        rep = minimize_on_sphere(model, 22.0, SolveParams(restarts=2, n_cells=400))
-        assert rep.status == "diverged"
-        assert rep.infimum_estimate == -math.inf
-        assert rep.candidate is None
-        assert rep.restarts_used == 2
-        assert sum("diverged (energy" in note for note in rep.notes) == 2
+        for c, params, restarts in ((22.0, SolveParams(restarts=2, n_cells=400), 2),
+                                    (5.0, SolveParams(), 6)):
+            rep = minimize_on_sphere(model, c, params)
+            assert rep.status == "diverged"
+            assert rep.infimum_estimate == -math.inf
+            assert rep.candidate is None
+            assert rep.restarts_used == restarts
+            assert sum("diverged (energy" in note for note in rep.notes) == 2
 
     def test_energy_history_non_increasing(self, wide_minimizer_report):
         hist = np.array(wide_minimizer_report.energy_history)
@@ -575,14 +614,15 @@ class TestFlowStep:
         def counted(nl, u):
             seen.append(np.asarray(u, dtype=float).tobytes())
             return joint(nl, u)
-        # the r_max/4 Gaussian on the widened grid enters the Newton
-        # basin after 30 iterations (43, fiber jump included), so the
-        # flow runs all 30
+        # the r_max/2 Gaussian on the widened grid needs 200 iterations
+        # to converge, so the flow runs all 30, with three polish attempts
+        # that do not end it (at iterations 11, 14 and 20: the first
+        # converges but climbs, the others fail) and their fiber jumps
         model = affine_power(4, 3.0, b=0.019)
         params = SolveParams(restarts=1, max_iter=30)
         grid = recommended_grid(model, 22.0, params)
         start = RadialFunction(
-            grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 4.0)) ** 2))
+            grid, np.exp(-0.5 * (grid.nodes / (grid.r_max / 2.0)) ** 2))
         monkeypatch.setattr(Nonlinearity, "_power_f_and_F", counted)
         report = minimize_on_sphere(model, 22.0, params, starts=[start])
         assert report.iterations == 30
@@ -767,6 +807,59 @@ class TestFiberJump:
         assert rec.agreement == "corroborated"
 
 
+class TestMorseIndex:
+    """_tangent_index: Sturm count plus a 2x2 Schur complement, checked
+    against the dense Hessian projected on the sphere's tangent space."""
+
+    def test_negative_pivots_count_negative_eigenvalues(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            k = int(rng.integers(1, 30))
+            d = rng.normal(size=k) + rng.uniform(-1.0, 3.0)
+            off = rng.normal(size=k - 1) * rng.uniform(0.0, 2.0)
+            dense = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+            assert cs._negative_pivots(d, off) \
+                == int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+
+    @pytest.mark.parametrize("b", [0.0, 0.05, 1.0])
+    def test_matches_the_dense_tangent_hessian(self, b):
+        model = affine_power(4, 3.0, b=b)
+        grid = make_grid(4, 12.0, 120)
+        w = grid.weights
+        sup, diag = grid.stiffness_band
+        k = len(grid.nodes) - 1
+        stiff = np.diag(diag[:k]) + np.diag(sup[1:k], 1) + np.diag(sup[1:k], -1)
+        seen = set()
+        for width in (0.7, 1.5, 3.0):
+            u = normalize_mass(RadialFunction(
+                grid, 4.0 * np.exp(-0.5 * (grid.nodes / width) ** 2)), 3.0)
+            g = u.grad_norm_sq()
+            q = grid.stiffness_apply(u.values)[:k]
+            fp = model.nonlinearity.f_prime(u.values)[:k]
+            for lam in (-3.0, -0.8, -0.1, 0.4, 2.0):
+                hess = model.coefficient.M(g) * stiff - np.diag(w[:k] * (fp + lam)) \
+                    + 2.0 * model.coefficient.M_prime(g) * np.outer(q, q)
+                basis = np.linalg.svd((w[:k] * u.values[:k])[None, :])[2][1:].T
+                eig = np.linalg.eigvalsh(basis.T @ hess @ basis)
+                assert np.min(np.abs(eig)) > 1e-9 * np.max(np.abs(eig))
+                index = int(np.sum(eig < 0.0))
+                assert cs._tangent_index(model, u, lam) == index
+                seen.add(index)
+        assert 0 in seen and len(seen) > 1
+
+    def test_minimizer_has_index_zero(self, wide_minimizer_report,
+                                      n4_threshold_model):
+        model, _ = n4_threshold_model
+        cand = wide_minimizer_report.candidate
+        assert cs._tangent_index(model, cand.u, cand.lam) == 0
+
+    def test_mountain_pass_saddle_has_index_one(self, saddle_report,
+                                                shallow_kirchhoff):
+        model, _ = shallow_kirchhoff
+        cand = saddle_report.candidate
+        assert cs._tangent_index(model, cand.u, cand.lam) == 1
+
+
 class TestTridiagonalSolve:
     """solveh_banded is one LAPACK ptsv call with SciPy's bits."""
 
@@ -858,9 +951,10 @@ class TestMountainPass:
                                  SolveParams(restarts=2))
         assert saddle_report.path_level > min(low.infimum_estimate, 0.0)
 
-    def test_collapsed_string_diverges_after_one_relaxation(self, monkeypatch):
+    def test_string_below_its_endpoints_has_no_saddle_geometry(self, monkeypatch):
         # N=4 with a weak quartic term at large c: the Gaussian fiber
-        # plunges, but the relaxed string sinks onto its endpoints
+        # plunges, but the relaxed string never rises above its spread
+        # left endpoint, so there is no barrier to refine
         sweeps = []
         bead_sweeps = cs._bead_sweeps
 
@@ -869,9 +963,10 @@ class TestMountainPass:
             return bead_sweeps(*args)
         monkeypatch.setattr(cs, "_bead_sweeps", counted)
         rep = mountain_pass(affine_power(4, 2.5, b=0.001), 30.0)
-        assert rep.status == cs.STATUS_DIVERGED
+        assert rep.status == cs.STATUS_NONE_FOUND
         assert len(sweeps) == 1
-        assert "string collapsed onto its endpoints" in rep.notes
+        assert any(note.startswith("no saddle geometry: the relaxed string")
+                   for note in rep.notes)
         assert rep.candidate is None and rep.path_level is None
 
     def test_exponential_reports_level_without_asserting_convergence(self):
