@@ -83,7 +83,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.linalg.lapack import dptsv, dpttrf
-from scipy.optimize import brentq
 
 from .functional import (CriticalPointCandidate, energy, fiber_energy,
                          fiber_pohozaev, lagrange_multiplier,
@@ -94,7 +93,7 @@ from .omega_thresholds import ThresholdSet, threshold_set
 from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
-from .scalar_opt import BracketError, power_sum_roots, sign_change_brackets
+from .scalar_opt import BracketError, brentq, power_sum_roots, sign_change_brackets
 
 STATUS_MINIMIZER = "converged_minimizer"
 STATUS_MOUNTAIN_PASS = "converged_mountain_pass"
@@ -939,7 +938,7 @@ def _balance_roots(model: Model, u: RadialFunction, lo: float, hi: float,
             return fiber_pohozaev(model, u, s)
         except ExpOverflowError:
             return math.nan
-    return [(a if a == b else float(brentq(g_of, a, b, xtol=1e-13)), rising)
+    return [(a if a == b else brentq(g_of, a, b, xtol=1e-13), rising)
             for a, b, rising in sign_change_brackets(g_of, np.linspace(lo, hi, n_scan))]
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .scalar_opt import brentq
 
 EXP_ARG_CAP = 700.0
 # check_hypotheses samples M on [1e-6, CHECK_T_MAX] and f on

@@ -41,7 +41,6 @@ import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import scalar_opt
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, Nonlinearity
@@ -190,7 +189,7 @@ def _growth_floor(nl: Nonlinearity) -> float:
             hi = math.sqrt(0.9 * EXP_ARG_CAP / a0)
             if defect(hi) > 0:
                 raise CertificationError("growth floor exceeds the evaluable height range")
-            s = max(s, brentq(defect, peak, hi, xtol=1e-13))
+            s = max(s, scalar_opt.brentq(defect, peak, hi, xtol=1e-13))
         else:
             s = max(s, peak)
     return s

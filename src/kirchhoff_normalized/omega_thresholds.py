@@ -26,11 +26,9 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from .models import two_star
 from .radial_grid import RadialFunction, RadialGrid, make_grid
-from .scalar_opt import power_sum_roots
+from .scalar_opt import brentq, power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
 # margin parameter delta; keeps the reported constant strictly certified

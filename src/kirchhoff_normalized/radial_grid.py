@@ -26,6 +26,11 @@ numbers, so the cost is one evaluation per iterate and the answers are
 those of evaluating afresh each time.  f(u) and F(u) come together from
 one call of the nonlinearity's joint kernel (f_and_F), whichever is
 read first.
+
+fiber_scale resamples through a monotone cubic (PCHIP) interpolant of
+its own, which mirrors scipy.interpolate.PchipInterpolator with
+extrapolate=False (the tests pin it to SciPy bit for bit), so the
+package does not import scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 SCHEMES = ("uniform", "graded", "custom")
 
@@ -294,11 +298,51 @@ def normalize_mass(u: RadialFunction, c: float) -> RadialFunction:
     return u.with_values(u.values * (c / math.sqrt(m)))
 
 
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node derivatives of the PCHIP interpolant with cell widths h and
+    secant slopes m (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980);
+    Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5 (1984)), by SciPy's
+    formulas: zero at a node whose two slopes differ in sign or vanish,
+    else their weighted harmonic mean; at each end the one-sided
+    three-point estimate, clipped to keep the shape (Moler, Numerical
+    Computing with MATLAB, 3.6)."""
+    d = np.zeros(len(m) + 1)
+    if len(m) == 1:
+        d[:] = m[0]
+        return d
+    m0, m1 = m[:-1], m[1:]
+    # only same-signed nonzero pairs are divided, so none by zero; a
+    # subnormal slope (a decaying tail near 1e-308) overflows w / m to
+    # inf, and the mean's reciprocal is then 0, as in SciPy
+    mean = (np.sign(m0) == np.sign(m1)) & (m0 != 0.0) & (m1 != 0.0)
+    w1 = (2 * h[1:] + h[:-1])[mean]
+    w2 = (h[1:] + 2 * h[:-1])[mean]
+    with np.errstate(over="ignore"):
+        d[1:-1][mean] = 1.0 / ((w1 / m0[mean] + w2 / m1[mean]) / (w1 + w2))
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    """End derivative from the end cell (h0, m0) and its neighbour."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def fiber_scale(u: RadialFunction, s: float) -> RadialFunction:
     """Mass-preserving dilation T(u, s)(r) = e^{Ns/2} u(e^s r), resampled.
 
-    The profile is resampled on the original grid through a monotone
-    cubic interpolant and extended by zero beyond r_max.  For s < 0 the
+    The profile is resampled on the original grid through the PCHIP
+    (monotone cubic) interpolant and extended by zero beyond r_max.  The
+    cubic on [r_k, r_{k+1}] is evaluated as SciPy's PPoly does: k by
+    side="right" search with the last node closed, then Horner-free
+    powers of z = x - r_k in the order 0 + c3 + c2 z + c1 z^2 + c0 z^2 z.
+    A NaN sample becomes zero, as outside the grid.  For s < 0 the
     visible window shrinks to [0, e^s r_max]; if more than MASS_LOSS_TOL
     of the relative mass lives outside that window the truncation is
     refused rather than silently clipped.
@@ -315,12 +359,21 @@ def fiber_scale(u: RadialFunction, s: float) -> RadialFunction:
                 f"rescaling by s={s:g} would drop {lost / total:.3e} of the mass "
                 f"(tolerance {MASS_LOSS_TOL:g})"
             )
-    # flat zero tails give zero slopes; pchip's weighted-harmonic-mean
-    # formula divides by them and recovers, so hide the spurious warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interp = PchipInterpolator(r, u.values, extrapolate=False)
-    sampled = interp(np.exp(s) * r)
-    sampled = np.where(np.isnan(sampled), 0.0, sampled)
+    y = u.values
+    h = u.grid.cell_widths
+    slope = (y[1:] - y[:-1]) / h
+    d = _pchip_slopes(h, slope)
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    x = np.exp(s) * r
+    # x rises with r, so the queries inside [0, r_max] are a prefix
+    inside = x[:np.searchsorted(x, r[-1], side="right")]
+    k = np.minimum(np.searchsorted(r, inside, side="right") - 1, len(r) - 2)
+    z = inside - r[k]
+    zz = z * z
+    cubic = (0.0 + y[k] + d[k] * z + ((slope[k] - d[k]) / h[k] - t[k]) * zz
+             + (t[k] / h[k]) * (zz * z))
+    sampled = np.zeros(len(r))
+    sampled[:len(inside)] = np.where(np.isnan(cubic), 0.0, cubic)
     return u.with_values(math.exp(n * s / 2.0) * sampled)
 
 

@@ -1,5 +1,11 @@
 """Scalar root finding and extremum search helpers.
 
+brentq is Brent's bracketing root finder (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4), ported line for line
+from SciPy's C brentq with the checks of scipy.optimize.brentq; the
+tests pin it to SciPy bit for bit, and it spares the package the
+import of scipy.optimize.
+
 power_sum_roots finds every root of a sum of powers of t exactly, by
 Rolle recursion in s = log t; the GN fiber's wells and barriers and the
 coercivity infimum omega both come from it.  sign_change_brackets is
@@ -12,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 400
@@ -23,6 +28,77 @@ MAX_TOL = 1e-10
 
 class BracketError(RuntimeError):
     """Raised when no interior extremum could be bracketed."""
+
+
+def brentq(fn, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4.0 * math.ulp(1.0), maxiter: int = 100) -> float:
+    """A root of fn in [a, b], where fn(a) and fn(b) differ in sign.
+
+    Stops when the bracket around the best point is within
+    xtol + rtol |x|, returning that point; the defaults are SciPy's.  A
+    NaN value, ends of equal sign, xtol <= 0 or rtol < 4 eps is a
+    ValueError; no convergence after maxiter steps is a RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * math.ulp(1.0):
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * math.ulp(1.0):g})")
+
+    def f(x: float) -> float:
+        fx = float(fn(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.inf  # a step that bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a zero denominator gives C an infinite or
+                # NaN step, which bisects below
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
 def golden_min(fn, lo: float, hi: float, tol: float = 1e-12):

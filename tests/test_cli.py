@@ -406,6 +406,23 @@ class TestConfigAndExits:
         assert done.returncode == 2
         assert "unrecognized arguments" in done.stderr
 
+    def test_import_loads_no_optional_scipy_module(self, tmp_path):
+        # brentq and PCHIP live in the package, so of SciPy only
+        # scipy.linalg is loaded
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, kirchhoff_normalized, kirchhoff_normalized.cli; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
+        assert "scipy.linalg" in loaded
+        for name in ("scipy.optimize", "scipy.interpolate", "scipy.special"):
+            assert name not in loaded
+
     def test_bad_p_is_spec_error(self, capsys):
         rc, _, err = run_cli(capsys, "thresholds", "--dim", "5", "--p", "9")
         assert rc == 2

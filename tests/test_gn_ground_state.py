@@ -27,7 +27,74 @@ TOWNES_HEIGHT = 2.2062009
 ORACLE_HEIGHT_4_3 = 4.335967150005
 
 
+def closure_integrate(q0, kappa, m, p, n, h, n_steps, w_eq, record=None):
+    """The shooting step with the stage derivative as a closure, the
+    form the inlined _integrate must reproduce bit for bit."""
+    pm1 = p - 1.0
+    inv_k = 1.0 / kappa
+    nm1 = n - 1.0
+
+    amp = (m * q0 - q0**pm1) / (2.0 * n * kappa)
+    q = q0 + amp * h * h
+    v = 2.0 * amp * h
+    r = h
+    if record is not None:
+        record[0] = q0
+        record[1] = q
+
+    def acc(rr, qq, vv):
+        src = m * qq - math.copysign(abs(qq) ** pm1, qq)
+        return src * inv_k - nm1 * vv / rr
+
+    for i in range(1, n_steps):
+        k1q = v
+        k1v = acc(r, q, v)
+        half = 0.5 * h
+        k2q = v + half * k1v
+        k2v = acc(r + half, q + half * k1q, v + half * k1v)
+        k3q = v + half * k2v
+        k3v = acc(r + half, q + half * k2q, v + half * k2v)
+        k4q = v + h * k3v
+        k4v = acc(r + h, q + h * k3q, v + h * k3v)
+        q += h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        r += h
+        if record is not None:
+            record[i + 1] = q
+            continue
+        if q <= 0.0:
+            return gn._CROSSED
+        if v > 0.0 and q < 0.5 * w_eq:
+            return gn._TURNED
+        if q > 1.05 * q0:
+            return gn._TURNED
+    if record is None:
+        return gn._TURNED
+    return gn._CROSSED if np.any(record <= 0.0) else gn._TURNED
+
+
 class TestShoot:
+    @pytest.mark.parametrize("n,p", [(5, 2.5), (5, 2.9), (4, 3.0), (4, 3.5), (2, 4.0)])
+    def test_integrate_matches_the_closure_form(self, n, p):
+        kappa, m = gn._coefficients(n, p)
+        n_cells = 600
+        h = gn.default_r_max(n, p) / n_cells
+        w_eq = m ** (1.0 / (p - 2.0))
+        height = gn.ground_state(n, p, n_cells=n_cells).height
+        classes = set()
+        for q0 in (w_eq, 0.5 * height, height, height * (1 + 1e-9), 1.3 * height, 10 * height):
+            args = (q0, kappa, m, p, n, h, n_cells, w_eq)
+            cls = gn._integrate(*args)
+            assert cls == closure_integrate(*args)
+            classes.add(cls)
+            ours, ref = np.empty(n_cells + 1), np.empty(n_cells + 1)
+            assert gn._integrate(*args, record=ours) == closure_integrate(*args, record=ref)
+            assert ours.tobytes() == ref.tobytes()
+        # both outcomes occur, and a crossing trajectory with record runs
+        # the negative-stage branch
+        assert classes == {gn._CROSSED, gn._TURNED}
+        assert np.min(ref) < 0.0
+
     def test_classical_cubic_case(self):
         prof = gn.shoot(2, 4.0)
         assert prof.height == pytest.approx(TOWNES_HEIGHT, rel=1e-6)

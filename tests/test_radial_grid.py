@@ -6,10 +6,12 @@ closed-form integrals worked by hand; exact values are frozen inline.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_normalized import radial_grid as rg
 from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity,
@@ -319,6 +321,43 @@ class TestFiberScale:
         u = gauss(grid, 2.0)  # heavy tail relative to r_max after shrinking
         with pytest.raises(rg.TruncationLossError):
             rg.fiber_scale(u, -2.5)
+
+    @staticmethod
+    def scipy_fiber_scale(u, s):
+        """The resampling written with SciPy's PchipInterpolator."""
+        r = u.grid.nodes
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            interp = PchipInterpolator(r, u.values, extrapolate=False)
+        sampled = interp(np.exp(s) * r)
+        sampled = np.where(np.isnan(sampled), 0.0, sampled)
+        return math.exp(u.grid.dimension * s / 2.0) * sampled
+
+    def test_matches_scipy_pchip_bit_for_bit(self):
+        # on the dyadic grid 2 r and r / 2 land exactly on nodes, and 2 r
+        # on r_max; at s = 0 every query is a node
+        dyadic = rg.from_nodes(3, np.arange(257) * 0.125)
+        grids = [rg.make_grid(4, 30.0, 600), rg.make_grid(2, 24.0, 500, "graded"), dyadic]
+        # one cell: the interpolant is the chord
+        one_cell = rg.RadialFunction(rg.from_nodes(2, [0.0, 2.0]), np.array([1.0, 0.25]))
+        for s in (0.0, 0.5):
+            assert (rg.fiber_scale(one_cell, s).values.tobytes()
+                    == self.scipy_fiber_scale(one_cell, s).tobytes())
+        for grid in grids:
+            r = grid.nodes
+            edge = 0.4 * grid.r_max
+            profiles = [np.exp(-(30.0 * r / grid.r_max) ** 2),
+                        np.where(r < edge, (1.0 - r / edge) ** 2, 0.0),
+                        np.cos(2.0 * r) * np.exp(-r)]
+            # the Gaussian's tail passes through the subnormal range, where
+            # PCHIP's harmonic mean overflows
+            assert np.any((profiles[0] > 0) & (profiles[0] < np.finfo(float).tiny))
+            for y in profiles:
+                u = rg.RadialFunction(grid, y)
+                for s in (-0.3, math.log(0.5), 0.0, 0.2, math.log(2.0), 1.5):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        ours = rg.fiber_scale(u, s).values
+                    assert ours.tobytes() == self.scipy_fiber_scale(u, s).tobytes()
 
 
 class TestSerialization:
