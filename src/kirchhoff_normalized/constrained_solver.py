@@ -22,11 +22,13 @@ first-order system (gradient plus mass constraint) polishes the pair
 folded in by a Woodbury correction, so every Newton step costs three
 banded solves.  Newton does not care about the Morse index, which is
 what lets the same polish certify saddle points.  For the same reason
-a descent keeps a polish only if it ends no higher than the flow and
-at Morse index 0 on the sphere (_tangent_index: a Sturm count of the
-tridiagonal Hessian part plus the inertia of a 2x2 Schur complement,
-O(n)); a polish started early in the flow often converges to a
-saddle instead.
+a flow keeps a polish only if it ends no higher than the flow and at
+the flow's own Morse index on the sphere: 0 for a descent, whose early
+polish often converges to a saddle instead, and 1 for the saddle
+refinement, whose polish must not slide into a well (_kept_polish).
+The index (_tangent_index) is a Sturm count of the tridiagonal Hessian
+part plus the inertia of a 2x2 Schur complement, O(n), from the same
+assembled Hessian (_hessian) that Newton solves with.
 
 A descent whose stall-triggered polish fails or is refused also jumps
 along the iterate's own dilation fiber.  The gradient flow creeps along
@@ -66,9 +68,11 @@ dilation fiber (bead-wise descent plus arc-length reparametrization),
 then refining the barrier bead: descent steps alternate with a
 recentering onto the nearest fiber maximum (a root of the dilation
 balance where its scan values fall from positive to negative), and
-the Newton polish takes over once the refinement is close.  At a fiber
+the Newton polish takes over once the refinement is close, kept only
+at index 1 and no higher than the flow.  At a fiber
 maximum the gradient has no fiber component, so the recentered step is
-a genuine descent on the maximum branch.
+a genuine descent on the maximum branch.  A domain too small to hold
+the path's spread endpoint raises ValueError naming its radius.
 
 Nothing here proves anything: classify reports theory branches as
 "corroborated" or "inconclusive", never as established, and a missing
@@ -120,7 +124,7 @@ ZERO_LEVEL_TOL = 1e-6
 # attempts, which doubles after each one (see _flow).  A flow that no
 # longer halves its residual in 3 steps is in its slow linear tail, which
 # one polish usually finishes; an attempt this early can land on a
-# saddle, which a descent refuses (_descends)
+# saddle, which a descent refuses (_kept_polish)
 STALL_WINDOW = 3
 # the graded grid's cost is independent of the radius, so the cap only
 # guards against absurd scale requests near degenerate thresholds
@@ -135,9 +139,19 @@ INNER_SOLVES = 4
 # acceptance tolerance
 POLISH_MAX_ITER = 16
 POLISH_DEEPEN = 1e-3
-# initial flow step tau (the saddle refinement starts at a quarter of it,
-# the bead sweeps at a fifth)
+# initial flow step tau of the descent (the bead sweeps take a fifth of
+# it; the saddle refinement's REFINE_STEP is a quarter)
 STEP = 0.5
+# the saddle refinement's flow (_flow with refine=True): initial step,
+# step growth, energy slack per step, an early polish once res <=
+# REFINE_POLISH_AT |u|_H1, and the dilation window its recentering
+# scans.  They stay fixed: the planar refinement never converges, so
+# they set the level it ends at, which the benchmark reference freezes
+REFINE_STEP = 0.25 * STEP
+REFINE_GROW = 1.2
+REFINE_SLACK = 1e-11
+REFINE_POLISH_AT = 1e-2
+RECENTER_WINDOW = 0.8
 # acceptance filters: |G(u)| relative to M(g) g, and the relative gap
 # between lambda and its Pohozaev value in the power case
 FIBER_TOL = 1e-5
@@ -441,15 +455,41 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
     return v
 
 
+def _hessian(model: Model, u: RadialFunction,
+             lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The Hessian of I - lam/2 |u|_2^2 at u on the interior nodes, as
+    (M(g), beta, A u, band).
+
+    The Hessian is T + beta q q^T with T = M(g) A - diag(w (f' + lam)),
+    beta = 2 M'(g) and q = A u.  band holds W^-1 T, T with row i divided
+    by w_i, in solve_banded's (1, 1) storage: row 0 the superdiagonal
+    from column 1, row 1 the diagonal, row 2 the subdiagonal.  A u is
+    returned on every node.  Raises ExpOverflowError when f' overflows.
+    """
+    grid = u.grid
+    w = grid.weights
+    sup, diag = grid.stiffness_band
+    vals = u.values
+    g = u.grad_norm_sq()
+    mcoef = model.coefficient.M(g)
+    fp = model.nonlinearity.f_prime(vals)
+    k = len(vals) - 1
+    band = np.zeros((3, k))
+    band[0, 1:] = mcoef * sup[1:k] / w[: k - 1]
+    band[1, :] = mcoef * diag[:k] / w[:k] - fp[:k] - lam
+    band[2, :-1] = mcoef * sup[1:k] / w[1:k]
+    return mcoef, 2.0 * model.coefficient.M_prime(g), grid.stiffness_apply(vals), band
+
+
 def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
                    tol_norm: float) -> tuple[RadialFunction, float, bool]:
     """Bordered Newton on (gradient, mass constraint); returns (u,
     residual, converged).
 
-    The Jacobian splits into a tridiagonal part (stiffness, diagonal
-    f', multiplier shift), the Kirchhoff rank-one M'(g) correction
-    (folded in by Woodbury), and the constraint border (eliminated by a
-    scalar solve), so each iteration is three banded LU solves.  Steps
+    The Jacobian is the Hessian (_hessian) bordered by the constraint:
+    its tridiagonal part, the Kirchhoff rank-one M'(g) correction
+    (folded in by Woodbury), and the border (eliminated by a scalar
+    solve), so each iteration is three banded LU solves.  Steps
     are halved until the residual norm decreases; a step that cannot
     decrease it ends the polish.  The target is POLISH_DEEPEN * tol_norm,
     well below the acceptance tolerance: the leftover gradient at tol_norm
@@ -457,30 +497,20 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
     converged profile, which is checked against a much smaller scale
     than the H^1 norm when the profile is spread out.
     """
-    grid = u.grid
-    w = grid.weights
-    sup, diag = grid.stiffness_band
+    w = u.grid.weights
     res = pde_residual_norm(model, u, lam)
     for _ in range(POLISH_MAX_ITER):
         if res <= POLISH_DEEPEN * tol_norm:
             return u, res, True
         vals = u.values
-        g = u.grad_norm_sq()
-        mcoef = model.coefficient.M(g)
         try:
-            fp = model.nonlinearity.f_prime(vals)
+            mcoef, beta, stiff, band = _hessian(model, u, lam)
         except ExpOverflowError:
             return u, res, res <= tol_norm
-        stiff = grid.stiffness_apply(vals)
         rho = (mcoef * stiff) / w - u.f_values(model.nonlinearity) - lam * vals
         h = 0.5 * (float(w @ vals**2) - c * c)
-        # tridiagonal Jacobian in node space, interior nodes only
         k = len(vals) - 1
-        band = np.zeros((3, k))
-        band[0, 1:] = mcoef * sup[1:k] / w[: k - 1]
-        band[1, :] = mcoef * diag[:k] / w[:k] - fp[:k] - lam
-        band[2, :-1] = mcoef * sup[1:k] / w[1:k]
-        pvec = 2.0 * model.coefficient.M_prime(g) * stiff[:k] / w[:k]
+        pvec = beta * stiff[:k] / w[:k]
         qvec = stiff[:k]
         try:
             sols = solve_banded((1, 1), band,
@@ -551,33 +581,25 @@ def _tangent_index(model: Model, u: RadialFunction, lam: float) -> int:
     eigenvalues of the Hessian of I - lam/2 |u|_2^2 on the tangent space
     {v : <u, v> = 0}, on the interior nodes as in _newton_polish.
 
-    The Hessian is the symmetric tridiagonal T = M(g) A - diag(w (f' +
-    lam)) plus beta q q^T, with beta = 2 M'(g) and q = A u; the tangent
-    space is bordered by a = w u.  Eliminating the rank-one term through
-    an extra unknown with pivot -1/beta, and then T, gives by the
-    additivity of inertia (Haynsworth) index = n_-(T) + n_-(S) - 2,
-    where S is the 2x2 Schur complement -1/beta e_1 e_1^T - [q a]^T
-    T^{-1} [q a].  With beta = 0 the rank-one term drops out and index =
-    n_-(T) + n_-(-a^T T^{-1} a) - 1.  Cost: one banded LU solve and the
-    negative pivots of T.  A singular T raises LinAlgError.
+    The Hessian is T + beta q q^T (_hessian); the tangent space is
+    bordered by a = w u.  Eliminating the rank-one term through an extra
+    unknown with pivot -1/beta, and then T, gives by the additivity of
+    inertia (Haynsworth) index = n_-(T) + n_-(S) - 2, where S is the 2x2
+    Schur complement -1/beta e_1 e_1^T - [q a]^T T^{-1} [q a].  With
+    beta = 0 the rank-one term drops out and index = n_-(T) +
+    n_-(-a^T T^{-1} a) - 1.  T is the row-scaled band times w, and
+    T^{-1} [q a] = (W^-1 T)^{-1} [q/w u], one solve with the band itself.
+    Cost: one banded LU solve and the negative pivots of T.  A singular T
+    raises LinAlgError.
     """
-    grid = u.grid
-    w = grid.weights
-    sup, diag = grid.stiffness_band
-    vals = u.values
-    k = len(vals) - 1
-    g = u.grad_norm_sq()
-    mcoef = model.coefficient.M(g)
-    beta = 2.0 * model.coefficient.M_prime(g)
-    d = mcoef * diag[:k] - w[:k] * (model.nonlinearity.f_prime(vals)[:k] + lam)
-    off = mcoef * sup[1:k]
-    neg_t = _negative_pivots(d, off)
-    band = np.zeros((3, k))
-    band[0, 1:] = off
-    band[1, :] = d
-    band[2, :-1] = off
-    qa = np.column_stack([grid.stiffness_apply(vals)[:k], w[:k] * vals[:k]])
-    schur = -qa.T @ solve_banded((1, 1), band, qa, check_finite=False)
+    w = u.grid.weights
+    _, beta, stiff, band = _hessian(model, u, lam)
+    k = band.shape[1]
+    vals = u.values[:k]
+    neg_t = _negative_pivots(w[:k] * band[1], w[1:k] * band[2, :-1])
+    x = solve_banded((1, 1), band, np.column_stack([stiff[:k] / w[:k], vals]),
+                     check_finite=False)
+    schur = -np.column_stack([stiff[:k], w[:k] * vals]).T @ x
     if beta > 0.0:
         schur[0, 0] -= 1.0 / beta
         neg_s = int(np.sum(np.linalg.eigvalsh(0.5 * (schur + schur.T)) < 0.0))
@@ -614,20 +636,29 @@ def _fiber_jump(model: Model, u: RadialFunction, e: float,
     return (v, ev) if ev < e else (u, e)
 
 
-def _descends(model: Model, u: RadialFunction, lam: float, e_new: float,
-              e: float, slack: float) -> bool:
-    """Whether a descent at energy e may take the polished (u, lam) at
-    energy e_new: it must not climb by more than slack (1 + |e|), the
-    test _trial applies to every step, and its Morse index must be 0.
-    Newton converges to the nearest critical point, which can be a saddle
-    above or below the flow; an index that cannot be evaluated refuses.
+def _kept_polish(model: Model, pu: RadialFunction, c: float, e: float, slack: float,
+                 index: int) -> tuple[RadialFunction, float, float] | None:
+    """The polished pu back on the sphere, with its multiplier and
+    energy, if a flow at energy e that seeks a critical point of Morse
+    index `index` may keep it; otherwise None.
+
+    The polished profile must not climb above e by more than slack (1 +
+    |e|), the test _trial applies to every step, and its Morse index must
+    be `index`: 0 for a descent, 1 for the saddle refinement.  Newton
+    converges to the nearest critical point, which can be a saddle above
+    or below the flow, or for the refinement a well; an index that
+    cannot be evaluated refuses.
     """
-    if not e_new <= e + slack * (1.0 + abs(e)):
-        return False
+    pu = normalize_mass(pu, c)
+    pe = energy(model, pu).total
+    if not pe <= e + slack * (1.0 + abs(e)):
+        return None
+    lam = lagrange_multiplier(model, pu, c)
     try:
-        return _tangent_index(model, u, lam) == 0
+        kept = _tangent_index(model, pu, lam) == index
     except (ExpOverflowError, LinAlgError):
-        return False
+        kept = False
+    return (pu, lam, pe) if kept else None
 
 
 @dataclass
@@ -645,11 +676,12 @@ class _Run:
 
 def _trial(model: Model, u: RadialFunction, e: float, tau: float,
            c: float, slack: float = 1e-12,
-           recenter=None, lagged: bool = False
+           recenter: bool = False, lagged: bool = False
            ) -> tuple[RadialFunction, float] | None:
     """One trial flow step from u at energy e: the implicit step (lagged
-    or relaxed, see _implicit_step), back onto the sphere, the optional
-    recentering, and the energy there.
+    or relaxed, see _implicit_step), back onto the sphere, with recenter
+    onto the nearest fiber maximum (_recenter_on_fiber_max), and the
+    energy there.
 
     Returns (v, I(v)) when I(v) is finite and exceeds e by at most
     slack (1 + |e|); None when it does not or when the step fails,
@@ -660,8 +692,8 @@ def _trial(model: Model, u: RadialFunction, e: float, tau: float,
         if not 0.0 < v.mass() < math.inf:
             return None
         v = normalize_mass(v, c)
-        if recenter is not None:
-            v = recenter(v)
+        if recenter:
+            v = _recenter_on_fiber_max(model, v, c)
         ev = energy(model, v).total
     except (ExpOverflowError, LinAlgError, TruncationLossError,
             FiberMonotoneError):
@@ -672,24 +704,25 @@ def _trial(model: Model, u: RadialFunction, e: float, tau: float,
 
 
 def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
-          tau: float, grow: float = 1.3,
-          slack: float = 1e-12, recenter=None, polish_at: float = 0.0,
-          max_drift: float = math.inf, descent: bool = True) -> _Run:
-    """Normalized gradient flow on the sphere from u, with Newton polishes.
+          refine: bool = False) -> _Run:
+    """Normalized gradient flow on the sphere from u, with Newton polishes:
+    the minimizer's descent, or with refine the saddle refinement.
 
     Each iteration stops at the residual tolerance, tries the bordered
     Newton polish when the residual has not halved over STALL_WINDOW
     iterations, and otherwise takes one trial step, halving tau until
-    the energy rises by at most slack and growing it by grow after a
-    step.  The defaults are the minimizer's.  The saddle refinement
-    recenters the start and every step with recenter, also polishes once
-    res <= polish_at |u|_H1, and accepts a polish only if it moves u by
-    at most max_drift |u|_2: the saddle must not slide into a well.  A
-    descent keeps a polish, in the loop or at the end, only if the
-    polished profile back on the sphere passes _descends: no higher than
-    the flow's energy and Morse index 0.  A descent tries _fiber_jump
-    after each in-loop polish that fails or is refused, also stops when
-    the energy runs off to -infinity, and ends with a polish.
+    the energy rises by at most slack and growing it after a step.  The
+    descent starts at STEP, grows it by 1.3 and allows a slack of 1e-12;
+    the refinement uses the REFINE_ constants instead, recenters the
+    start and every step onto the nearest fiber maximum
+    (_recenter_on_fiber_max), and also polishes once res <=
+    REFINE_POLISH_AT |u|_H1.  Either keeps a polish only if the polished
+    profile back on the sphere passes _kept_polish: no higher than the
+    flow's energy, and Morse index 0 for the descent, 1 for the
+    refinement, whose saddle must not slide into a well (index 0) or
+    onto a higher saddle.  A descent tries _fiber_jump after each
+    in-loop polish that fails or is refused, also stops when the energy
+    runs off to -infinity, and ends with a polish.
 
     Polish attempts back off geometrically, for both kinds of trigger:
     after an attempt the next one waits polish_gap iterations, and
@@ -698,9 +731,11 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     not yet in the Newton basin keeps being retried, with no cap, while
     its polishes grow only like log(max_iter).
     """
-    if recenter is not None:
+    tau, grow, slack, index = (REFINE_STEP, REFINE_GROW, REFINE_SLACK, 1) \
+        if refine else (STEP, 1.3, 1e-12, 0)
+    if refine:
         try:
-            u = recenter(u)
+            u = _recenter_on_fiber_max(model, u, c)
         except (FiberMonotoneError, TruncationLossError):
             pass
     try:
@@ -723,26 +758,22 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
             break
         stalled_now = len(res_hist) > STALL_WINDOW \
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
-        if (stalled_now or polish_at > 0.0 and res <= polish_at * u.h1_norm()) \
+        if (stalled_now or refine and res <= REFINE_POLISH_AT * u.h1_norm()) \
                 and it >= next_polish:
             next_polish, polish_gap = it + polish_gap, 2 * polish_gap
             pu, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
-            if ok and math.sqrt(float(u.grid.weights @ (pu.values - u.values) ** 2)) \
-                    <= max_drift * math.sqrt(u.mass()):
-                pu = normalize_mass(pu, c)
-                pe = energy(model, pu).total
-                if not descent or _descends(model, pu, lagrange_multiplier(model, pu, c),
-                                            pe, e, slack):
-                    u, e = pu, pe
-                    e_hist.append(e)
-                    res_hist.append(pres)
-                    flag = "converged"
-                    break
-            if descent:
+            kept = _kept_polish(model, pu, c, e, slack, index) if ok else None
+            if kept is not None:
+                u, _, e = kept
+                e_hist.append(e)
+                res_hist.append(pres)
+                flag = "converged"
+                break
+            if not refine:
                 u, e = _fiber_jump(model, u, e, c)
         step = None
         while step is None and tau >= STEP_FLOOR:
-            step = _trial(model, u, e, tau, c, slack, recenter, lagged=descent)
+            step = _trial(model, u, e, tau, c, slack, recenter=refine, lagged=not refine)
             tau = 0.5 * tau if step is None else min(tau * grow, STEP_CAP)
         if step is not None:
             u, e = step
@@ -750,13 +781,13 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
         if step is None:
             flag = "stalled"
             break
-        if descent and (e < -DIVERGENCE_ENERGY
-                        or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
+        if not refine and (e < -DIVERGENCE_ENERGY
+                           or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
             return _Run(u, math.nan, math.inf, e, it, "diverged", res_hist,
                         e_hist, f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
     lam = lagrange_multiplier(model, u, c)
     res = pde_residual_norm(model, u, lam)
-    if not descent:
+    if refine:
         if flag != "converged" and res <= params.residual_tol * u.h1_norm():
             flag = "converged"
         return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
@@ -765,13 +796,10 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     # the dilation-balance defect of a spread-out profile
     pu, pres, _ = _newton_polish(model, u, lam, c,
                                  params.residual_tol * u.h1_norm())
-    if pres < res:
-        pu = normalize_mass(pu, c)
-        plam = lagrange_multiplier(model, pu, c)
-        pe = energy(model, pu).total
-        if _descends(model, pu, plam, pe, e, slack):
-            u, lam, e = pu, plam, pe
-            res = pde_residual_norm(model, u, lam)
+    kept = _kept_polish(model, pu, c, e, slack, 0) if pres < res else None
+    if kept is not None:
+        u, lam, e = kept
+        res = pde_residual_norm(model, u, lam)
     if res <= params.residual_tol * u.h1_norm():
         flag = "converged"
     elif flag == "converged":
@@ -887,7 +915,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     infimum = math.inf
     diverged = False
     for label, u0 in labeled:
-        run = _flow(model, u0, c, params, STEP)
+        run = _flow(model, u0, c, params)
         if run.flag == "diverged":
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
@@ -980,7 +1008,8 @@ def pohozaev_project(model: Model, u: RadialFunction, c: float,
 def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float,
                   step: float) -> float:
     """Most negative s in [s_lo, s_hi), walked up by step, that the grid
-    window can spread base to."""
+    window can spread base to.  Raises ValueError, naming the domain
+    radius, when there is none: the domain is too small for the path."""
     s = s_lo
     while s < s_hi:
         try:
@@ -988,7 +1017,8 @@ def _spread_limit(base: RadialFunction, s_lo: float, s_hi: float,
             return s
         except TruncationLossError:
             s += step
-    raise BracketError("profile tail too wide to spread within the grid")
+    raise ValueError(f"domain radius r_max = {base.grid.r_max:g} is too small for the "
+                     "mountain-pass path: its spread endpoint does not fit")
 
 
 def _right_endpoint(model: Model, base: RadialFunction, s_left: float) -> float:
@@ -1078,10 +1108,10 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
         max(bead_energies[0], bead_energies[-1])
 
 
-def _recenter_on_fiber_max(model: Model, u: RadialFunction, c: float,
-                           window: float) -> RadialFunction:
-    hi = min(window, _exp_safe_scale(model, u))
-    roots = _balance_roots(model, u, -window, hi, 25)
+def _recenter_on_fiber_max(model: Model, u: RadialFunction,
+                           c: float) -> RadialFunction:
+    hi = min(RECENTER_WINDOW, _exp_safe_scale(model, u))
+    roots = _balance_roots(model, u, -RECENTER_WINDOW, hi, 25)
     maxima = [s for s, rising in roots if not rising]
     if not maxima:
         raise FiberMonotoneError("no fiber maximum near the current profile")
@@ -1162,10 +1192,7 @@ def mountain_pass(model: Model, c: float,
         notes.append(f"level estimate {path_level:.6g} is {side} the "
                      f"dilation ceiling {ceiling:.6g}; the estimate is an "
                      "upper bound, it never certifies the strict inequality")
-    run = _flow(model, beads[top], c, params,
-                0.25 * STEP, grow=1.2, slack=1e-11,
-                recenter=lambda v: _recenter_on_fiber_max(model, v, c, 0.8),
-                polish_at=1e-2, max_drift=0.25, descent=False)
+    run = _flow(model, beads[top], c, params, refine=True)
     fails = _filter_failures(model, run.u, c, run.res, params)
     if not fails:
         notes.append(f"saddle refined: I = {run.energy:.9g}, "

@@ -155,6 +155,17 @@ class TestSolve:
         assert report["candidate"] is None
         assert not (tmp_path / "solve_profile.csv").exists()
 
+    def test_domain_too_small_for_the_saddle_path_exits_2(self, capsys, tmp_path):
+        # the profile tail cannot spread within r_max = 4: a domain limit,
+        # reported as an error, not as an absent saddle
+        rc, out, err = run_cli(capsys, "solve", "--dim", "4", "--p", "3",
+                               "--c", "5", "--mode", "mp", "--rmax", "4",
+                               "--out", str(tmp_path))
+        assert rc == 2
+        assert out == "" and err.startswith("error: domain radius r_max = 4 ")
+        assert "no saddle geometry" not in err
+        assert not (tmp_path / "solve_report.json").exists()
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--rmax", "inf", "r_max"),
         ("--tol", "inf", "residual_tol"),

@@ -787,8 +787,8 @@ class TestFiberJump:
         (gn_label, gn_start), (spread_label, spread_start) = labeled[0], labeled[5]
         assert gn_label.startswith("gn extremal")
         assert spread_label == f"gaussian w={grid.r_max / 6.0:g}"
-        gn = cs._flow(model, gn_start, c, params, cs.STEP)
-        spread = cs._flow(model, spread_start, c, params, cs.STEP)
+        gn = cs._flow(model, gn_start, c, params)
+        spread = cs._flow(model, spread_start, c, params)
         assert gn.flag == spread.flag == "converged"
         assert spread.iterations <= 40
         assert spread.energy == pytest.approx(gn.energy, rel=1e-9)
@@ -823,29 +823,37 @@ class TestMorseIndex:
 
     @pytest.mark.parametrize("b", [0.0, 0.05, 1.0])
     def test_matches_the_dense_tangent_hessian(self, b):
-        model = affine_power(4, 3.0, b=b)
-        grid = make_grid(4, 12.0, 120)
-        w = grid.weights
-        sup, diag = grid.stiffness_band
-        k = len(grid.nodes) - 1
-        stiff = np.diag(diag[:k]) + np.diag(sup[1:k], 1) + np.diag(sup[1:k], -1)
-        seen = set()
-        for width in (0.7, 1.5, 3.0):
-            u = normalize_mass(RadialFunction(
-                grid, 4.0 * np.exp(-0.5 * (grid.nodes / width) ** 2)), 3.0)
-            g = u.grad_norm_sq()
-            q = grid.stiffness_apply(u.values)[:k]
-            fp = model.nonlinearity.f_prime(u.values)[:k]
-            for lam in (-3.0, -0.8, -0.1, 0.4, 2.0):
-                hess = model.coefficient.M(g) * stiff - np.diag(w[:k] * (fp + lam)) \
-                    + 2.0 * model.coefficient.M_prime(g) * np.outer(q, q)
-                basis = np.linalg.svd((w[:k] * u.values[:k])[None, :])[2][1:].T
-                eig = np.linalg.eigvalsh(basis.T @ hess @ basis)
-                assert np.min(np.abs(eig)) > 1e-9 * np.max(np.abs(eig))
-                index = int(np.sum(eig < 0.0))
-                assert cs._tangent_index(model, u, lam) == index
-                seen.add(index)
-        assert 0 in seen and len(seen) > 1
+        # a 120-cell uniform grid, and a graded grid of the kind the
+        # solvers use, whose weights near the origin are down to 1e-18
+        for n, grid in ((4, make_grid(4, 12.0, 120)), (5, make_grid(5, 24.0, 300, "graded"))):
+            model = affine_power(n, 3.0, b=b)
+            w = grid.weights
+            sup, diag = grid.stiffness_band
+            k = len(grid.nodes) - 1
+            stiff = np.diag(diag[:k]) + np.diag(sup[1:k], 1) + np.diag(sup[1:k], -1)
+            # W^-1/2 hess W^-1/2 is congruent to hess, so it has the same
+            # inertia on the tangent space, whose normal becomes W^1/2 u;
+            # unscaled, the graded grid's small eigenvalues sink below
+            # rounding
+            root = np.sqrt(w[:k])
+            seen = set()
+            for width in (0.7, 1.5, 3.0):
+                u = normalize_mass(RadialFunction(
+                    grid, 4.0 * np.exp(-0.5 * (grid.nodes / width) ** 2)), 3.0)
+                g = u.grad_norm_sq()
+                q = grid.stiffness_apply(u.values)[:k]
+                fp = model.nonlinearity.f_prime(u.values)[:k]
+                basis = np.linalg.svd((root * u.values[:k])[None, :])[2][1:].T
+                for lam in (-3.0, -0.8, -0.1, 0.4, 2.0):
+                    hess = model.coefficient.M(g) * stiff - np.diag(w[:k] * (fp + lam)) \
+                        + 2.0 * model.coefficient.M_prime(g) * np.outer(q, q)
+                    eig = np.linalg.eigvalsh(basis.T @ (hess / np.outer(root, root)) @ basis)
+                    # every eigenvalue sign well above rounding (eps |eig|_max)
+                    assert np.min(np.abs(eig)) > 1e-12 * np.max(np.abs(eig))
+                    index = int(np.sum(eig < 0.0))
+                    assert cs._tangent_index(model, u, lam) == index
+                    seen.add(index)
+            assert 0 in seen and len(seen) > 1
 
     def test_minimizer_has_index_zero(self, wide_minimizer_report,
                                       n4_threshold_model):
@@ -950,6 +958,37 @@ class TestMountainPass:
         low = minimize_on_sphere(model, 0.97 * c1,
                                  SolveParams(restarts=2))
         assert saddle_report.path_level > min(low.infimum_estimate, 0.0)
+
+    def test_refinement_keeps_a_polish_only_at_index_one(self, saddle_report,
+                                                         shallow_kirchhoff, monkeypatch):
+        # the refinement's first polish converges at Morse index 1 and the
+        # refinement stops there; read as a well (index 0), the same
+        # polish is refused and the flow runs on to max_iter
+        assert saddle_report.iterations == 1
+        model, c1 = shallow_kirchhoff
+        polishes = []
+        polish = cs._newton_polish
+
+        def counted(*args):
+            polishes.append(args)
+            return polish(*args)
+        monkeypatch.setattr(cs, "_newton_polish", counted)
+        monkeypatch.setattr(cs, "_tangent_index", lambda model, u, lam: 0)
+        rep = mountain_pass(model, 0.97 * c1, SolveParams(max_iter=4))
+        assert len(polishes) >= 1
+        assert rep.iterations == 4
+        assert rep.status == cs.STATUS_NONE_FOUND
+
+    @pytest.mark.parametrize("model, c, r_max", [
+        (affine_power(4, 3.0), 5.0, 4.0),
+        (affine_power(5, 2.9, b=0.001), 5.0, 4.0),
+        (Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1)), 1.0, 3.0),
+    ])
+    def test_domain_too_small_for_the_path_is_a_value_error(self, model, c, r_max):
+        # the path's spread endpoint does not fit in the domain: a limit
+        # of the input, not a verdict on the saddle
+        with pytest.raises(ValueError, match=rf"domain radius r_max = {r_max:g} "):
+            mountain_pass(model, c, SolveParams(r_max=r_max))
 
     def test_string_below_its_endpoints_has_no_saddle_geometry(self, monkeypatch):
         # N=4 with a weak quartic term at large c: the Gaussian fiber
