@@ -1138,12 +1138,14 @@ def mountain_pass(model: Model, c: float,
     relaxed once: when it collapses in arc length (_bead_sweeps returns
     None) the report says diverged at once.
 
-    path_level is the relaxed string barrier, an upper estimate of the
-    min-max level; the report carries it even when the saddle
-    refinement stays above the residual tolerance, which is the
-    expected outcome for the planar exponential models where the level
-    is compared with the dilation ceiling 0.5 Mhat(4 pi / alpha0)
-    rather than asserted convergent.
+    path_level is the highest bead energy of the relaxed string, an
+    estimate of the min-max level but no bound on it: the path can rise
+    higher between beads, and at N=4, p=3.5, b=0.019, c=177.037 the
+    level 2.8100942 sits below the refined saddle 2.8106486.  The report
+    carries it even when the saddle refinement stays above the residual
+    tolerance, which is the expected outcome for the planar exponential
+    models where the level is compared with the dilation ceiling
+    0.5 Mhat(4 pi / alpha0) rather than asserted convergent.
     """
     c = mass_radius(c)
     params = params or SolveParams()
@@ -1190,8 +1192,9 @@ def mountain_pass(model: Model, c: float,
         ceiling = 0.5 * model.coefficient.Mhat(4.0 * math.pi / nl.alpha0)
         side = "below" if path_level < ceiling else "not below"
         notes.append(f"level estimate {path_level:.6g} is {side} the "
-                     f"dilation ceiling {ceiling:.6g}; the estimate is an "
-                     "upper bound, it never certifies the strict inequality")
+                     f"dilation ceiling {ceiling:.6g}; the estimate is the "
+                     "highest bead, not a bound, so it never certifies the "
+                     "strict inequality")
     run = _flow(model, beads[top], c, params, refine=True)
     fails = _filter_failures(model, run.u, c, run.res, params)
     if not fails:

@@ -14,6 +14,14 @@ written out in the step loop, with the arithmetic in the order of the
 closure form it replaces; a test keeps that closure form and pins the
 step to it bit for bit.
 
+The bisection is replayed rather than run: Brent's method (Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 4) on a
+signed miss that is linear in the height near the separatrix brackets
+it first, and only the midpoints inside that bracket are integrated.
+The height is the plain bisection's, bit for bit, with about a third
+of its trajectories; a tier-1 test keeps the plain bisection as its
+oracle.
+
 At the solution the interpolation constant is
 C = (p / (2 |Q|_2^{p-2}))^{1/p}, and the norms obey the exact chain
 |grad Q|_2^2 = |Q|_2^2 = (2/p) |Q|_p^p (combine the equation tested
@@ -31,6 +39,7 @@ import numpy as np
 
 from .models import two_star
 from .radial_grid import MAX_CELLS, MIN_CELLS, RadialFunction, make_grid
+from .scalar_opt import brentq
 
 # classification outcomes for a single integration
 _CROSSED = 1
@@ -46,7 +55,11 @@ class ShootError(RuntimeError):
 
 @dataclass
 class GroundStateProfile:
-    """Converged extremal with its norms and convergence diagnostics."""
+    """Converged extremal with its norms and convergence diagnostics.
+
+    integrations counts the trajectories the shoot integrated, its
+    record runs and the certification shoot included.
+    """
 
     dimension: int
     p: float
@@ -59,6 +72,7 @@ class GroundStateProfile:
     lp: float
     crit: float | None
     bisection_steps: int
+    integrations: int
     truncation_radius: float
     richardson_gap: float | None
 
@@ -89,13 +103,23 @@ def _coefficients(dimension: int, p: float) -> tuple[float, float]:
 
 def _integrate(q0: float, kappa: float, m: float, p: float, n: int,
                h: float, n_steps: int, w_eq: float,
-               record: np.ndarray | None = None) -> int:
+               record: np.ndarray | None = None) -> tuple[int, float, int]:
     """March the radial system; classify the trajectory.
 
     Early exits: _CROSSED when Q reaches zero, _TURNED when Q turns
     upward while already small or overshoots its start.  With `record`
     given, node values are stored and no early exit is taken on turns
-    (the caller truncates).
+    (the caller truncates).  Returns the class, a signed miss and the
+    step of the exit (n_steps when the run reached the domain end).
+
+    The miss is r^{N-1} (Q'^2 kappa/m - Q^2) at the exit: at the zero of
+    a crossing trajectory and at the minimum of a turning one, each read
+    within the exit step by a quadratic in r, and otherwise at the node
+    where the run stops.  In the tail Q = a e^{-mu r} + b e^{mu r}, with mu^2 = m/kappa
+    and a, b ~ r^{(1-N)/2}, it is -4 r^{N-1} a b to leading order at any
+    radius; b is proportional to the distance of the height from the
+    extremal's, so the miss passes through zero there with one slope on
+    both sides.  A record run returns a miss of 0.
     """
     pm1 = p - 1.0
     inv_k = 1.0 / kappa
@@ -128,63 +152,133 @@ def _integrate(q0: float, kappa: float, m: float, p: float, n: int,
         qs = q + h * k3q
         k4v = ((m * qs - (qs**pm1 if qs >= 0.0 else -((-qs) ** pm1))) * inv_k
                - nm1 * k4q / (r + h))
-        q += h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        dq = h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+        dv = h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        q += dq
+        v += dv
         r += h
         if record is not None:
             record[i + 1] = q
             continue
         if q <= 0.0:
-            return _CROSSED
+            s = q / v if v < 0.0 else 0.0
+            vc = v - dv / h * s
+            return _CROSSED, (r - s) ** nm1 * vc * vc * kappa / m, i
         if v > 0.0 and q < 0.5 * w_eq:
-            return _TURNED
+            s = v * h / dv if dv > 0.0 else 0.0
+            qt = q - 0.5 * v * s
+            return _TURNED, -((r - s) ** nm1) * qt * qt, i
         if q > 1.05 * q0:
-            return _TURNED
+            return _TURNED, r**nm1 * (v * v * kappa / m - q * q), i
     if record is None:
-        return _TURNED
-    return _CROSSED if np.any(record <= 0.0) else _TURNED
+        return _TURNED, r**nm1 * (v * v * kappa / m - q * q), n_steps
+    return (_CROSSED if np.any(record <= 0.0) else _TURNED), 0.0, n_steps
 
 
-def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int):
-    kappa, m = _coefficients(dimension, p)
-    n = int(dimension)
-    h = r_max / n_cells
-    w_eq = m ** (1.0 / (p - 2.0))
-
-    lo, hi = w_eq, 10.0 * w_eq
-    for _ in range(MAX_EXPANSIONS):
-        if _integrate(hi, kappa, m, p, n, h, n_cells, w_eq) == _CROSSED:
-            break
-        lo, hi = hi, 10.0 * hi
-    else:
-        raise ShootError("no crossing height found; bracket expansion exhausted")
-
+def _bisect(lo: float, hi: float, crosses) -> tuple[float, int]:
+    """The bisection on [lo, hi] that certifies the height: lo stays a
+    height that turns and hi one that crosses."""
     steps = 0
     while (hi - lo) > BISECTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if _integrate(mid, kappa, m, p, n, h, n_cells, w_eq) == _CROSSED:
+        if crosses(mid):
             hi = mid
         else:
             lo = mid
         steps += 1
         if steps > 200:
             raise ShootError("bisection stagnated")
+    return lo, steps
+
+
+def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int,
+                runs: dict[float, tuple[int, float, int]]):
+    """Certified height, profile and counts on one uniform grid.
+
+    The height is the bisection's, bit for bit, but most midpoints are
+    not integrated.  The bisection is followed, integrating, until it
+    pins the height within a factor of two; Brent's method on the
+    signed miss of _integrate then narrows that to a turning height t
+    below a crossing height c.  Replayed from the start, the bisection
+    takes a midpoint below t as turning and one above c as crossing,
+    and integrates only those between or within BISECTION_REL_TOL of
+    them, where rounding can decide the class.  That relies on the
+    class being monotone in the height: if any integrated turning
+    height lies above an integrated crossing one, every midpoint is
+    integrated after all.  `runs` maps heights to _integrate results
+    already known on this step size and is updated in place.
+    """
+    kappa, m = _coefficients(dimension, p)
+    n = int(dimension)
+    h = r_max / n_cells
+    w_eq = m ** (1.0 / (p - 2.0))
+    # the equilibrium stays put to the domain end, so it turns there
+    runs.setdefault(w_eq, (_TURNED, -(r_max ** (n - 1.0)) * w_eq * w_eq, n_cells))
+    calls = 0
+
+    def run(q0: float) -> tuple[int, float, int]:
+        nonlocal calls
+        if q0 not in runs:
+            calls += 1
+            runs[q0] = _integrate(q0, kappa, m, p, n, h, n_cells, w_eq)
+        return runs[q0]
+
+    lo, hi = w_eq, 10.0 * w_eq
+    for _ in range(MAX_EXPANSIONS):
+        if run(hi)[0] == _CROSSED:
+            break
+        lo, hi = hi, 10.0 * hi
+    else:
+        raise ShootError("no crossing height found; bracket expansion exhausted")
+
+    # follow the bisection, integrating, until it pins the height within
+    # a factor of two, so that Brent searches no wider than that
+    t, c = lo, hi
+    while c - t > t:
+        mid = 0.5 * (t + c)
+        if run(mid)[0] == _CROSSED:
+            c = mid
+        else:
+            t = mid
+    try:
+        brentq(lambda q0: run(q0)[1], t, c,
+               xtol=BISECTION_REL_TOL * w_eq, rtol=BISECTION_REL_TOL)
+    except (OverflowError, RuntimeError, ValueError):
+        pass  # the bracket only spares integrations; a failed one spares fewer
+
+    def bracket() -> tuple[float, float]:
+        return (max(q0 for q0, res in runs.items() if res[0] == _TURNED),
+                min(q0 for q0, res in runs.items() if res[0] == _CROSSED))
+
+    turned, crossed = bracket()
+    margin = BISECTION_REL_TOL * crossed
+
+    def crosses(mid: float) -> bool:
+        if turned - margin < mid < crossed + margin:
+            return run(mid)[0] == _CROSSED
+        return mid >= crossed
+
+    height, steps = _bisect(lo, hi, crosses)
+    turned, crossed = bracket()
+    if turned > crossed:
+        height, steps = _bisect(lo, hi, lambda mid: run(mid)[0] == _CROSSED)
 
     values = np.empty(n_cells + 1)
-    _integrate(lo, kappa, m, p, n, h, n_cells, w_eq, record=values)
+    _integrate(height, kappa, m, p, n, h, n_cells, w_eq, record=values)
+    calls += 1
 
     # truncate at the turnaround (or crossing) the certified height still has
     dv = np.diff(values)
     bad = np.nonzero((dv > 0.0) | (values[1:] <= 0.0))[0]
     cut = int(bad[0]) + 1 if bad.size else n_cells + 1
     values[cut:] = 0.0
-    if np.any(np.diff(values[:cut]) > 1e-9 * lo):
+    if np.any(np.diff(values[:cut]) > 1e-9 * height):
         raise ShootError("profile not monotone after truncation")
-    if values[-1] > 1e-8 * lo:
+    if values[-1] > 1e-8 * height:
         raise ShootError("profile has not decayed at the domain edge; enlarge r_max")
 
     grid = make_grid(n, r_max=r_max, n_cells=n_cells, scheme="uniform")
-    return RadialFunction(grid, values), lo, kappa, m, steps, min(cut, n_cells) * h
+    return RadialFunction(grid, values), height, kappa, m, steps, min(cut, n_cells) * h, calls
 
 
 def default_r_max(dimension: int, p: float) -> float:
@@ -212,13 +306,18 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     if (2 * n_cells if certify else n_cells) > MAX_CELLS:
         raise ValueError(f"n_cells {n_cells} exceeds the cap of {MAX_CELLS} cells"
                          + (" on the doubled certification grid" if certify else ""))
-    u, height, kappa, m, steps, r_cut = _shoot_core(dimension, p, r_max, n_cells)
+    runs = {}
+    u, height, kappa, m, steps, r_cut, calls = _shoot_core(dimension, p, r_max, n_cells, runs)
 
     n = int(dimension)
     mass = u.mass()
     gap = None
     if certify:
-        u2, *_ = _shoot_core(dimension, p, 2.0 * r_max, 2 * n_cells)
+        # h = 2 r_max / (2 n_cells) is the same float, so every run that
+        # exited before the end of the first domain exits the same way
+        early = {q0: res for q0, res in runs.items() if res[2] < n_cells}
+        u2, *_, calls2 = _shoot_core(dimension, p, 2.0 * r_max, 2 * n_cells, early)
+        calls += calls2
         gap = abs(u2.mass() - mass)
 
     crit = None
@@ -228,7 +327,8 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     return GroundStateProfile(
         dimension=n, p=p, kappa=kappa, m=m, height=height, profile=u,
         mass=mass, grad_sq=u.grad_norm_sq(), lp=u.lp_norm(p) ** p, crit=crit,
-        bisection_steps=steps, truncation_radius=r_cut, richardson_gap=gap,
+        bisection_steps=steps, integrations=calls, truncation_radius=r_cut,
+        richardson_gap=gap,
     )
 
 
