@@ -15,7 +15,10 @@ A --config JSON file may set those flags of its subcommand and no other.
 Output is deterministic for a fixed invocation and seed: rows keep the
 axis-product order, every float prints through one %.12g formatter, and
 each sweep tuple gets its own worker seed derived from the global seed
-by tuple index.  Reruns are byte-identical regardless of --jobs.
+by tuple index.  Reruns are byte-identical regardless of --jobs.  Only
+a sweep with --jobs above 1 (after capping, see _worker_count) imports
+the process pool, so the other subcommands and one-process sweeps never
+load multiprocessing.
 
 Exit codes: 0 on success, 2 on a bad specification (argparse usage
 errors, a flag the subcommand does not read and an extremal that the
@@ -31,7 +34,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -204,6 +206,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     if workers == 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
+        # imported here: the pool loads multiprocessing, socket and logging
+        # (about 40 ms), which a one-process sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     results.sort(key=lambda pair: pair[0])

@@ -81,12 +81,15 @@ minimizer is evidence only at the stated restart count and tolerances.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dptsv, dpttrf
+from numpy.linalg import LinAlgError
 
 from .functional import (CriticalPointCandidate, energy, fiber_energy,
                          fiber_pohozaev, lagrange_multiplier,
@@ -98,6 +101,41 @@ from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
 from .scalar_opt import BracketError, brentq, power_sum_roots, sign_change_brackets
+
+
+def _load_flapack():
+    """SciPy's Fortran LAPACK extension, loaded from its file under its own
+    name without importing scipy.linalg, whose __init__ costs about 0.25 s
+    (numpy.f2py, numpy.testing, array_api_compat) and is otherwise unused.
+
+    find_spec("scipy") locates the package without running its __init__;
+    the dotted name would import the parents.  A module that an earlier
+    import of scipy.linalg already loaded is reused, so the routines are
+    SciPy's own objects in either import order.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("SciPy is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"SciPy's LAPACK extension _flapack is missing from {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dptsv, dpttrf = _flapack.dgtsv, _flapack.dptsv, _flapack.dpttrf
 
 STATUS_MINIMIZER = "converged_minimizer"
 STATUS_MOUNTAIN_PASS = "converged_mountain_pass"
@@ -409,8 +447,10 @@ def _on_sphere(u: RadialFunction, c: float) -> RadialFunction:
 def solveh_banded(diag: np.ndarray, sup: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
     """Solve the SPD tridiagonal system with this diagonal and super- (=
-    sub-) diagonal by one LAPACK ptsv call, as scipy.linalg.solveh_banded
-    does for a two-row band, without its validation and band copy.
+    sub-) diagonal by one LAPACK dptsv call from SciPy's _flapack
+    extension (_load_flapack), the call scipy.linalg.solveh_banded makes
+    for a two-row band, without its validation and band copy and without
+    importing scipy.linalg.
 
     diag and sup are overwritten, so pass fresh arrays; rhs is not (the
     relaxed step reuses it).  Raises LinAlgError, as SciPy does, when a
@@ -419,6 +459,26 @@ def solveh_banded(diag: np.ndarray, sup: np.ndarray,
     _, _, x, info = dptsv(diag, sup, rhs, overwrite_d=1, overwrite_e=1)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
+    return x
+
+
+def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the general tridiagonal system held in band, in the (1, 1)
+    storage of scipy.linalg.solve_banded (row 0 the superdiagonal from
+    column 1, row 1 the diagonal, row 2 the subdiagonal up to the last
+    column), by one LAPACK dgtsv call with partial pivoting: the call
+    scipy.linalg.solve_banded((1, 1), band, rhs, check_finite=False)
+    makes, so the bits are SciPy's, without its validation.
+
+    Neither band nor rhs is overwritten; rhs may hold several columns.
+    Raises LinAlgError for a singular matrix and ValueError for an
+    argument LAPACK rejects, as SciPy does.
+    """
+    _, _, _, x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
 
 
@@ -513,9 +573,7 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
         pvec = beta * stiff[:k] / w[:k]
         qvec = stiff[:k]
         try:
-            sols = solve_banded((1, 1), band,
-                                np.column_stack([rho[:k], pvec, vals[:k]]),
-                                check_finite=False)
+            sols = solve_banded(band, np.column_stack([rho[:k], pvec, vals[:k]]))
         except (LinAlgError, ValueError):
             return u, res, res <= tol_norm
         x_rho, x_p, x_u = sols[:, 0], sols[:, 1], sols[:, 2]
@@ -597,8 +655,7 @@ def _tangent_index(model: Model, u: RadialFunction, lam: float) -> int:
     k = band.shape[1]
     vals = u.values[:k]
     neg_t = _negative_pivots(w[:k] * band[1], w[1:k] * band[2, :-1])
-    x = solve_banded((1, 1), band, np.column_stack([stiff[:k] / w[:k], vals]),
-                     check_finite=False)
+    x = solve_banded(band, np.column_stack([stiff[:k] / w[:k], vals]))
     schur = -np.column_stack([stiff[:k], w[:k] * vals]).T @ x
     if beta > 0.0:
         schur[0, 0] -= 1.0 / beta

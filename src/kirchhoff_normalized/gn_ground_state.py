@@ -282,9 +282,17 @@ def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int,
 
 
 def default_r_max(dimension: int, p: float) -> float:
-    """Domain size from the linear decay rate sqrt(m/kappa)."""
+    """Domain size from the linear decay rate sqrt(m/kappa).
+
+    Raises ShootError when the rate underflows to zero (kappa overflows
+    for N = 2 and p near the float maximum), since then no finite domain
+    holds the decay."""
     kappa, m = _coefficients(dimension, p)
-    return max(20.0, 26.0 / math.sqrt(m / kappa))
+    rate = math.sqrt(m / kappa)
+    if not rate > 0.0:
+        raise ShootError(f"(N, p) = ({int(dimension)}, {p:g}) has no finite domain: "
+                         "its decay rate sqrt(m/kappa) underflows to 0")
+    return max(20.0, 26.0 / rate)
 
 
 def shoot(dimension: int, p: float, r_max: float | None = None,
@@ -295,7 +303,9 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     same step and the mass difference is reported as richardson_gap (a
     truncation certificate, not an assertion).  An r_max that is not
     positive and finite, n_cells below MIN_CELLS, or a grid (the doubled
-    certification grid included) above MAX_CELLS is a ValueError.
+    certification grid included) above MAX_CELLS is a ValueError.  A
+    trajectory that overflows, on a step too coarse for the profile, is
+    a ShootError naming (N, p) and the grid.
     """
     if r_max is None:
         r_max = default_r_max(dimension, p)
@@ -306,8 +316,20 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     if (2 * n_cells if certify else n_cells) > MAX_CELLS:
         raise ValueError(f"n_cells {n_cells} exceeds the cap of {MAX_CELLS} cells"
                          + (" on the doubled certification grid" if certify else ""))
+
+    def core(r: float, cells: int, known: dict):
+        # converted here, not in _integrate: an overflow only means that
+        # this grid cannot resolve the trajectory
+        try:
+            return _shoot_core(dimension, p, r, cells, known)
+        except OverflowError as exc:
+            raise ShootError(
+                f"the shooting trajectory overflows for (N, p) = ({int(dimension)}, {p:g}) "
+                f"on {cells} cells of r_max = {r:g}: the grid does not resolve "
+                "the profile") from exc
+
     runs = {}
-    u, height, kappa, m, steps, r_cut, calls = _shoot_core(dimension, p, r_max, n_cells, runs)
+    u, height, kappa, m, steps, r_cut, calls = core(r_max, n_cells, runs)
 
     n = int(dimension)
     mass = u.mass()
@@ -316,7 +338,7 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
         # h = 2 r_max / (2 n_cells) is the same float, so every run that
         # exited before the end of the first domain exits the same way
         early = {q0: res for q0, res in runs.items() if res[2] < n_cells}
-        u2, *_, calls2 = _shoot_core(dimension, p, 2.0 * r_max, 2 * n_cells, early)
+        u2, *_, calls2 = core(2.0 * r_max, 2 * n_cells, early)
         calls += calls2
         gap = abs(u2.mass() - mass)
 

@@ -353,6 +353,9 @@ class TestConfigAndExits:
         ("gn", "--dim", "4", "--p", "3", "--rmax", "inf"),
         ("gn", "--dim", "4", "--p", "3", "--rmax", "nan"),
         ("gn", "--dim", "4", "--p", "3", "--rmax", "1e-3"),
+        ("gn", "--dim", "2", "--p", "12"),
+        ("gn", "--dim", "2", "--p", "3", "--grid-size", "16"),
+        ("gn", "--dim", "2", "--p", "1e308"),
         ("thresholds", "--dim", "5", "--p", "nan"),
         ("thresholds", "--dim", "5", "--p", "2.8", "--a", "inf"),
         ("thresholds", "--dim", "5", "--p", "2.8", "--b", "nan"),
@@ -418,8 +421,10 @@ class TestConfigAndExits:
         assert "unrecognized arguments" in done.stderr
 
     def test_import_loads_no_optional_scipy_module(self, tmp_path):
-        # brentq and PCHIP live in the package, so of SciPy only
-        # scipy.linalg is loaded
+        # brentq and PCHIP live in the package and the LAPACK routines
+        # come from scipy.linalg._flapack alone, so scipy.linalg's
+        # __init__ (numpy.f2py, numpy.testing) never runs; the process
+        # pool is imported only by a sweep with --jobs above 1
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -430,8 +435,10 @@ class TestConfigAndExits:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert done.returncode == 0, done.stderr
         loaded = set(json.loads(done.stdout))
-        assert "scipy.linalg" in loaded
-        for name in ("scipy.optimize", "scipy.interpolate", "scipy.special"):
+        assert "scipy.linalg._flapack" in loaded
+        for name in ("scipy.optimize", "scipy.interpolate", "scipy.special",
+                     "scipy.linalg", "numpy.f2py", "numpy.testing",
+                     "concurrent.futures.process"):
             assert name not in loaded
 
     def test_bad_p_is_spec_error(self, capsys):

@@ -14,9 +14,13 @@ energies from independent earlier runs of the same discretization.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import interp1d
 from scipy.linalg import LinAlgError, solveh_banded
 
@@ -49,6 +53,9 @@ from kirchhoff_normalized.functional import CriticalPointCandidate, fiber_pohoza
 from kirchhoff_normalized.models import Nonlinearity
 from kirchhoff_normalized.omega_thresholds import ThresholdSet
 from kirchhoff_normalized.radial_grid import MAX_CELLS, MIN_CELLS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def affine_power(n, p, a=1.0, b=1.0):
@@ -932,6 +939,97 @@ class TestTridiagonalSolve:
             cs._implicit_step(model, u, -1e-3, lagged=True)
         assert cs._trial(model, u, energy(model, u).total, -1e-3, 22.0,
                          lagged=True) is None
+
+
+class TestGeneralTridiagonalSolve:
+    """solve_banded is one LAPACK gtsv call with SciPy's bits, and the
+    LAPACK routines are the ones scipy.linalg.lapack exposes."""
+
+    @staticmethod
+    def scipy_solve(band, rhs):
+        return scipy.linalg.solve_banded((1, 1), band, rhs, check_finite=False)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -3.0])
+    def test_hessian_bands_match_scipy_bit_for_bit(self, saddle_report,
+                                                   shallow_kirchhoff, shift):
+        # the polish's three columns, the index's two and one alone; the
+        # shifted bands are indefinite, so the elimination pivots
+        model, _ = shallow_kirchhoff
+        cand = saddle_report.candidate
+        _, _, stiff, band = cs._hessian(model, cand.u, cand.lam + shift)
+        k = band.shape[1]
+        w, vals = cand.u.grid.weights[:k], cand.u.values[:k]
+        keep = band.copy()
+        for rhs in (np.column_stack([vals, stiff[:k] / w, w * vals]),
+                    np.column_stack([stiff[:k] / w, vals]), vals.copy()):
+            x = cs.solve_banded(band, rhs)
+            ref = self.scipy_solve(band, rhs)
+            assert x.shape == ref.shape
+            assert x.tobytes() == ref.tobytes()
+        assert np.array_equal(band, keep)
+
+    @pytest.mark.parametrize("cols", [None, 1, 2, 3])
+    def test_random_bands_match_scipy_bit_for_bit(self, cols):
+        rng = np.random.default_rng(cols or 0)
+        for n in (2, 3, 17, 400):
+            band = rng.standard_normal((3, n))
+            shape = (n,) if cols is None else (n, cols)
+            rhs = rng.standard_normal(shape)
+            keep = rhs.copy()
+            x = cs.solve_banded(band, rhs)
+            assert x.shape == shape
+            assert x.tobytes() == self.scipy_solve(band, rhs).tobytes()
+            assert np.array_equal(rhs, keep)
+
+    def test_singular_band_raises(self):
+        # rows (1, 1, 0), (1, 1, 0), (0, 1, 2): the first two are equal,
+        # so elimination leaves an exact zero pivot
+        band = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(LinAlgError, match="singular"):
+            self.scipy_solve(band, np.ones(3))
+        with pytest.raises(LinAlgError, match="singular"):
+            cs.solve_banded(band, np.ones(3))
+        assert cs.LinAlgError is LinAlgError is np.linalg.LinAlgError
+
+    @staticmethod
+    def fresh_python(*lines):
+        """Run lines in a new interpreter, so that imports start empty."""
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("first", ["package", "scipy"])
+    def test_routines_are_scipys_in_either_import_order(self, first):
+        package = "from kirchhoff_normalized import constrained_solver as cs"
+        scipy_first = [
+            "import scipy.linalg.lapack as lapack",
+            # with no suffix to try, only reuse of the loaded module works
+            "importlib.machinery.EXTENSION_SUFFIXES[:] = []",
+            package,
+        ]
+        done = self.fresh_python(
+            "import importlib.machinery, sys",
+            *(scipy_first if first == "scipy"
+              else [package, "import scipy.linalg.lapack as lapack"]),
+            "mod = sys.modules['scipy.linalg._flapack']",
+            "assert cs._flapack is mod and lapack._flapack is mod",
+            "assert cs.dptsv is lapack.dptsv",
+            "assert cs.dpttrf is lapack.dpttrf",
+            "assert cs.dgtsv is lapack.dgtsv",
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_missing_extension_names_its_folder(self):
+        done = self.fresh_python(
+            "import importlib.machinery",
+            "importlib.machinery.EXTENSION_SUFFIXES[:] = []",
+            "import kirchhoff_normalized",
+        )
+        assert done.returncode != 0
+        assert "ImportError: SciPy's LAPACK extension _flapack is missing from" in done.stderr
+        assert os.path.join("scipy", "linalg") in done.stderr
 
 
 class TestMountainPass:

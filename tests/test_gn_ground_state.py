@@ -382,6 +382,22 @@ class TestShoot:
         with pytest.raises(ValueError):
             gn.ground_state(4, 3.0, **kw)
 
+    @pytest.mark.parametrize("n, p, cells", [(2, 12.0, 4000), (2, 3.0, 16)])
+    def test_overflowing_trajectory_is_a_shoot_error(self, n, p, cells):
+        # the coarse step lets a trajectory blow up, where q**(p-1)
+        # overflows; the shoot names the pair and the grid
+        with pytest.raises(gn.ShootError, match=rf"\({n}, {p:g}\) on {cells} cells"):
+            gn.shoot(n, p, n_cells=cells)
+        with pytest.raises(gn.ShootError):
+            gn.ground_state(n, p, n_cells=cells)
+
+    def test_no_finite_default_domain_is_a_shoot_error(self):
+        # kappa = N (p - 2) / 4 overflows, so the decay rate is 0
+        with pytest.raises(gn.ShootError, match="no finite domain"):
+            gn.default_r_max(2, 1e308)
+        with pytest.raises(gn.ShootError):
+            gn.shoot(2, 1e308)
+
     def test_certification_grid_counts_against_the_cap(self, monkeypatch):
         # the certified shoot doubles the grid, so half the cap plus one
         # is too large for it but not for an uncertified shoot; the
