@@ -16,7 +16,10 @@ levels are read off a relaxation that is not run to convergence, so
 they depend on the step map, whereas the minimizer's answers are
 Newton-polished fixed points, where both steps coincide.
 
-Once the flow slows, a bordered Newton iteration on the full
+The descent starts at a large step (DESCENT_STEP), as the
+semi-implicit normalized flow of Bao & Du (SIAM J. Sci. Comput. 25
+(2004)) allows; the energy test halves it where it must.  Once the flow
+slows or its residual is small, a bordered Newton iteration on the full
 first-order system (gradient plus mass constraint) polishes the pair
 (u, lambda) to the residual tolerance; the Kirchhoff rank-one term is
 folded in by a Woodbury correction, so every Newton step costs three
@@ -30,7 +33,7 @@ The index (_tangent_index) is a Sturm count of the tridiagonal Hessian
 part plus the inertia of a 2x2 Schur complement, O(n), from the same
 assembled Hessian (_hessian) that Newton solves with.
 
-A descent whose stall-triggered polish fails or is refused also jumps
+A descent whose in-loop polish fails or is refused also jumps
 along the iterate's own dilation fiber.  The gradient flow creeps along
 a nearly flat fiber, rescaling its profile a fraction of a percent per
 step.  For a power model with M(t) = a + b t the fiber energy of any
@@ -177,18 +180,26 @@ INNER_SOLVES = 4
 # acceptance tolerance
 POLISH_MAX_ITER = 16
 POLISH_DEEPEN = 1e-3
-# initial flow step tau of the descent (the bead sweeps take a fifth of
-# it; the saddle refinement's REFINE_STEP is a quarter)
+# base flow step tau: the bead sweeps take a fifth of it and the saddle
+# refinement's REFINE_STEP a quarter.  Both set levels that are read off
+# an unconverged relaxation, so STEP stays fixed
 STEP = 0.5
+# initial step of the minimizer's descent.  The lagged step is the
+# semi-implicit normalized flow of Bao & Du (2004), which tolerates large
+# steps; while a small first step ramps up, the residual decays so slowly
+# that the stall test fires Newton far from any minimizer, where it lands
+# on saddles that the descent refuses.  The energy test still halves it
+DESCENT_STEP = 8.0
+# either flow also tries the Newton polish once res <= POLISH_AT |u|_H1
+POLISH_AT = 1e-2
 # the saddle refinement's flow (_flow with refine=True): initial step,
-# step growth, energy slack per step, an early polish once res <=
-# REFINE_POLISH_AT |u|_H1, and the dilation window its recentering
-# scans.  They stay fixed: the planar refinement never converges, so
-# they set the level it ends at, which the benchmark reference freezes
+# step growth, energy slack per step, and the dilation window its
+# recentering scans.  They stay fixed: the planar refinement never
+# converges, so they set the level it ends at, which the benchmark
+# reference freezes
 REFINE_STEP = 0.25 * STEP
 REFINE_GROW = 1.2
 REFINE_SLACK = 1e-11
-REFINE_POLISH_AT = 1e-2
 RECENTER_WINDOW = 0.8
 # acceptance filters: |G(u)| relative to M(g) g, and the relative gap
 # between lambda and its Pohozaev value in the power case
@@ -767,29 +778,30 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
 
     Each iteration stops at the residual tolerance, tries the bordered
     Newton polish when the residual has not halved over STALL_WINDOW
-    iterations, and otherwise takes one trial step, halving tau until
-    the energy rises by at most slack and growing it after a step.  The
-    descent starts at STEP, grows it by 1.3 and allows a slack of 1e-12;
-    the refinement uses the REFINE_ constants instead, recenters the
-    start and every step onto the nearest fiber maximum
-    (_recenter_on_fiber_max), and also polishes once res <=
-    REFINE_POLISH_AT |u|_H1.  Either keeps a polish only if the polished
-    profile back on the sphere passes _kept_polish: no higher than the
-    flow's energy, and Morse index 0 for the descent, 1 for the
-    refinement, whose saddle must not slide into a well (index 0) or
-    onto a higher saddle.  A descent tries _fiber_jump after each
-    in-loop polish that fails or is refused, also stops when the energy
-    runs off to -infinity, and ends with a polish.
+    iterations or is at most POLISH_AT |u|_H1, and otherwise takes one
+    trial step, halving tau until the energy rises by at most slack and
+    growing it after a step.  The descent starts at DESCENT_STEP, grows
+    it by 1.3 and allows a slack of 1e-12; the refinement uses the
+    REFINE_ constants instead and recenters the start and every step
+    onto the nearest fiber maximum (_recenter_on_fiber_max).  Either
+    keeps a polish only if the polished profile back on the sphere
+    passes _kept_polish: no higher than the flow's energy, and Morse
+    index 0 for the descent, 1 for the refinement, whose saddle must not
+    slide into a well (index 0) or onto a higher saddle.  A descent
+    tries _fiber_jump after each in-loop polish that fails or is
+    refused, also stops when the energy runs off to -infinity, and ends
+    with a polish.
 
     Polish attempts back off geometrically, for both kinds of trigger:
     after an attempt the next one waits polish_gap iterations, and
     polish_gap doubles, starting from STALL_WINDOW, so attempts come at
-    about 4, 7, 13, 25, ... iterations up to max_iter.  A flow that is
-    not yet in the Newton basin keeps being retried, with no cap, while
-    its polishes grow only like log(max_iter).
+    least 3, 6, 12, ... iterations apart (at about 4, 7, 13, 25, ... when
+    only stalls trigger them) up to max_iter.  A flow that is not yet in
+    the Newton basin keeps being retried, with no cap, while its
+    polishes grow only like log(max_iter).
     """
     tau, grow, slack, index = (REFINE_STEP, REFINE_GROW, REFINE_SLACK, 1) \
-        if refine else (STEP, 1.3, 1e-12, 0)
+        if refine else (DESCENT_STEP, 1.3, 1e-12, 0)
     if refine:
         try:
             u = _recenter_on_fiber_max(model, u, c)
@@ -815,8 +827,7 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
             break
         stalled_now = len(res_hist) > STALL_WINDOW \
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
-        if (stalled_now or refine and res <= REFINE_POLISH_AT * u.h1_norm()) \
-                and it >= next_polish:
+        if (stalled_now or res <= POLISH_AT * u.h1_norm()) and it >= next_polish:
             next_polish, polish_gap = it + polish_gap, 2 * polish_gap
             pu, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
             kept = _kept_polish(model, pu, c, e, slack, index) if ok else None

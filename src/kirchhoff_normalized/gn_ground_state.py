@@ -47,6 +47,20 @@ _TURNED = -1
 
 BISECTION_REL_TOL = 1e-13
 MAX_EXPANSIONS = 6
+DEFAULT_CELLS = 4000
+# resolution check on grids with a longer step than the default grid's:
+# the first step lowers Q by about (h/l)^2 of its height, l the core's
+# length scale sqrt(2 N kappa / (Q(0)^{p-2} - m)).  The drop falls
+# steadily as the grid is refined, and over 24 (N, p) pairs on 14 grids
+# of 16-4 000 cells every grid with a drop of at most 0.05 had its height
+# and mass within 5.3% of a 16 000-cell shoot (within 1.9% at 0.02).  The
+# norm chain (identity_residual) does not bound the error as well: it
+# can be small by chance on an unresolved grid, as at (3, 2.5) on 24
+# cells, chain off by 0.035 and mass off by 0.13.  N=2, p=4 on 16 cells
+# drops 0.46 and reads a height of 1.305 against 2.206.  The default
+# grid is not checked: its extremal only seeds and sizes the solvers'
+# own grids, and near 2* it can exceed the bound (see default_r_max)
+MAX_FIRST_DROP = 0.05
 
 
 class ShootError(RuntimeError):
@@ -286,7 +300,10 @@ def default_r_max(dimension: int, p: float) -> float:
 
     Raises ShootError when the rate underflows to zero (kappa overflows
     for N = 2 and p near the float maximum), since then no finite domain
-    holds the decay."""
+    holds the decay.  Near 2* this domain grows while the core narrows:
+    on DEFAULT_CELLS the first step lowers the profile by more
+    than MAX_FIRST_DROP of its height from about p = 5.7 at N=3, 3.985
+    at N=4 and 3.33 at N=5 (0.26-0.35 there)."""
     kappa, m = _coefficients(dimension, p)
     rate = math.sqrt(m / kappa)
     if not rate > 0.0:
@@ -296,7 +313,7 @@ def default_r_max(dimension: int, p: float) -> float:
 
 
 def shoot(dimension: int, p: float, r_max: float | None = None,
-          n_cells: int = 4000, certify: bool = True) -> GroundStateProfile:
+          n_cells: int = DEFAULT_CELLS, certify: bool = True) -> GroundStateProfile:
     """Locate the extremal and report its norms.
 
     With certify=True the shoot is repeated on a doubled domain at the
@@ -304,8 +321,10 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     truncation certificate, not an assertion).  An r_max that is not
     positive and finite, n_cells below MIN_CELLS, or a grid (the doubled
     certification grid included) above MAX_CELLS is a ValueError.  A
-    trajectory that overflows, on a step too coarse for the profile, is
-    a ShootError naming (N, p) and the grid.
+    step too coarse for the profile is a ShootError naming (N, p) and
+    the grid: a trajectory that overflows, or, on a step longer than
+    the default grid's, a first step that lowers the profile by more
+    than MAX_FIRST_DROP of its height.
     """
     if r_max is None:
         r_max = default_r_max(dimension, p)
@@ -330,6 +349,13 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
 
     runs = {}
     u, height, kappa, m, steps, r_cut, calls = core(r_max, n_cells, runs)
+    drop = 1.0 - u.values[1] / height
+    if (not drop <= MAX_FIRST_DROP
+            and r_max / n_cells > default_r_max(dimension, p) / DEFAULT_CELLS):
+        raise ShootError(
+            f"(N, p) = ({int(dimension)}, {p:.9g}) on {n_cells} cells of r_max = {r_max:g}: "
+            f"the first step lowers the profile by {drop:.3g} of its height, "
+            f"above {MAX_FIRST_DROP:g}, so the grid does not resolve the profile")
 
     n = int(dimension)
     mass = u.mass()
@@ -361,7 +387,7 @@ def _cached_profile(dimension: int, p: float, r_max: float | None,
 
 
 def ground_state(dimension: int, p: float, r_max: float | None = None,
-                 n_cells: int = 4000) -> GroundStateProfile:
+                 n_cells: int = DEFAULT_CELLS) -> GroundStateProfile:
     """Cached extremal lookup for threshold assembly and sweeps; rejects
     the domains that shoot rejects."""
     return _cached_profile(int(dimension), float(p), r_max, int(n_cells))

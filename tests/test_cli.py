@@ -371,6 +371,7 @@ class TestConfigAndExits:
         ("moser", "--beta", "1e8"),
         ("solve", "--dim", "4", "--p", "3", "--c", "1e300"),
         ("solve", "--dim", "4", "--p", "3", "--c", "1e100"),
+        ("gn", "--dim", "2", "--p", "4", "--grid-size", "16"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

@@ -408,18 +408,59 @@ class TestMinimize:
         # saddle; only its Morse index (1) refuses it
         assert not any("52.166" in note for note in rep.notes)
 
-    def test_truncated_flow_does_not_end_on_the_saddle(self):
-        # after 8 iterations from this Gaussian the end-of-flow polish
-        # would converge to the mountain-pass saddle (I = 52.166); the
+    def test_truncated_flow_does_not_end_on_the_saddle(self, monkeypatch):
+        # after 3 iterations from this Gaussian (I = 51.8) the end-of-flow
+        # polish converges to the mountain-pass saddle (I = 52.166); the
         # descent refuses it, so the unconverged restart is rejected
         model = affine_power(5, 3.0, b=0.001)
-        params = SolveParams(restarts=1, max_iter=8)
+        params = SolveParams(restarts=1, max_iter=3)
         grid = recommended_grid(model, 45.0, params)
         start = RadialFunction(grid, np.exp(-0.5 * (grid.nodes / 2.0) ** 2))
+        offered = []
+        kept_polish = cs._kept_polish
+
+        def spy(model, pu, c, e, slack, index):
+            kept = kept_polish(model, pu, c, e, slack, index)
+            offered.append((energy(model, cs.normalize_mass(pu, c)).total, e, kept))
+            return kept
+        monkeypatch.setattr(cs, "_kept_polish", spy)
         rep = minimize_on_sphere(model, 45.0, params, starts=[start])
         assert rep.status == "no_nontrivial_solution_found"
         assert rep.candidate is None
         assert not any("52.166" in note for note in rep.notes)
+        [(polished, flow_energy, kept)] = offered
+        assert polished == pytest.approx(52.1663511, rel=1e-8)
+        assert flow_energy == pytest.approx(51.8, rel=1e-2)
+        assert kept is None
+        assert rep.infimum_estimate == flow_energy
+
+    def test_descent_budget_at_a_sweep_row(self, monkeypatch):
+        # README sweep row N=5, p=2.8, b=0.001, c=2 (no minimizer): the six
+        # restarts took 158 banded solves and refused 4 polishes when the
+        # descent started at STEP and polished only on a stall, and take
+        # 57 and none from DESCENT_STEP with the POLISH_AT trigger
+        counts = {"solves": 0, "refused": 0}
+
+        def counted(fn):
+            def wrapped(*args):
+                counts["solves"] += 1
+                return fn(*args)
+            return wrapped
+
+        kept_polish = cs._kept_polish
+
+        def refusals(*args):
+            kept = kept_polish(*args)
+            counts["refused"] += kept is None
+            return kept
+        monkeypatch.setattr(cs, "solveh_banded", counted(cs.solveh_banded))
+        monkeypatch.setattr(cs, "solve_banded", counted(cs.solve_banded))
+        monkeypatch.setattr(cs, "_kept_polish", refusals)
+        rep = minimize_on_sphere(affine_power(5, 2.8, b=0.001), 2.0, SolveParams())
+        assert rep.status == cs.STATUS_NONE_FOUND
+        assert rep.restarts_used == 6
+        assert counts["solves"] <= 80
+        assert counts["refused"] <= 1
 
     def test_gaussian_starts_do_not_polish_up_to_the_saddle(self):
         # from these Gaussians a Newton polish converges to the
@@ -487,16 +528,19 @@ class TestMinimize:
         # cannot hold the mass-critical power, the energy is unbounded below.
         # At c = 5 an early polish of the Gaussian restarts would climb
         # from I = 9.72 to a critical point at I = 18.27; a descent must
-        # not accept it as a minimizer
+        # not accept it as a minimizer.  There the GN restart diverges and
+        # the five Gaussian restarts end rejected
         model = affine_power(4, 3.0, b=0.001)
-        for c, params, restarts in ((22.0, SolveParams(restarts=2, n_cells=400), 2),
-                                    (5.0, SolveParams(), 6)):
+        for c, params, restarts, diverged in (
+                (22.0, SolveParams(restarts=2, n_cells=400), 2, 2),
+                (5.0, SolveParams(), 6, 1)):
             rep = minimize_on_sphere(model, c, params)
             assert rep.status == "diverged"
             assert rep.infimum_estimate == -math.inf
             assert rep.candidate is None
             assert rep.restarts_used == restarts
-            assert sum("diverged (energy" in note for note in rep.notes) == 2
+            assert sum("diverged (energy" in note for note in rep.notes) == diverged
+            assert sum(": rejected (" in note for note in rep.notes) == restarts - diverged
 
     def test_energy_history_non_increasing(self, wide_minimizer_report):
         hist = np.array(wide_minimizer_report.energy_history)

@@ -165,9 +165,16 @@ class TestReplay:
                              [(*row, 4000) for row in FROZEN_4000]
                              + [(*row, gn.MIN_CELLS) for row in FROZEN_MIN_CELLS])
     def test_frozen_census(self, n, p, height, steps, r_cut, cells):
-        prof = gn.shoot(n, p, n_cells=cells, certify=False)
-        assert (repr(prof.height), prof.bisection_steps,
-                repr(prof.truncation_radius)) == (height, steps, r_cut)
+        if cells == gn.DEFAULT_CELLS:
+            prof = gn.shoot(n, p, n_cells=cells, certify=False)
+            got = (prof.height, prof.bisection_steps, prof.truncation_radius)
+        else:
+            # shoot refuses the 16-cell grids (test_unresolved_grid_is_a_
+            # shoot_error), so the replayed bisection is called directly
+            _, got_height, _, _, got_steps, got_cut, _ = gn._shoot_core(
+                n, p, gn.default_r_max(n, p), cells, {})
+            got = (got_height, got_steps, got_cut)
+        assert (repr(got[0]), got[1], repr(got[2])) == (height, steps, r_cut)
 
     @pytest.mark.parametrize("n,p", [(2, 4.0), (4, 3.0), (5, 2.9), (6, 2.5)])
     def test_both_shoots_match_the_plain_bisection(self, n, p, monkeypatch):
@@ -224,9 +231,13 @@ class TestReplay:
         h = gn.default_r_max(n, p) / cells
         classes = [gn._integrate(q0, kappa, m, p, n, h, cells, 1.0)[0] for q0 in (1.2, 1.234, 1.25)]
         assert classes == [gn._TURNED, gn._CROSSED, gn._TURNED]
-        assert plain_bisection(n, p, gn.default_r_max(n, p), cells) == (1.2809715753617752, 46)
-        prof = gn.shoot(n, p, n_cells=cells, certify=False)
-        assert (prof.height, prof.bisection_steps) == (1.3046870689465777, 46)
+        r_max = gn.default_r_max(n, p)
+        assert plain_bisection(n, p, r_max, cells) == (1.2809715753617752, 46)
+        _, height, _, _, steps, _, _ = gn._shoot_core(n, p, r_max, cells, {})
+        assert (height, steps) == (1.3046870689465777, 46)
+        # neither is the extremal's 2.206: shoot refuses the grid
+        with pytest.raises(gn.ShootError, match="does not resolve"):
+            gn.shoot(n, p, n_cells=cells, certify=False)
 
     @pytest.mark.parametrize("n,p,cells", [(4, 3.739, 600), (3, 5.803, 4000)])
     def test_unresolved_heights_above_the_extremal(self, n, p, cells):
@@ -390,6 +401,42 @@ class TestShoot:
             gn.shoot(n, p, n_cells=cells)
         with pytest.raises(gn.ShootError):
             gn.ground_state(n, p, n_cells=cells)
+
+    @pytest.mark.parametrize("n,p,cells", [(2, 4.0, gn.MIN_CELLS), (3, 5.5, 1000),
+                                            (4, 3.739, 400)]
+                             + [(*row[:2], gn.MIN_CELLS) for row in FROZEN_MIN_CELLS])
+    def test_unresolved_grid_is_a_shoot_error(self, n, p, cells):
+        # the first step lowers these profiles by 0.25 to 0.56 of their
+        # height; at (2, 4) on 16 cells the replay reads 1.305 against 2.206
+        # with the norm chain off by 0.72, and it raised nothing
+        with pytest.raises(gn.ShootError, match=rf"\({n}, {p:.9g}\) on {cells} cells"
+                           ".* the first step lowers"):
+            gn.shoot(n, p, n_cells=cells)
+        with pytest.raises(gn.ShootError, match="does not resolve"):
+            gn.ground_state(n, p, n_cells=cells)
+
+    @pytest.mark.parametrize("n,p", [(3, 5.803), (4, 3.995), (4, 3.999999)])
+    def test_default_grid_is_not_refused(self, n, p):
+        # near 2* the default grid's first step drops more than
+        # MAX_FIRST_DROP (default_r_max), but the solvers only start from
+        # this extremal and size their grids by it, so it is returned as
+        # before; one cell fewer on the same domain is refused
+        prof = gn.shoot(n, p, certify=False)
+        assert 1.0 - prof.profile.values[1] / prof.height > gn.MAX_FIRST_DROP
+        assert gn.ground_state(n, p).height == prof.height
+        with pytest.raises(gn.ShootError, match="the first step lowers"):
+            gn.shoot(n, p, r_max=gn.default_r_max(n, p), n_cells=gn.DEFAULT_CELLS - 1,
+                     certify=False)
+
+    @pytest.mark.parametrize("n,p,cells", [(4, 3.739, 600), (2, 4.0, 200)])
+    def test_coarse_resolved_grid_passes_the_first_step_check(self, n, p, cells):
+        # these grids drop 0.032 and 0.016 of the height in the first step,
+        # with heights within 0.8% and 0.2% of the default grid's
+        prof = gn.shoot(n, p, n_cells=cells, certify=False)
+        drop = 1.0 - prof.profile.values[1] / prof.height
+        assert 0.01 < drop <= gn.MAX_FIRST_DROP
+        assert prof.identity_residual() < drop
+        assert prof.height == pytest.approx(gn.ground_state(n, p).height, rel=1e-2)
 
     def test_no_finite_default_domain_is_a_shoot_error(self):
         # kappa = N (p - 2) / 4 overflows, so the decay rate is 0
