@@ -21,8 +21,9 @@ the process pool, so the other subcommands and one-process sweeps never
 load multiprocessing.
 
 Exit codes: 0 on success, 2 on a bad specification (argparse usage
-errors, a flag the subcommand does not read and an extremal that the
-shooting cannot certify included), 3 on I/O failure.
+errors, a flag the subcommand does not read, an extremal that the
+shooting cannot certify and a `moser` mass whose fiber search finds no
+maximum included), 3 on I/O failure.
 """
 
 from __future__ import annotations

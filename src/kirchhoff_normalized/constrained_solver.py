@@ -29,6 +29,10 @@ a flow keeps a polish only if it ends no higher than the flow and at
 the flow's own Morse index on the sphere: 0 for a descent, whose early
 polish often converges to a saddle instead, and 1 for the saddle
 refinement, whose polish must not slide into a well (_kept_polish).
+A kept polish is the only way a flow converges; one that ends without
+it is rejected whatever its residual, so every reported candidate has
+passed its solver's index check (one driver, _solve_from, runs the
+flows of both solvers and picks the report).
 The index (_tangent_index) is a Sturm count of the tridiagonal Hessian
 part plus the inertia of a 2x2 Schur complement, O(n), from the same
 assembled Hessian (_hessian) that Newton solves with.
@@ -44,7 +48,7 @@ is dilated there by one fiber_scale resample, and the result is kept
 only if its energy is lower.  Jumps ride on the polish attempts, so
 they are as rare; the saddle refinement and the string never jump.
 
-A converged candidate must pass four filters before it is reported:
+A converged run must pass four filters before it is reported:
 the PDE residual relative to the H^1 norm, the dilation balance
 |G(u)| relative to M(g) g, nontriviality of the gradient norm, and the
 multiplier cross-check lambda vs. lambda_pohozaev in the power case.
@@ -192,7 +196,7 @@ STEP = 0.5
 DESCENT_STEP = 8.0
 # either flow also tries the Newton polish once res <= POLISH_AT |u|_H1
 POLISH_AT = 1e-2
-# the saddle refinement's flow (_flow with refine=True): initial step,
+# the saddle refinement's flow (_flow with index=1): initial step,
 # step growth, energy slack per step, and the dilation window its
 # recentering scans.  They stay fixed: the planar refinement never
 # converges, so they set the level it ends at, which the benchmark
@@ -772,25 +776,27 @@ def _trial(model: Model, u: RadialFunction, e: float, tau: float,
 
 
 def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
-          refine: bool = False) -> _Run:
-    """Normalized gradient flow on the sphere from u, with Newton polishes:
-    the minimizer's descent, or with refine the saddle refinement.
+          index: int = 0) -> _Run:
+    """Normalized gradient flow on the sphere from u, with Newton polishes,
+    toward a critical point of Morse index `index`: 0 for the minimizer's
+    descent, 1 for the saddle refinement.
 
-    Each iteration stops at the residual tolerance, tries the bordered
-    Newton polish when the residual has not halved over STALL_WINDOW
-    iterations or is at most POLISH_AT |u|_H1, and otherwise takes one
-    trial step, halving tau until the energy rises by at most slack and
-    growing it after a step.  The descent starts at DESCENT_STEP, grows
-    it by 1.3 and allows a slack of 1e-12; the refinement uses the
-    REFINE_ constants instead and recenters the start and every step
-    onto the nearest fiber maximum (_recenter_on_fiber_max).  Either
-    keeps a polish only if the polished profile back on the sphere
-    passes _kept_polish: no higher than the flow's energy, and Morse
-    index 0 for the descent, 1 for the refinement, whose saddle must not
-    slide into a well (index 0) or onto a higher saddle.  A descent
-    tries _fiber_jump after each in-loop polish that fails or is
-    refused, also stops when the energy runs off to -infinity, and ends
-    with a polish.
+    Each iteration tries the bordered Newton polish when the residual has
+    not halved over STALL_WINDOW iterations or is at most POLISH_AT
+    |u|_H1, and otherwise takes one trial step, halving tau until the
+    energy rises by at most slack and growing it after a step.  The
+    descent starts at DESCENT_STEP, grows it by 1.3 and allows a slack of
+    1e-12; the refinement uses the REFINE_ constants instead and recenters
+    the start and every step onto the nearest fiber maximum
+    (_recenter_on_fiber_max).  The flow converges only by keeping a
+    polish: the polished profile back on the sphere must pass
+    _kept_polish, no higher than the flow's energy and at Morse index
+    `index`, so the refinement's saddle must not slide into a well (index
+    0) or onto a higher saddle.  Otherwise the flow ends "stalled" when no
+    step is accepted, at "max_iter", or, for a descent, "diverged" when
+    the energy runs off to -infinity; a descent tries _fiber_jump after
+    each polish that fails or is refused.  The residual history ends with
+    the residual of the returned profile.
 
     Polish attempts back off geometrically, for both kinds of trigger:
     after an attempt the next one waits polish_gap iterations, and
@@ -800,9 +806,9 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     the Newton basin keeps being retried, with no cap, while its
     polishes grow only like log(max_iter).
     """
-    tau, grow, slack, index = (REFINE_STEP, REFINE_GROW, REFINE_SLACK, 1) \
-        if refine else (DESCENT_STEP, 1.3, 1e-12, 0)
-    if refine:
+    tau, grow, slack = (REFINE_STEP, REFINE_GROW, REFINE_SLACK) if index \
+        else (DESCENT_STEP, 1.3, 1e-12)
+    if index:
         try:
             u = _recenter_on_fiber_max(model, u, c)
         except (FiberMonotoneError, TruncationLossError):
@@ -821,27 +827,24 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
         lam = lagrange_multiplier(model, u, c)
         res = pde_residual_norm(model, u, lam)
         res_hist.append(res)
-        tol_norm = params.residual_tol * u.h1_norm()
-        if res <= tol_norm:
-            flag = "converged"
-            break
         stalled_now = len(res_hist) > STALL_WINDOW \
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
         if (stalled_now or res <= POLISH_AT * u.h1_norm()) and it >= next_polish:
             next_polish, polish_gap = it + polish_gap, 2 * polish_gap
-            pu, pres, ok = _newton_polish(model, u, lam, c, tol_norm)
+            pu, _, ok = _newton_polish(model, u, lam, c,
+                                       params.residual_tol * u.h1_norm())
             kept = _kept_polish(model, pu, c, e, slack, index) if ok else None
             if kept is not None:
                 u, _, e = kept
                 e_hist.append(e)
-                res_hist.append(pres)
                 flag = "converged"
                 break
-            if not refine:
+            if not index:
                 u, e = _fiber_jump(model, u, e, c)
         step = None
         while step is None and tau >= STEP_FLOOR:
-            step = _trial(model, u, e, tau, c, slack, recenter=refine, lagged=not refine)
+            step = _trial(model, u, e, tau, c, slack, recenter=bool(index),
+                          lagged=not index)
             tau = 0.5 * tau if step is None else min(tau * grow, STEP_CAP)
         if step is not None:
             u, e = step
@@ -849,29 +852,13 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
         if step is None:
             flag = "stalled"
             break
-        if not refine and (e < -DIVERGENCE_ENERGY
-                           or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
+        if not index and (e < -DIVERGENCE_ENERGY
+                          or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
             return _Run(u, math.nan, math.inf, e, it, "diverged", res_hist,
                         e_hist, f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
     lam = lagrange_multiplier(model, u, c)
     res = pde_residual_norm(model, u, lam)
-    if refine:
-        if flag != "converged" and res <= params.residual_tol * u.h1_norm():
-            flag = "converged"
-        return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
-    # the final polish runs even after an in-loop convergence: the flow
-    # stops at tol_norm, and the leftover gradient there would dominate
-    # the dilation-balance defect of a spread-out profile
-    pu, pres, _ = _newton_polish(model, u, lam, c,
-                                 params.residual_tol * u.h1_norm())
-    kept = _kept_polish(model, pu, c, e, slack, 0) if pres < res else None
-    if kept is not None:
-        u, lam, e = kept
-        res = pde_residual_norm(model, u, lam)
-    if res <= params.residual_tol * u.h1_norm():
-        flag = "converged"
-    elif flag == "converged":
-        flag = "stalled"
+    res_hist.append(res)
     return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
 
 
@@ -947,6 +934,65 @@ def _report(model: Model, status: str, run: _Run | None, infimum: float,
                        tuple(notes))
 
 
+def _solve_from(model: Model, c: float, params: SolveParams,
+                labeled: list[tuple[str, RadialFunction]], index: int,
+                notes: list[str], path_level: float | None = None) -> SolveReport:
+    """Run _flow at Morse index `index` from each labelled start on the
+    sphere and report the outcome, with a note per start.
+
+    A run is a candidate only if its flow converged, which it does only
+    at a polish that _kept_polish accepted, and its profile passes
+    _filter_failures.  The reported run (the lowest candidate, else the
+    lowest run) is replaced by a later one only when that one is lower
+    by more than residual_tol^2 (1 + |I|): the energy error at residual r
+    is O(r^2), so runs that reach one critical point tie, and the first
+    of them is reported whatever their last bits say.  The infimum
+    estimate is the lowest energy of the runs that did not diverge.
+    """
+    def beats(run: _Run, incumbent: _Run | None) -> bool:
+        return incumbent is None or incumbent.energy - run.energy \
+            > params.residual_tol**2 * (1.0 + abs(run.energy))
+    best: _Run | None = None
+    best_pass: _Run | None = None
+    infimum = math.inf
+    diverged = False
+    for label, u0 in labeled:
+        run = _flow(model, u0, c, params, index)
+        if run.flag == "diverged":
+            diverged = True
+            notes.append(f"{label}: diverged ({run.note})")
+            continue
+        infimum = min(infimum, run.energy)
+        fails = _filter_failures(model, run.u, c, run.res, params)
+        if run.flag != "converged":
+            fails.append(f"flow ended {run.flag} without a kept polish")
+        if fails:
+            notes.append(f"{label}: rejected ({'; '.join(fails)})")
+        else:
+            notes.append(f"{label}: candidate with I = {run.energy:.9g}, "
+                         f"lambda = {run.lam:.9g}")
+            if beats(run, best_pass):
+                best_pass = run
+        if beats(run, best):
+            best = run
+    restarts = len(labeled)
+    if best_pass is not None:
+        if diverged:
+            notes.append("warning: some restarts diverged; the minimizer may be local")
+        return _report(model, STATUS_MOUNTAIN_PASS if index else STATUS_MINIMIZER,
+                       best_pass, infimum, notes, restarts, path_level)
+    if diverged:
+        notes.append("unbounded descent direction found and no restart "
+                     "produced a candidate")
+        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
+                       restarts, path_level)
+    if abs(infimum) <= ZERO_LEVEL_TOL:
+        notes.append("zero-energy diagnostic: infimum consistent with 0, "
+                     "no profile passed the filters")
+    return _report(model, STATUS_NONE_FOUND, best, infimum, notes, restarts,
+                   path_level)
+
+
 def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None,
                        starts: list[RadialFunction] | None = None) -> SolveReport:
     """Minimize I over the mass sphere |u|_2^2 = c^2 with restarts.
@@ -956,11 +1002,10 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     given, replaces the built-in initial profiles: each is resampled
     onto the solver grid and renormalized.
 
-    The reported restart (the lowest passing one, else the lowest) is
-    replaced by a later restart only when that one is lower by more than
-    residual_tol^2 (1 + |I|): the energy error at residual r is O(r^2),
-    so restarts that reach one minimizer tie, and the first of them is
-    reported whatever their last bits say.
+    Each restart is a descent (_flow at index 0), and _solve_from picks
+    the report: converged_minimizer only for a restart whose descent kept
+    a polish at Morse index 0 and whose profile passes the filters, with
+    the first of restarts that tie to residual_tol^2 (1 + |I|).
     """
     c = mass_radius(c)
     params = params or SolveParams()
@@ -973,46 +1018,7 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
                    for i, s in enumerate(starts)]
     if not labeled:
         raise ValueError("no initial profiles: starts is empty")
-
-    def beats(run: _Run, incumbent: _Run | None) -> bool:
-        return incumbent is None or incumbent.energy - run.energy \
-            > params.residual_tol**2 * (1.0 + abs(run.energy))
-    notes: list[str] = []
-    best: _Run | None = None
-    best_pass: _Run | None = None
-    infimum = math.inf
-    diverged = False
-    for label, u0 in labeled:
-        run = _flow(model, u0, c, params)
-        if run.flag == "diverged":
-            diverged = True
-            notes.append(f"{label}: diverged ({run.note})")
-            continue
-        infimum = min(infimum, run.energy)
-        fails = _filter_failures(model, run.u, c, run.res, params)
-        if fails:
-            notes.append(f"{label}: rejected ({'; '.join(fails)})")
-        else:
-            notes.append(f"{label}: candidate with I = {run.energy:.9g}, "
-                         f"lambda = {run.lam:.9g}")
-            if beats(run, best_pass):
-                best_pass = run
-        if beats(run, best):
-            best = run
-    if best_pass is not None:
-        if diverged:
-            notes.append("warning: some restarts diverged; the minimizer may be local")
-        return _report(model, STATUS_MINIMIZER, best_pass, infimum, notes,
-                       len(labeled))
-    if diverged:
-        notes.append("unbounded descent direction found and no restart "
-                     "produced a candidate")
-        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
-                       len(labeled))
-    if abs(infimum) <= ZERO_LEVEL_TOL:
-        notes.append("zero-energy diagnostic: infimum consistent with 0, "
-                     "no profile passed the filters")
-    return _report(model, STATUS_NONE_FOUND, best, infimum, notes, len(labeled))
+    return _solve_from(model, c, params, labeled, 0, [])
 
 
 def _exp_safe_scale(model: Model, u: RadialFunction) -> float:
@@ -1204,16 +1210,21 @@ def mountain_pass(model: Model, c: float,
     both endpoint energies, are reported as having no saddle geometry:
     there is no barrier between the endpoints.  The string is built and
     relaxed once: when it collapses in arc length (_bead_sweeps returns
-    None) the report says diverged at once.
+    None) the report says diverged at once.  The top bead is the one
+    start that _solve_from refines at Morse index 1: the report is
+    converged_mountain_pass only when the refinement keeps a polish at
+    index 1 that passes the filters, and otherwise
+    no_nontrivial_solution_found with the refinement's energy as the
+    infimum estimate.
 
     path_level is the highest bead energy of the relaxed string, an
     estimate of the min-max level but no bound on it: the path can rise
     higher between beads, and at N=4, p=3.5, b=0.019, c=177.037 the
     level 2.8100942 sits below the refined saddle 2.8106486.  The report
-    carries it even when the saddle refinement stays above the residual
-    tolerance, which is the expected outcome for the planar exponential
-    models where the level is compared with the dilation ceiling
-    0.5 Mhat(4 pi / alpha0) rather than asserted convergent.
+    carries it even when the saddle refinement keeps no polish, which is
+    the expected outcome for the planar exponential models where the
+    level is compared with the dilation ceiling 0.5 Mhat(4 pi / alpha0)
+    rather than asserted convergent.
     """
     c = mass_radius(c)
     params = params or SolveParams()
@@ -1263,16 +1274,8 @@ def mountain_pass(model: Model, c: float,
                      f"dilation ceiling {ceiling:.6g}; the estimate is the "
                      "highest bead, not a bound, so it never certifies the "
                      "strict inequality")
-    run = _flow(model, beads[top], c, params, refine=True)
-    fails = _filter_failures(model, run.u, c, run.res, params)
-    if not fails:
-        notes.append(f"saddle refined: I = {run.energy:.9g}, "
-                     f"lambda = {run.lam:.9g}")
-        return _report(model, STATUS_MOUNTAIN_PASS, run, run.energy, notes,
-                       path_level=path_level)
-    notes.append(f"saddle refinement below tolerance: {'; '.join(fails)}")
-    return _report(model, STATUS_NONE_FOUND, run, run.energy, notes,
-                   path_level=path_level)
+    return _solve_from(model, c, params, [(f"barrier bead {top}", beads[top])],
+                       1, notes, path_level)
 
 
 @dataclass

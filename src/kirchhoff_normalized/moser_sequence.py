@@ -284,7 +284,10 @@ def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
     Beyond t_hi the value is certified negative via the analytic plateau
     bound, whose log-margin must be positive and, by the growth
     inequality M(x) x <= (theta + 1) M_hat(x), stays positive for all
-    larger t once alpha0 h_n^2 t^2 > theta + 3.
+    larger t once alpha0 h_n^2 t^2 > theta + 3.  A (c, n) whose search
+    finds no interior maximum (it sits on a bracket edge, or g_n overflows
+    inside the bracket) raises ValueError naming n and c; the bracket is
+    not widened.
     """
     nl, co = model.nonlinearity, model.coefficient
     if nl.kind != "exp":
@@ -305,8 +308,12 @@ def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
             raise CertificationError(
                 f"certificate monotonicity condition fails for n = {n}"
             )
-        t_star, g_max = scalar_opt.log_grid_max(
-            lambda t: g_fiber(model, mf, t), 1e-6, t_hi)
+        try:
+            t_star, g_max = scalar_opt.log_grid_max(
+                lambda t: g_fiber(model, mf, t), 1e-6, t_hi)
+        except (scalar_opt.BracketError, ExpOverflowError) as exc:
+            raise ValueError(f"no fiber maximum for n = {n}, c = {c:g} on "
+                             f"t in [1e-06, {t_hi:.3g}]: {exc}") from None
         if not g_max > 0:
             raise scalar_opt.BracketError(
                 f"no positive fiber hump found for n = {n} (max {g_max:g})"

@@ -372,6 +372,9 @@ class TestConfigAndExits:
         ("solve", "--dim", "4", "--p", "3", "--c", "1e300"),
         ("solve", "--dim", "4", "--p", "3", "--c", "1e100"),
         ("gn", "--dim", "2", "--p", "4", "--grid-size", "16"),
+        ("moser", "--n-list", "2", "--c", "3000"),
+        ("moser", "--n-list", "2", "--c", "1e-300"),
+        ("moser", "--n-list", "2", "--c", "1e8"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -408,31 +409,42 @@ class TestMinimize:
         # saddle; only its Morse index (1) refuses it
         assert not any("52.166" in note for note in rep.notes)
 
-    def test_truncated_flow_does_not_end_on_the_saddle(self, monkeypatch):
-        # after 3 iterations from this Gaussian (I = 51.8) the end-of-flow
-        # polish converges to the mountain-pass saddle (I = 52.166); the
-        # descent refuses it, so the unconverged restart is rejected
+    def test_truncated_flow_does_not_end_on_the_saddle(self):
+        # after 3 iterations from this Gaussian the flow (I = 51.8) has kept
+        # no polish, so it is not converged and the restart is rejected; a
+        # polish of it would converge to the mountain-pass saddle
+        # (I = 52.166), which the descent refuses
         model = affine_power(5, 3.0, b=0.001)
         params = SolveParams(restarts=1, max_iter=3)
         grid = recommended_grid(model, 45.0, params)
         start = RadialFunction(grid, np.exp(-0.5 * (grid.nodes / 2.0) ** 2))
-        offered = []
-        kept_polish = cs._kept_polish
-
-        def spy(model, pu, c, e, slack, index):
-            kept = kept_polish(model, pu, c, e, slack, index)
-            offered.append((energy(model, cs.normalize_mass(pu, c)).total, e, kept))
-            return kept
-        monkeypatch.setattr(cs, "_kept_polish", spy)
         rep = minimize_on_sphere(model, 45.0, params, starts=[start])
         assert rep.status == "no_nontrivial_solution_found"
         assert rep.candidate is None
         assert not any("52.166" in note for note in rep.notes)
-        [(polished, flow_energy, kept)] = offered
-        assert polished == pytest.approx(52.1663511, rel=1e-8)
-        assert flow_energy == pytest.approx(51.8, rel=1e-2)
-        assert kept is None
-        assert rep.infimum_estimate == flow_energy
+        assert rep.infimum_estimate == pytest.approx(51.8, rel=1e-2)
+
+    def test_saddle_start_descends_to_the_minimizer(self):
+        # the mountain-pass saddle at c=45, refined on the minimizer's own
+        # grid, is a critical point of Morse index 1 whose residual is
+        # already below tolerance; a descent started there must not report
+        # it, and it keeps only the index-0 polish of the local minimizer
+        model = affine_power(5, 3.0, b=0.001)
+        params = SolveParams()
+        saddle = mountain_pass(model, 45.0, params).candidate
+        grid = recommended_grid(model, 45.0, params)
+        run = cs._flow(model, cs._on_sphere(cs._onto_grid(saddle.u, grid), 45.0),
+                       45.0, params, 1)
+        assert run.flag == "converged" and run.u.grid is grid
+        assert run.energy == pytest.approx(52.1663511, rel=1e-8)
+        assert run.res <= params.residual_tol * run.u.h1_norm()
+        assert cs._tangent_index(model, run.u, run.lam) == 1
+        rep = minimize_on_sphere(model, 45.0, params, starts=[run.u])
+        assert rep.status == cs.STATUS_MINIMIZER
+        assert abs(rep.candidate.energy - 43.8122919) \
+            <= 2 * params.residual_tol * (1 + 43.8122919)
+        assert cs._tangent_index(model, rep.candidate.u, rep.candidate.lam) == 0
+        assert not any("52.166" in note for note in rep.notes)
 
     def test_descent_budget_at_a_sweep_row(self, monkeypatch):
         # README sweep row N=5, p=2.8, b=0.001, c=2 (no minimizer): the six
@@ -602,6 +614,62 @@ class TestMinimize:
         assert d["final_residual"] is not None
         assert isinstance(d["notes"], list)
 
+    def test_final_residual_is_the_candidates(self, saddle_report,
+                                              shallow_kirchhoff):
+        # the history ends with the residual of the reported profile, not
+        # that of the polished profile before it went back on the sphere
+        # (4.96e-12 against 7.15e-12 at the quick start)
+        quick_model = affine_power(4, 3.0, b=0.019)
+        quick = minimize_on_sphere(quick_model, 22.0)
+        for model, rep in ((quick_model, quick), (shallow_kirchhoff[0], saddle_report)):
+            cand = rep.candidate
+            assert rep.to_dict()["final_residual"] == cand.pde_residual \
+                == rep.residual_history[-1]
+            assert cand.pde_residual == cs.pde_residual_norm(model, cand.u, cand.lam)
+
+    def test_run_without_a_kept_polish_is_rejected(self, monkeypatch):
+        # the GN restart at the quick start converges; relabelled as a flow
+        # that ran out of iterations, the same profile and residual pass
+        # every filter but must not be reported
+        model, params = affine_power(4, 3.0, b=0.019), SolveParams(restarts=1)
+        flow = cs._flow
+        rep = minimize_on_sphere(model, 22.0, params)
+        assert rep.status == cs.STATUS_MINIMIZER
+        monkeypatch.setattr(cs, "_flow", lambda *args: replace(flow(*args), flag="max_iter"))
+        unkept = minimize_on_sphere(model, 22.0, params)
+        assert unkept.status == cs.STATUS_NONE_FOUND and unkept.candidate is None
+        assert unkept.infimum_estimate == rep.candidate.energy
+        [note] = unkept.notes
+        assert note.endswith("(flow ended max_iter without a kept polish)")
+
+    @pytest.mark.parametrize("solve, n, p, c, index", [
+        (minimize_on_sphere, 4, 3.0, 22.0, 0),
+        (minimize_on_sphere, 5, 3.0, 45.0, 0),
+        (mountain_pass, 5, 2.9, 49.2, 1),
+    ])
+    def test_candidates_are_kept_polishes(self, monkeypatch, solve, n, p, c, index):
+        # a flow converges only at a polish that _kept_polish accepts, at
+        # the solver's Morse index, so the reported candidate is that
+        # profile and every candidate note has such a polish behind it
+        kept_polishes = []
+        kept_polish = cs._kept_polish
+
+        def spy(model, pu, c, e, slack, idx):
+            kept = kept_polish(model, pu, c, e, slack, idx)
+            if kept is not None:
+                kept_polishes.append((kept, idx))
+            return kept
+        monkeypatch.setattr(cs, "_kept_polish", spy)
+        b = 0.019 if n == 4 else 0.001
+        rep = solve(affine_power(n, p, b=b), c)
+        cand = rep.candidate
+        assert rep.status == (cs.STATUS_MOUNTAIN_PASS if index else cs.STATUS_MINIMIZER)
+        assert {idx for _, idx in kept_polishes} == {index}
+        assert any(u is cand.u and lam == cand.lam and e == cand.energy
+                   for (u, lam, e), _ in kept_polishes)
+        assert sum("candidate with I =" in note for note in rep.notes) \
+            <= len(kept_polishes)
+
 
 class TestFlowStep:
     """The descent lags M (one banded solve per trial); the string and
@@ -656,7 +724,7 @@ class TestFlowStep:
         assert trials and len(calls) == len(trials)
 
     def test_minimizer_flow_evaluates_f_once_per_iterate(self, monkeypatch):
-        # every f(u) and F(u) of the flow, tau retries and the final polish
+        # every f(u) and F(u) of the flow, tau retries and polishes
         # included, comes from the profile's cache, one joint evaluation
         # of the power pair per profile
         seen = []
@@ -712,12 +780,13 @@ class TestFlowStep:
         report = minimize_on_sphere(affine_power(4, 3.0, b=0.019), 22.0,
                                     SolveParams(restarts=1, max_iter=max_iter))
         assert report.iterations == max_iter
-        # the last call is the final polish after the loop
-        assert attempts[-1] == max_iter + 1
-        gaps = np.diff(attempts[:-1])
+        # every attempt is made in the loop, none after it: the last one
+        # is the last slot before max_iter, and the next would come past it
+        gaps = np.diff(attempts)
+        assert attempts[-1] <= max_iter < attempts[-1] + 2 * gaps[-1]
         assert gaps[0] >= cs.STALL_WINDOW
         assert all(later >= 2 * earlier for earlier, later in zip(gaps, gaps[1:]))
-        assert len(attempts) - 1 <= math.log2(max_iter / cs.STALL_WINDOW) + 2
+        assert len(attempts) <= math.log2(max_iter / cs.STALL_WINDOW) + 2
 
     def test_polish_retried_past_four_failures(self, monkeypatch):
         # a flow that reaches the Newton basin only after five failed

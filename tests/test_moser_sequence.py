@@ -9,6 +9,7 @@ ceiling 45.7616, turning positive only around n = 1e14.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,13 @@ class TestBoundCheck:
         assert rec.margin > 0
         if alpha0 == 4 * math.pi:
             assert rec.margin == pytest.approx(0.625, abs=1e-3)
+
+    @pytest.mark.parametrize("c", [3000.0, 1e-300, 1e8])
+    def test_search_failure_names_n_and_c(self, c):
+        # the fiber maximum sits on an edge of the fixed bracket
+        # [1e-6, t_hi] (3000, 1e-300), or g_n overflows inside it (1e8)
+        with pytest.raises(ValueError, match=re.escape(f"for n = 2, c = {c:g} on t in")):
+            msq.mp_bound_check(exp_model(), c, [10, 2])
 
     @pytest.mark.parametrize("bad", [10.7, math.inf, math.nan, "100"])
     def test_rejects_non_integral_n(self, bad):
