@@ -44,7 +44,7 @@ from .constrained_solver import (
     minimize_on_sphere,
     mountain_pass,
 )
-from .gn_ground_state import ShootError, gn_constant, ground_state
+from .gn_ground_state import DEFAULT_CELLS, ShootError, gn_constant, ground_state
 from .models import (
     Model,
     affine_coefficient,
@@ -252,12 +252,6 @@ def render_report(rows: list[dict], fmt: str) -> str:
     raise SpecError(f"unknown format {fmt!r}")
 
 
-def emit_report(rows: list[dict], fmt: str, path: str) -> None:
-    text = render_report(rows, fmt)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 # The shared flags: the subcommands that read each, and its argparse
 # keywords.  A subcommand takes only the flags it reads, plus --config,
 # whose JSON file may set exactly those.
@@ -397,7 +391,8 @@ def cmd_thresholds(args) -> int:
 
 def cmd_gn(args) -> int:
     q = ground_state(args.dim, args.p, r_max=args.rmax,
-                     n_cells=args.grid_size if args.grid_size is not None else 4000)
+                     n_cells=args.grid_size if args.grid_size is not None
+                     else DEFAULT_CELLS)
     out = args.out if args.out is not None else "."
     os.makedirs(out, exist_ok=True)
     write_profile_csv(q.profile, os.path.join(out, "gn_profile.csv"))
@@ -483,7 +478,8 @@ def cmd_sweep(args) -> int:
     out = args.out if args.out is not None else "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"sweep.{ext}")
-    emit_report(rows, fmt, path)
+    with open(path, "w") as fh:
+        fh.write(render_report(rows, fmt))
     sys.stdout.write(f"wrote {path} ({len(rows)} rows)\n")
     return 0
 

@@ -29,10 +29,12 @@ a flow keeps a polish only if it ends no higher than the flow and at
 the flow's own Morse index on the sphere: 0 for a descent, whose early
 polish often converges to a saddle instead, and 1 for the saddle
 refinement, whose polish must not slide into a well (_kept_polish).
-A kept polish is the only way a flow converges; one that ends without
-it is rejected whatever its residual, so every reported candidate has
-passed its solver's index check (one driver, _solve_from, runs the
-flows of both solvers and picks the report).
+The polish returns its profile only when the residual is within the
+tolerance, and None otherwise, so _kept_polish judges only converged
+polishes.  A kept polish is the only way a flow converges; one that
+ends without it is rejected whatever its residual, so every reported
+candidate has passed its solver's index check (one driver,
+_solve_from, runs the flows of both solvers and picks the report).
 The index (_tangent_index) is a Sturm count of the tridiagonal Hessian
 part plus the inertia of a 2x2 Schur complement, O(n), from the same
 assembled Hessian (_hessian) that Newton solves with.
@@ -91,6 +93,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -103,6 +106,7 @@ from .functional import (CriticalPointCandidate, energy, fiber_energy,
                          multiplier_estimate, pde_residual_norm, pohozaev)
 from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
+from .moser_sequence import mp_bound
 from .omega_thresholds import ThresholdSet, threshold_set
 from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
@@ -184,10 +188,9 @@ INNER_SOLVES = 4
 # acceptance tolerance
 POLISH_MAX_ITER = 16
 POLISH_DEEPEN = 1e-3
-# base flow step tau: the bead sweeps take a fifth of it and the saddle
-# refinement's REFINE_STEP a quarter.  Both set levels that are read off
-# an unconverged relaxation, so STEP stays fixed
-STEP = 0.5
+# the bead sweeps' flow step.  The string's level is read off an
+# unconverged relaxation, so it depends on this step, which stays fixed
+BEAD_STEP = 0.1
 # initial step of the minimizer's descent.  The lagged step is the
 # semi-implicit normalized flow of Bao & Du (2004), which tolerates large
 # steps; while a small first step ramps up, the residual decays so slowly
@@ -201,7 +204,7 @@ POLISH_AT = 1e-2
 # recentering scans.  They stay fixed: the planar refinement never
 # converges, so they set the level it ends at, which the benchmark
 # reference freezes
-REFINE_STEP = 0.25 * STEP
+REFINE_STEP = 0.125
 REFINE_GROW = 1.2
 REFINE_SLACK = 1e-11
 RECENTER_WINDOW = 0.8
@@ -232,11 +235,12 @@ class SolveParams:
     bumps.  r_max is a floor: the solvers widen the domain per (model, c)
     to hold the predicted profile width.  The graded grid has n_cells
     cells.
-    Construction rejects values that no solve can use: non-finite
-    residual_tol or r_max, n_cells outside [radial_grid.MIN_CELLS,
-    radial_grid.MAX_CELLS], a negative seed, and a max_iter, restarts,
-    n_cells or seed that is not an integer (bool included; numpy
-    integers are accepted).
+    Construction rejects values that no solve can use, with ValueError:
+    a residual_tol or r_max that is not a positive finite real number
+    (bool included; numpy floats are accepted), n_cells outside
+    [radial_grid.MIN_CELLS, radial_grid.MAX_CELLS], a negative seed, and
+    a max_iter, restarts, n_cells or seed that is not an integer (bool
+    included; numpy integers are accepted).
     """
 
     max_iter: int = 2000
@@ -251,15 +255,15 @@ class SolveParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be positive and finite, "
-                             f"got {self.residual_tol}")
+        for name in ("residual_tol", "r_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 1 <= self.max_iter <= 10**6:
             raise ValueError(f"max_iter must lie in [1, 1e6], got {self.max_iter}")
         if not 1 <= self.restarts <= 256:
             raise ValueError(f"restarts must lie in [1, 256], got {self.restarts}")
-        if not 0.0 < self.r_max < math.inf:
-            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if not MIN_CELLS <= self.n_cells <= MAX_CELLS:
             raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], "
                              f"got {self.n_cells}")
@@ -556,54 +560,52 @@ def _hessian(model: Model, u: RadialFunction,
     return mcoef, 2.0 * model.coefficient.M_prime(g), grid.stiffness_apply(vals), band
 
 
-def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
-                   tol_norm: float) -> tuple[RadialFunction, float, bool]:
-    """Bordered Newton on (gradient, mass constraint); returns (u,
-    residual, converged).
+def _newton_polish(model: Model, u: RadialFunction, lam: float, res: float,
+                   c: float, tol_norm: float) -> RadialFunction | None:
+    """Bordered Newton on (gradient, mass constraint) from (u, lam), whose
+    residual res the caller has just computed; returns the polished
+    profile if its residual is at most tol_norm, and None otherwise.
 
     The Jacobian is the Hessian (_hessian) bordered by the constraint:
     its tridiagonal part, the Kirchhoff rank-one M'(g) correction
     (folded in by Woodbury), and the border (eliminated by a scalar
     solve), so each iteration is three banded LU solves.  Steps
-    are halved until the residual norm decreases; a step that cannot
-    decrease it ends the polish.  The target is POLISH_DEEPEN * tol_norm,
-    well below the acceptance tolerance: the leftover gradient at tol_norm
-    would otherwise dominate the dilation-balance defect of the
-    converged profile, which is checked against a much smaller scale
-    than the H^1 norm when the profile is spread out.
+    are halved until the residual norm decreases.  The polish stops at
+    the target POLISH_DEEPEN * tol_norm, after POLISH_MAX_ITER steps, or
+    at a step that cannot decrease the residual, overflows or meets a
+    singular system, and then returns the profile or None as above.  The
+    target lies well below the acceptance tolerance: the leftover
+    gradient at tol_norm would otherwise dominate the dilation-balance
+    defect of the converged profile, which is checked against a much
+    smaller scale than the H^1 norm when the profile is spread out.
     """
     w = u.grid.weights
-    res = pde_residual_norm(model, u, lam)
+    k = len(u.values) - 1
     for _ in range(POLISH_MAX_ITER):
         if res <= POLISH_DEEPEN * tol_norm:
-            return u, res, True
+            break
         vals = u.values
         try:
             mcoef, beta, stiff, band = _hessian(model, u, lam)
-        except ExpOverflowError:
-            return u, res, res <= tol_norm
-        rho = (mcoef * stiff) / w - u.f_values(model.nonlinearity) - lam * vals
-        h = 0.5 * (float(w @ vals**2) - c * c)
-        k = len(vals) - 1
-        pvec = beta * stiff[:k] / w[:k]
-        qvec = stiff[:k]
-        try:
-            sols = solve_banded(band, np.column_stack([rho[:k], pvec, vals[:k]]))
-        except (LinAlgError, ValueError):
-            return u, res, res <= tol_norm
+            rho = (mcoef * stiff) / w - u.f_values(model.nonlinearity) - lam * vals
+            sols = solve_banded(band, np.column_stack(
+                [rho[:k], beta * stiff[:k] / w[:k], vals[:k]]))
+        except (ExpOverflowError, LinAlgError, ValueError):
+            break
         x_rho, x_p, x_u = sols[:, 0], sols[:, 1], sols[:, 2]
+        qvec = stiff[:k]
         denom = 1.0 + float(qvec @ x_p)
         if abs(denom) < 1e-300:
-            return u, res, res <= tol_norm
+            break
         b_rho = x_rho - x_p * (float(qvec @ x_rho) / denom)
         b_u = x_u - x_p * (float(qvec @ x_u) / denom)
         wu = w[:k] * vals[:k]
         slope = float(wu @ b_u)
         if abs(slope) < 1e-300:
-            return u, res, res <= tol_norm
+            break
+        h = 0.5 * (float(w @ vals**2) - c * c)
         dlam = (-h + float(wu @ b_rho)) / slope
         du = -b_rho + dlam * b_u
-        improved = False
         scale = 1.0
         for _ in range(7):
             new_vals = vals.copy()
@@ -617,12 +619,11 @@ def _newton_polish(model: Model, u: RadialFunction, lam: float, c: float,
                 continue
             if math.isfinite(new_res) and new_res < res:
                 u, lam, res = cand, new_lam, new_res
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
-            return u, res, res <= tol_norm
-    return u, res, res <= tol_norm
+        else:
+            break
+    return u if res <= tol_norm else None
 
 
 def _negative_pivots(d: np.ndarray, off: np.ndarray) -> int:
@@ -737,7 +738,6 @@ def _kept_polish(model: Model, pu: RadialFunction, c: float, e: float, slack: fl
 class _Run:
     u: RadialFunction
     lam: float
-    res: float
     energy: float
     iterations: int
     flag: str
@@ -788,8 +788,10 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     descent starts at DESCENT_STEP, grows it by 1.3 and allows a slack of
     1e-12; the refinement uses the REFINE_ constants instead and recenters
     the start and every step onto the nearest fiber maximum
-    (_recenter_on_fiber_max).  The flow converges only by keeping a
-    polish: the polished profile back on the sphere must pass
+    (_recenter_on_fiber_max).  A polish starts from the iteration's
+    residual and returns None unless it ends within residual_tol
+    |u|_H1.  The flow converges only by keeping a polish: the polished
+    profile back on the sphere must pass
     _kept_polish, no higher than the flow's energy and at Morse index
     `index`, so the refinement's saddle must not slide into a well (index
     0) or onto a higher saddle.  Otherwise the flow ends "stalled" when no
@@ -816,8 +818,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
     try:
         e = energy(model, u).total
     except ExpOverflowError:
-        return _Run(u, math.nan, math.inf, -math.inf, 0, "diverged",
-                    [], [], "initial profile overflows the exponential")
+        return _Run(u, math.nan, -math.inf, 0, "diverged", [], [],
+                    "initial profile overflows the exponential")
     res_hist: list[float] = []
     e_hist = [e]
     flag = "max_iter"
@@ -831,9 +833,8 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
             and res > 0.5 * res_hist[-STALL_WINDOW - 1]
         if (stalled_now or res <= POLISH_AT * u.h1_norm()) and it >= next_polish:
             next_polish, polish_gap = it + polish_gap, 2 * polish_gap
-            pu, _, ok = _newton_polish(model, u, lam, c,
-                                       params.residual_tol * u.h1_norm())
-            kept = _kept_polish(model, pu, c, e, slack, index) if ok else None
+            pu = _newton_polish(model, u, lam, res, c, params.residual_tol * u.h1_norm())
+            kept = None if pu is None else _kept_polish(model, pu, c, e, slack, index)
             if kept is not None:
                 u, _, e = kept
                 e_hist.append(e)
@@ -854,12 +855,11 @@ def _flow(model: Model, u: RadialFunction, c: float, params: SolveParams,
             break
         if not index and (e < -DIVERGENCE_ENERGY
                           or u.grad_norm_sq() > DIVERGENCE_GRAD_SQ):
-            return _Run(u, math.nan, math.inf, e, it, "diverged", res_hist,
-                        e_hist, f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
+            return _Run(u, math.nan, e, it, "diverged", res_hist, e_hist,
+                        f"energy {e:.3e}, |grad u|^2 {u.grad_norm_sq():.3e}")
     lam = lagrange_multiplier(model, u, c)
-    res = pde_residual_norm(model, u, lam)
-    res_hist.append(res)
-    return _Run(u, lam, res, e, it, flag, res_hist, e_hist)
+    res_hist.append(pde_residual_norm(model, u, lam))
+    return _Run(u, lam, e, it, flag, res_hist, e_hist)
 
 
 def _filter_failures(model: Model, u: RadialFunction, c: float, res: float,
@@ -925,7 +925,7 @@ def _report(model: Model, status: str, run: _Run | None, infimum: float,
     if status in (STATUS_MINIMIZER, STATUS_MOUNTAIN_PASS):
         cand = CriticalPointCandidate(
             u=run.u, lam=run.lam, energy=run.energy,
-            pohozaev_residual=pohozaev(model, run.u), pde_residual=run.res)
+            pohozaev_residual=pohozaev(model, run.u), pde_residual=run.res_history[-1])
     if run is None:
         return SolveReport(status, cand, infimum, path_level, 0, restarts,
                            [], [], tuple(notes))
@@ -963,7 +963,7 @@ def _solve_from(model: Model, c: float, params: SolveParams,
             notes.append(f"{label}: diverged ({run.note})")
             continue
         infimum = min(infimum, run.energy)
-        fails = _filter_failures(model, run.u, c, run.res, params)
+        fails = _filter_failures(model, run.u, c, run.res_history[-1], params)
         if run.flag != "converged":
             fails.append(f"flow ended {run.flag} without a kept polish")
         if fails:
@@ -1156,7 +1156,7 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
     length.  Each bead is a RadialFunction kept from the level of one
     sweep to the start of the next, so its energy is evaluated once.
     """
-    tau = 0.2 * STEP
+    tau = BEAD_STEP
     levels: list[float] = []
     beads = list(beads)
     for _ in range(SWEEPS):
@@ -1268,7 +1268,7 @@ def mountain_pass(model: Model, c: float,
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
     if nl.kind == "exp":
-        ceiling = 0.5 * model.coefficient.Mhat(4.0 * math.pi / nl.alpha0)
+        ceiling = mp_bound(model)
         side = "below" if path_level < ceiling else "not below"
         notes.append(f"level estimate {path_level:.6g} is {side} the "
                      f"dilation ceiling {ceiling:.6g}; the estimate is the "

@@ -437,7 +437,7 @@ class TestMinimize:
                        45.0, params, 1)
         assert run.flag == "converged" and run.u.grid is grid
         assert run.energy == pytest.approx(52.1663511, rel=1e-8)
-        assert run.res <= params.residual_tol * run.u.h1_norm()
+        assert run.res_history[-1] <= params.residual_tol * run.u.h1_norm()
         assert cs._tangent_index(model, run.u, run.lam) == 1
         rep = minimize_on_sphere(model, 45.0, params, starts=[run.u])
         assert rep.status == cs.STATUS_MINIMIZER
@@ -698,7 +698,7 @@ class TestFlowStep:
     def test_lagged_trial_makes_one_solve(self, start, monkeypatch):
         model, u, c = start
         calls = self.count_solves(monkeypatch)
-        step = cs._trial(model, u, energy(model, u).total, cs.STEP, c,
+        step = cs._trial(model, u, energy(model, u).total, 0.5, c,
                          lagged=True)
         assert step is not None
         assert len(calls) == 1
@@ -706,7 +706,7 @@ class TestFlowStep:
     def test_relaxed_trial_makes_several_solves(self, start, monkeypatch):
         model, u, c = start
         calls = self.count_solves(monkeypatch)
-        step = cs._trial(model, u, energy(model, u).total, 0.2 * cs.STEP, c)
+        step = cs._trial(model, u, energy(model, u).total, cs.BEAD_STEP, c)
         assert step is not None
         assert len(calls) > 1
 
@@ -749,8 +749,8 @@ class TestFlowStep:
 
     @staticmethod
     def record_polishes(monkeypatch, succeed_after):
-        """Flow iteration of every polish attempt; the polish fails for the
-        first succeed_after attempts and then runs for real.
+        """Flow iteration of every polish attempt; the polish fails (returns
+        None) for the first succeed_after attempts and then runs for real.
 
         The flow evaluates the multiplier once per iteration before it
         tries a polish, and once more after its loop, so the count of
@@ -765,11 +765,11 @@ class TestFlowStep:
             evaluations.append(1)
             return lam_of(*args)
 
-        def recorded(model, u, lam, c, tol_norm):
+        def recorded(model, u, lam, res, c, tol_norm):
             attempts.append(len(evaluations))
             if len(attempts) <= succeed_after:
-                return u, math.inf, False
-            return polish(model, u, lam, c, tol_norm)
+                return None
+            return polish(model, u, lam, res, c, tol_norm)
         monkeypatch.setattr(cs, "lagrange_multiplier", counted)
         monkeypatch.setattr(cs, "_newton_polish", recorded)
         return attempts
@@ -803,8 +803,39 @@ class TestFlowStep:
         monkeypatch.setattr(
             cs, "_implicit_step",
             lambda model, u, *args: u.with_values(np.full_like(u.values, np.nan)))
-        assert cs._trial(model, u, energy(model, u).total, cs.STEP, c,
+        assert cs._trial(model, u, energy(model, u).total, 0.5, c,
                          lagged=True) is None
+
+
+class TestNewtonPolish:
+    """_newton_polish returns the polished profile when its residual is
+    within tol_norm, and None otherwise."""
+
+    @pytest.fixture(scope="class")
+    def perturbed(self):
+        # the quick-start candidate with a 1% bump at the origin, back on
+        # the sphere: its residual is about 260 times the tolerance
+        model, c = affine_power(4, 3.0, b=0.019), 22.0
+        u = minimize_on_sphere(model, c).candidate.u
+        bump = 1.0 + 1e-2 * np.exp(-(u.grid.nodes / 3.0) ** 2)
+        v = normalize_mass(u.with_values(u.values * bump), c)
+        lam = cs.lagrange_multiplier(model, v, c)
+        return model, v, lam, cs.pde_residual_norm(model, v, lam), c
+
+    def test_converged_polish_returns_the_profile(self, perturbed):
+        model, v, lam, res, c = perturbed
+        tol_norm = SolveParams().residual_tol * v.h1_norm()
+        assert res > 100 * tol_norm
+        pu = cs._newton_polish(model, v, lam, res, c, tol_norm)
+        # the polish hands back no multiplier; _kept_polish takes the
+        # profile's own, as here
+        assert pu is not None
+        assert cs.pde_residual_norm(model, pu, cs.lagrange_multiplier(model, pu, c)) \
+            <= tol_norm
+
+    def test_unmet_tolerance_returns_none(self, perturbed):
+        model, v, lam, res, c = perturbed
+        assert cs._newton_polish(model, v, lam, res, c, 1e-30 * v.h1_norm()) is None
 
 
 def gn_terms_before_fiber_terms(model, c):
@@ -1180,13 +1211,13 @@ class TestMountainPass:
         polishes = []
         polish = cs._newton_polish
 
-        def counted(*args):
-            polishes.append(args)
-            return polish(*args)
-        monkeypatch.setattr(cs, "_newton_polish", counted)
+        def recorded(model, u, lam, res, c, tol_norm):
+            polishes.append(polish(model, u, lam, res, c, tol_norm))
+            return polishes[-1]
+        monkeypatch.setattr(cs, "_newton_polish", recorded)
         monkeypatch.setattr(cs, "_tangent_index", lambda model, u, lam: 0)
         rep = mountain_pass(model, 0.97 * c1, SolveParams(max_iter=4))
-        assert len(polishes) >= 1
+        assert polishes and polishes[0] is not None
         assert rep.iterations == 4
         assert rep.status == cs.STATUS_NONE_FOUND
 
@@ -1226,6 +1257,28 @@ class TestMountainPass:
                               "converged_mountain_pass")
         assert rep.path_level > 0
         assert any("dilation ceiling" in note for note in rep.notes)
+
+
+class TestBothKindsAtN4:
+    def test_ground_state_and_saddle(self):
+        # the abstract's N >= 4 case with both kinds of solution: b above
+        # 1/S^2 = 0.00950 and p in (3, 4) give a ground state (index 0) and
+        # a mountain-pass solution (index 1) at the same mass
+        model, c = affine_power(4, 3.5, b=0.019), 177.037
+        params = SolveParams()
+        low = minimize_on_sphere(model, c, params)
+        high = mountain_pass(model, c, params)
+        assert low.status == cs.STATUS_MINIMIZER
+        assert high.status == cs.STATUS_MOUNTAIN_PASS
+        for rep, level, index in ((low, -149.1922845, 0), (high, 2.8106486, 1)):
+            cand = rep.candidate
+            assert abs(cand.energy - level) <= 2 * params.residual_tol * (1 + abs(level))
+            assert cs._tangent_index(model, cand.u, cand.lam) == index
+        assert low.candidate.lam == pytest.approx(-0.0180849, abs=5e-8)
+        # the highest bead lies below the saddle: path_level estimates the
+        # min-max level but does not bound it from above
+        assert high.path_level == pytest.approx(2.8100942, abs=5e-7)
+        assert high.path_level < high.candidate.energy
 
 
 class TestReparametrize:
@@ -1422,6 +1475,12 @@ class TestParamsValidation:
         {"seed": "3"},
         {"seed": -1},
         {"n_cells": MAX_CELLS + 1},
+        {"residual_tol": True},
+        {"r_max": True},
+        {"r_max": np.True_},
+        {"residual_tol": "1e-6"},
+        {"r_max": None},
+        {"residual_tol": 1 + 0j},
     ])
     def test_bad_params_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -1431,3 +1490,7 @@ class TestParamsValidation:
         params = SolveParams(max_iter=np.int64(50), restarts=np.int32(2),
                              n_cells=np.int64(400), seed=np.uint8(7))
         assert params.restarts == 2 and params.seed == 7
+
+    def test_numpy_floats_accepted(self):
+        params = SolveParams(residual_tol=np.float64(1e-6), r_max=np.float32(24.0))
+        assert params.residual_tol == 1e-6 and params.r_max == 24.0
