@@ -107,7 +107,7 @@ from .functional import (CriticalPointCandidate, energy, fiber_energy,
 from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .moser_sequence import mp_bound
-from .omega_thresholds import ThresholdSet, threshold_set
+from .omega_thresholds import ThresholdSet, mass_critical, threshold_set
 from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
                           TruncationLossError, fiber_scale, make_grid,
                           mass_radius, normalize_mass)
@@ -1116,24 +1116,24 @@ def _right_endpoint(model: Model, base: RadialFunction, s_left: float) -> float:
                        "dilation range")
 
 
-def _reparametrize(beads: list[RadialFunction],
-                   c: float) -> list[RadialFunction] | None:
-    """Redistribute beads to uniform weighted-L2 arc length; None on collapse.
+def _reparametrize(beads: list[RadialFunction], c: float) -> list[RadialFunction]:
+    """Redistribute beads to uniform weighted-L2 arc length.
 
     Each interior bead is the linear interpolant, in arc length, between
     the two old beads whose arc-length interval holds its target, put
     back on the sphere.  The operations are those of scipy's linear
     interp1d, in the same order, so the beads match it bit for bit (the
     tests keep interp1d as the reference).  The endpoints are returned
-    as the same objects, so their evaluations carry over.
+    as the same objects, so their evaluations carry over.  A string that
+    has collapsed onto one profile keeps a tiny artificial arc length,
+    so its interior beads come back as copies of that profile; the bead
+    sweeps never reach it, because they keep the endpoints apart.
     """
     grid = beads[0].grid
     gaps = np.sqrt(np.maximum(0.0, np.array(
         [grid.weights @ (b.values - a.values) ** 2
          for a, b in zip(beads, beads[1:])])))
     cum = np.concatenate([[0.0], np.cumsum(gaps)])
-    if cum[-1] <= 1e-12:
-        return None
     cum += np.arange(len(beads)) * (1e-14 * (1.0 + cum[-1]))
     targets = np.linspace(cum[0], cum[-1], len(beads))[1:-1]
     his = np.searchsorted(cum, targets).clip(1, len(cum) - 1)
@@ -1147,14 +1147,14 @@ def _reparametrize(beads: list[RadialFunction],
 
 
 def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
-                 ) -> tuple[list[RadialFunction], list[float], int, float] | None:
+                 ) -> tuple[list[RadialFunction], list[float], int, float]:
     """Relax the interior beads and reparametrize, sweep after sweep.
 
     Returns the beads, the string level after each sweep, the index of
-    the top bead and the higher endpoint energy, or None when the string
-    collapses onto its endpoints: a reparametrization finds no arc
-    length.  Each bead is a RadialFunction kept from the level of one
-    sweep to the start of the next, so its energy is evaluated once.
+    the top bead and the higher endpoint energy.  The endpoints never
+    move, so the string keeps at least their distance as arc length.
+    Each bead is a RadialFunction kept from the level of one sweep to
+    the start of the next, so its energy is evaluated once.
     """
     tau = BEAD_STEP
     levels: list[float] = []
@@ -1171,8 +1171,6 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
                     break
                 t *= 0.25
         beads = _reparametrize(beads, c)
-        if beads is None:
-            return None
         bead_energies = [energy(model, u).total for u in beads]
         levels.append(max(bead_energies))
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
@@ -1209,11 +1207,10 @@ def mountain_pass(model: Model, c: float,
     never plunges, and a relaxed string whose level does not rise above
     both endpoint energies, are reported as having no saddle geometry:
     there is no barrier between the endpoints.  The string is built and
-    relaxed once: when it collapses in arc length (_bead_sweeps returns
-    None) the report says diverged at once.  The top bead is the one
-    start that _solve_from refines at Morse index 1: the report is
-    converged_mountain_pass only when the refinement keeps a polish at
-    index 1 that passes the filters, and otherwise
+    relaxed once, between endpoint scales at least 0.05 apart.  The top
+    bead is the one start that _solve_from refines at Morse index 1: the
+    report is converged_mountain_pass only when the refinement keeps a
+    polish at index 1 that passes the filters, and otherwise
     no_nontrivial_solution_found with the refinement's energy as the
     infimum estimate.
 
@@ -1254,11 +1251,7 @@ def mountain_pass(model: Model, c: float,
             return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
     beads = [_on_sphere(fiber_scale(base, s), c)
              for s in np.linspace(s_left, s_right, BEADS)]
-    swept = _bead_sweeps(model, beads, c)
-    if swept is None:
-        notes.append("string collapsed onto its endpoints")
-        return _report(model, STATUS_DIVERGED, None, math.nan, notes)
-    beads, levels, top, ends = swept
+    beads, levels, top, ends = _bead_sweeps(model, beads, c)
     path_level = levels[-1]
     if not path_level > ends + 1e-9 * (1.0 + abs(path_level)):
         notes.append(f"no saddle geometry: the relaxed string level "
@@ -1309,16 +1302,15 @@ def _predicted_branch(thr: ThresholdSet, c: float) -> str:
     if not thr.existence_ok:
         return BRANCH_UNCLASSIFIED
     n, p = thr.dimension, thr.p
-    mass_crit = 2.0 + 4.0 / n
-    if abs(p - mass_crit) <= 1e-12:
-        if n == 4:
+    if mass_critical(n, p):
+        if thr.c1_exact is not None:
             return BRANCH_ZERO_INF if c <= thr.c1_exact else BRANCH_GROUND_STATE
         if thr.c_star is not None and c <= thr.c_star:
             return BRANCH_ZERO_INF
         if thr.c1_upper is not None and c > thr.c1_upper:
             return BRANCH_GROUND_STATE
         return BRANCH_TRANSITION
-    if p < mass_crit:
+    if p < 2.0 + 4.0 / n:
         return BRANCH_GROUND_STATE
     if thr.c0 is not None and c < thr.c0:
         return BRANCH_NO_SOLUTION

@@ -153,8 +153,16 @@ def pde_residual_norm(model: Model, u: RadialFunction, lam: float) -> float:
     """Weighted L2 norm of -M Lap u - lam u - f(u).
 
     The outermost node is left out: the solvers hold it at zero as the
-    Dirichlet tail, and it carries the constraint force.
+    Dirichlet tail, and it carries the constraint force.  Where the sum
+    of squares overflows, the residual is scaled by its largest entry
+    first; elsewhere the plain sum stands, to the last bit.
     """
     vals = _l2_gradient_values(model, u, lam)
     vals[-1] = 0.0
-    return math.sqrt(float(u.grid.weights @ vals**2))
+    with np.errstate(over="ignore"):
+        sq = float(u.grid.weights @ vals**2)
+    if math.isinf(sq):
+        top = float(np.max(np.abs(vals)))
+        if top < math.inf:
+            return top * math.sqrt(float(u.grid.weights @ (vals / top) ** 2))
+    return math.sqrt(sq)

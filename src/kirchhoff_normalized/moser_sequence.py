@@ -54,8 +54,9 @@ LOG_STEP = 1e-3
 OVERFLOW_BACKOFF = 1e-9
 
 
-class CertificationError(RuntimeError):
-    """Raised when the analytic negativity certificate cannot be established."""
+class CertificationError(ValueError):
+    """Raised when the analytic negativity certificate cannot be established
+    (a property of the model and mass, so the CLI exits 2)."""
 
 
 def bar_mass_exact(n: int) -> float:
@@ -286,8 +287,9 @@ def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
     inequality M(x) x <= (theta + 1) M_hat(x), stays positive for all
     larger t once alpha0 h_n^2 t^2 > theta + 3.  A (c, n) whose search
     finds no interior maximum (it sits on a bracket edge, or g_n overflows
-    inside the bracket) raises ValueError naming n and c; the bracket is
-    not widened.
+    inside the bracket), or a maximum that is not positive, raises
+    ValueError naming n and c; the bracket is not widened.  A certificate
+    that fails raises CertificationError, also a ValueError.
     """
     nl, co = model.nonlinearity, model.coefficient
     if nl.kind != "exp":
@@ -315,9 +317,8 @@ def mp_bound_check(model: Model, c: float, n_list) -> MoserBoundReport:
             raise ValueError(f"no fiber maximum for n = {n}, c = {c:g} on "
                              f"t in [1e-06, {t_hi:.3g}]: {exc}") from None
         if not g_max > 0:
-            raise scalar_opt.BracketError(
-                f"no positive fiber hump found for n = {n} (max {g_max:g})"
-            )
+            raise ValueError(f"no positive fiber hump for n = {n}, c = {c:g} "
+                             f"(max {g_max:g})")
         records.append(MoserBoundRecord(
             n=n,
             max_g=g_max,

@@ -188,12 +188,17 @@ def sobolev_constant(dimension: int) -> float:
     return grad / crit ** (2.0 / ts)
 
 
+def mass_critical(n: int, p: float) -> bool:
+    """Whether p is the mass-critical exponent 2 + 4/N (3 at N = 4)."""
+    return abs(p - (2.0 + 4.0 / n)) <= 1e-12
+
+
 def existence_condition(a: float, b: float, dimension: int) -> bool:
     """Whether the quadratic-quartic form dominates the critical power.
 
-    For N >= 5 this is the product inequality equivalent to the
-    two-over-two infimum with unit critical weight exceeding 1; for
-    N = 4 the quartic terms share the exponent and the condition
+    For N >= 5 this is the two-over-two infimum with unit critical
+    weight, S^(2*/2) omega(a, b, 2*), exceeding 1 (false when a or b is
+    0); for N = 4 the quartic terms share the exponent and the condition
     collapses to b > 1/S^2.
     """
     if dimension < 4:
@@ -202,20 +207,22 @@ def existence_condition(a: float, b: float, dimension: int) -> bool:
     if dimension == 4:
         return b > 1.0 / s**2
     ts = two_star(dimension)
-    lhs = (2.0 * a / (4.0 - ts)) ** ((4.0 - ts) / 2.0) \
-        * (2.0 * b / (ts - 2.0)) ** ((ts - 2.0) / 2.0)
-    return lhs > s ** (-ts / 2.0)
+    return a > 0.0 and b > 0.0 and s ** (ts / 2.0) * omega_closed_form(a, b, ts) > 1.0
 
 
 def delta_star(a: float, b: float, dimension: int) -> float:
     """Largest margin delta keeping (a-delta, b-delta) coercive, backed off.
 
-    The admissibility boundary solves a strictly decreasing closed-form
-    equation, so the supremum is a simple root; the returned value sits
-    a relative DELTA_BACKOFF inside it, hence is always admissible.
+    The coercivity gap falls strictly as delta grows, so the supremum is
+    its one root in (0, min(a, b)) when it has one, and min(a, b) itself
+    when coercivity holds all the way there (large b); the returned
+    value sits a relative DELTA_BACKOFF inside it, hence is always
+    admissible.
     """
     if dimension < 5:
         raise ValueError("the margin construction needs dimension >= 5")
+    if not existence_condition(a, b, dimension):
+        raise ValueError("coercivity fails already at zero margin")
     s = sobolev_constant(dimension)
     ts = two_star(dimension)
     weight = s ** (ts / 2.0)
@@ -223,9 +230,9 @@ def delta_star(a: float, b: float, dimension: int) -> float:
     def gap(d: float) -> float:
         return weight * omega_closed_form(a - d, b - d, ts) - 1.0
 
-    if gap(0.0) <= 0.0:
-        raise ValueError("coercivity fails already at zero margin")
     hi = min(a, b) * (1.0 - 1e-12)
+    if gap(hi) > 0.0:
+        return hi * (1.0 - DELTA_BACKOFF)
     d_max = brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
     return d_max * (1.0 - DELTA_BACKOFF)
 
@@ -236,55 +243,41 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int,
 
     q_mass is the L2 norm of the interpolation extremal for (dimension, p).
     Covered ranges: p in [2 + 4/N, 2*) for N >= 5, and p in [3, 4) for
-    N = 4; anything else raises.
+    N = 4; anything else raises ValueError.  Near 2* or for extreme
+    coefficients the value may overflow (OverflowError) or round to 0 or
+    inf; threshold_set reports that as a note.
     """
     n = int(dimension)
     if q_mass <= 0.0:
         raise ValueError("extremal mass must be positive")
+    if n < 4:
+        raise ValueError("thresholds are defined for dimension >= 4")
+    if not existence_condition(a, b, n):
+        raise ValueError("coercivity condition fails; no threshold certified")
     s = sobolev_constant(n)
-    if n >= 5:
-        if not existence_condition(a, b, n):
-            raise ValueError("coercivity condition fails; no threshold certified")
-        ts = two_star(n)
-        p_mc = 2.0 + 4.0 / n
-        if p >= ts or p < p_mc - 1e-12:
-            raise ValueError(f"p must lie in [{p_mc:g}, {ts:g}) for dimension {n}")
-        if abs(p - p_mc) <= 1e-12:
-            bracket = a - (4.0 - ts) / (2.0 * s ** (n / (n - 4.0))) \
-                * ((ts - 2.0) / (2.0 * b)) ** (2.0 / (n - 4.0))
-            if bracket <= 0.0:
-                raise ValueError("threshold bracket nonpositive despite coercivity")
-            return q_mass * bracket ** (n / 4.0)
-        d = delta_star(a, b, n)
-        q3 = 0.5 * n * (p - 2.0)
-        omega_val = omega_closed_form(2.0 * d, 2.0 * d, q3)
-        return (2.0 * q_mass ** (p - 2.0) * omega_val
-                / (n * (p - 2.0))) ** (2.0 / (2.0 * p - n * (p - 2.0)))
-    if n == 4:
-        if not existence_condition(a, b, 4):
-            raise ValueError("coercivity condition fails; no threshold certified")
-        if abs(p - 3.0) <= 1e-12:
+    ts = two_star(n)
+    if mass_critical(n, p):
+        if n == 4:
             return a * q_mass
+        bracket = a - (4.0 - ts) / (2.0 * s ** (n / (n - 4.0))) \
+            * ((ts - 2.0) / (2.0 * b)) ** (2.0 / (n - 4.0))
+        if bracket <= 0.0:
+            raise ValueError("threshold bracket nonpositive despite coercivity")
+        return q_mass * bracket ** (n / 4.0)
+    if n == 4:
         if not 3.0 < p < 4.0:
             raise ValueError("dimension 4 threshold covers p in [3, 4)")
-        excess = b - 1.0 / s**2
-        try:
-            c0 = (a * q_mass ** ((p - 2.0) / (4.0 - p))
-                  / ((4.0 - p) * (p - 2.0) ** (1.0 / (4.0 - p)))
-                  * (excess / (p - 3.0)) ** ((p - 3.0) / (4.0 - p)))
-        except OverflowError:
-            c0 = math.inf
-        if not 0.0 < c0 < math.inf:
-            raise ValueError(f"c0 leaves the float range at p = {p:.9g}")
-        return c0
-    raise ValueError("thresholds are defined for dimension >= 4")
-
-
-def c1_exact_n4_p3(a: float, q_mass: float) -> float:
-    """The exact I_c sign-change radius in the quadratic-quartic borderline case."""
-    if a <= 0.0 or q_mass <= 0.0:
-        raise ValueError("arguments must be positive")
-    return a * q_mass
+        return (a * q_mass ** ((p - 2.0) / (4.0 - p))
+                / ((4.0 - p) * (p - 2.0) ** (1.0 / (4.0 - p)))
+                * ((b - 1.0 / s**2) / (p - 3.0)) ** ((p - 3.0) / (4.0 - p)))
+    p_mc = 2.0 + 4.0 / n
+    if not p_mc < p < ts:
+        raise ValueError(f"p must lie in [{p_mc:g}, {ts:g}) for dimension {n}")
+    d = delta_star(a, b, n)
+    q3 = 0.5 * n * (p - 2.0)
+    omega_val = omega_closed_form(2.0 * d, 2.0 * d, q3)
+    return (2.0 * q_mass ** (p - 2.0) * omega_val
+            / (n * (p - 2.0))) ** (2.0 / (2.0 * p - n * (p - 2.0)))
 
 
 def c_star(a: float, b: float, dimension: int, q_mass: float) -> float:
@@ -329,9 +322,11 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     """Assemble every threshold that applies to the given configuration.
 
     Constants whose hypotheses fail are reported as None with a note
-    rather than raising, so sweeps can tabulate mixed regimes.  Only a
-    coefficient outside the affine rule (0 < a and 0 <= b, both finite)
-    raises a ValueError.
+    rather than raising, so sweeps can tabulate mixed regimes: each of
+    c0, c_star, c1_upper and delta that raises ValueError, overflows, or
+    comes out not positive and finite gets one note, "<name>
+    unavailable: <reason>".  Only a coefficient outside the affine rule
+    (0 < a and 0 <= b, both finite) raises a ValueError.
     """
     if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
         raise ValueError(f"need 0 < a and 0 <= b, both finite; got a={a}, b={b}")
@@ -342,28 +337,34 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     if n < 4:
         notes.append("no explicit thresholds below dimension 4")
 
+    def attempt(name, constant):
+        try:
+            value = constant()
+        except ValueError as exc:
+            notes.append(f"{name} unavailable: {exc}")
+            return None
+        except OverflowError:
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+        notes.append(f"{name} unavailable: {name} leaves the float range at p = {p:.9g}")
+        return None
+
     c0 = cs = c1e = c1u = delta = None
     if exists_ok:
-        try:
-            c0 = nonexistence_c0(a, b, p, n, q_mass)
-        except ValueError as exc:
-            notes.append(f"c0 unavailable: {exc}")
+        c0 = attempt("c0", lambda: nonexistence_c0(a, b, p, n, q_mass))
         if n >= 5:
-            try:
-                cs = c_star(a, b, n, q_mass)
-            except ValueError as exc:
-                notes.append(f"c_star unavailable: {exc}")
-            if abs(p - (2.0 + 4.0 / n)) <= 1e-12:
+            cs = attempt("c_star", lambda: c_star(a, b, n, q_mass))
+            if mass_critical(n, p):
                 # the sign-change radius is only bracketed here: the GN
                 # fiber energy at small scale has the sign of
                 # a - (c/|Q|_2)^(4/N), which flips at c = a^(N/4) |Q|_2
-                c1u = a ** (n / 4.0) * q_mass
-            try:
-                delta = delta_star(a, b, n)
-            except ValueError:
-                pass
-        if n == 4 and abs(p - 3.0) <= 1e-12:
-            c1e = c1_exact_n4_p3(a, q_mass)
+                c1u = attempt("c1_upper", lambda: a ** (n / 4.0) * q_mass)
+            delta = attempt("delta", lambda: delta_star(a, b, n))
+        elif mass_critical(n, p):
+            # the exact I_c sign-change radius of the N = 4 borderline
+            # case is c0 = a |Q|_2 itself
+            c1e = c0
     else:
         notes.append("coercivity condition fails: thresholds undefined")
 

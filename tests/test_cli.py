@@ -99,6 +99,14 @@ class TestThresholds:
         assert d["c0"] is None
         assert any(note.startswith("c0 unavailable") for note in d["notes"])
 
+    def test_c0_overflow_near_two_star_is_a_note(self, capsys):
+        rc, out, _ = run_cli(capsys, "thresholds", "--dim", "5", "--p", "3.333",
+                             "--b", "0.1")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["c0"] is None and d["c_star"] > 0.0
+        assert any(note.startswith("c0 unavailable") for note in d["notes"])
+
     def test_out_dir_mirrors_stdout(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "thresholds", "--dim", "5", "--p", "2.8",
                              "--out", str(tmp_path))
@@ -375,6 +383,7 @@ class TestConfigAndExits:
         ("moser", "--n-list", "2", "--c", "3000"),
         ("moser", "--n-list", "2", "--c", "1e-300"),
         ("moser", "--n-list", "2", "--c", "1e8"),
+        ("moser", "--n-list", "10", "--b", "1e300"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

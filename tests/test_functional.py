@@ -6,6 +6,7 @@ mass = A^2 pi^{N/2}, |grad|_2^2 = A^2 (N/2) pi^{N/2}, and
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ class TestResidualNorm:
         assert r1 > 0.0
         scaled = functional.pde_residual_norm(model, u.with_values(u.values), 0.0)
         assert scaled == pytest.approx(r1)
+
+    def test_huge_residual_does_not_overflow(self):
+        # the squares of this residual pass the float maximum; the norm
+        # itself, about 2e180, does not; a residual whose squares stay
+        # finite still gets the plain sum, to the last bit
+        grid = make_grid(4, 24.0, 400, "graded")
+        model = Model(affine_coefficient(1.0, 0.019), power_nonlinearity(3.0, 4))
+        for amplitude in (1e60, 2.0):
+            u = gaussian(grid, amplitude)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = functional.pde_residual_norm(model, u, -1.0)
+            vals = functional._l2_gradient_values(model, u, -1.0)
+            vals[-1] = 0.0
+            top = np.max(np.abs(vals))
+            assert res == pytest.approx(
+                top * math.sqrt(math.fsum(grid.weights * (vals / top) ** 2)), rel=1e-13)
+            if amplitude == 2.0:
+                assert res == math.sqrt(float(grid.weights @ vals**2))
+            else:
+                assert res == pytest.approx(1.9676646575978e180, rel=1e-12)
 
     def test_candidate_serialization(self):
         grid = make_grid(3, r_max=8.0, n_cells=200)

@@ -202,6 +202,17 @@ class TestDeltaStar:
         with pytest.raises(ValueError):
             ot.delta_star(0.001, 0.001, 5)
 
+    def test_coercive_up_to_the_smaller_coefficient(self):
+        # with b = 1e10 the gap stays positive up to delta = a, where the
+        # quadratic coefficient vanishes: the supremum is a itself, not a
+        # root, and the margin backs off from it
+        d = ot.delta_star(1.0, 1e10, 5)
+        assert d == pytest.approx(1.0 - ot.DELTA_BACKOFF, rel=1e-11)
+        ts = ot.threshold_set(1.0, 1e10, 3.0, 5, q_mass=2.3, gn_const=0.7)
+        assert ts.delta == d
+        assert ts.c0 is not None and ts.c0 > 0.0
+        assert ts.notes == ()
+
 
 class TestNonexistenceRadius:
     Q_MASS = 2.3  # stand-in extremal mass; formula tests only need positivity
@@ -211,7 +222,7 @@ class TestNonexistenceRadius:
             s = ot.sobolev_constant(4)
             c0 = ot.nonexistence_c0(a, 2.0 / s**2, 3.0, 4, self.Q_MASS)
             assert c0 == pytest.approx(a * self.Q_MASS)
-            assert ot.c1_exact_n4_p3(a, self.Q_MASS) == pytest.approx(c0)
+            assert ot.threshold_set(a, 2.0 / s**2, 3.0, 4, self.Q_MASS, 0.7).c1_exact == c0
 
     def test_n4_window_matches_infimum_route(self):
         # c0 is where the coercivity infimum with mass-dependent weight
@@ -325,6 +336,25 @@ class TestThresholdSet:
                      (0.0, 0.01), (1.0, -0.01)):
             with pytest.raises(ValueError):
                 ot.threshold_set(a, b, 2.8, 5, q_mass=2.3, gn_const=0.7)
+
+    @pytest.mark.parametrize("a,b,p,q_mass,name", [
+        (1.0, 0.1, 3.333, 118.7, "c0"),  # overflows near 2*
+        (0.001, 0.1, 3.3323333333333336, 68.56, "c0"),  # underflows to 0.0
+        (1e300, 0.001, 2.4, 2.3, "c_star"),
+        (1e300, 0.001, 2.8, 2.3, "c1_upper"),
+    ])
+    def test_a_constant_past_the_float_range_is_a_note(self, a, b, p, q_mass, name):
+        ts = ot.threshold_set(a, b, p, 5, q_mass=q_mass, gn_const=0.7)
+        assert ts.existence_ok
+        assert getattr(ts, name) is None
+        assert f"{name} unavailable: {name} leaves the float range at p = {p:.9g}" \
+            in ts.notes
+
+    def test_mass_critical(self):
+        assert ot.mass_critical(4, 3.0) and ot.mass_critical(5, 2.8)
+        assert ot.mass_critical(5, 2.8 + 5e-13)
+        assert not ot.mass_critical(5, 2.8 + 1e-11)
+        assert not ot.mass_critical(4, 3.5)
 
     def test_n4_borderline(self):
         s = ot.sobolev_constant(4)
