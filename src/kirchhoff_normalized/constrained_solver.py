@@ -510,20 +510,29 @@ def _implicit_step(model: Model, u: RadialFunction, tau: float,
     refinement, whose levels depend on the step map, see the module
     docstring) M is relaxed to self-consistency by up to INNER_SOLVES
     solves; the last solve's profile is returned without evaluating M
-    on it.  Each solve hands solveh_banded the fresh diagonals
-    M diag(A) + w/tau and M sup(A) of the interior nodes and the one
-    right-hand side w (u/tau + f(u)), which it does not overwrite.
+    on it.  The right-hand side w (u/tau + f(u)) of the interior nodes
+    is built once, in place, and every solve reads it (solveh_banded does
+    not overwrite it).  The diagonals M diag(A) + w/tau and M sup(A),
+    which solveh_banded does overwrite, are refilled before each solve
+    into two buffers allocated once per step.  The outermost node is
+    left out of the solve and set to 0 (the Dirichlet tail).
     """
     grid = u.grid
-    w = grid.weights
-    # Dirichlet tail: the outermost node is left out of the solve
-    rhs = (w * (u.values / tau + u.f_values(model.nonlinearity)))[:-1]
-    w_tau = w[:-1] / tau
+    w = grid.weights[:-1]
+    rhs = u.values[:-1] / tau
+    rhs += u.f_values(model.nonlinearity)[:-1]
+    rhs *= w
+    w_tau = w / tau
     sup, diag = grid.stiffness_band[0, 1:-1], grid.stiffness_band[1, :-1]
+    d, e = np.empty_like(diag), np.empty_like(sup)
     m = model.coefficient.M(u.grad_norm_sq())
     for k in range(INNER_SOLVES):
-        vals = np.zeros_like(u.values)
-        vals[:-1] = solveh_banded(m * diag + w_tau, m * sup, rhs)
+        np.multiply(diag, m, out=d)
+        d += w_tau
+        np.multiply(sup, m, out=e)
+        vals = np.empty_like(u.values)
+        vals[:-1] = solveh_banded(d, e, rhs)
+        vals[-1] = 0.0
         v = u.with_values(vals)
         if lagged or k == INNER_SOLVES - 1:
             break

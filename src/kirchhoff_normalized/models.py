@@ -161,13 +161,15 @@ class Nonlinearity:
             return out
         return self._exp_f_prime(u)
 
-    def _guard(self, x: np.ndarray) -> None:
+    def _guard(self, x: np.ndarray) -> np.ndarray:
+        """The exponent alpha0 x^2, checked against EXP_ARG_CAP."""
         arg = self.alpha0 * x * x
         if arg.size and float(arg.max()) > EXP_ARG_CAP:
             raise ExpOverflowError(
                 f"alpha0 u^2 = {float(arg.max()):.3g} exceeds the safe exponent "
                 f"cap {EXP_ARG_CAP:g}; use the analytic growth bound instead"
             )
+        return arg
 
     def _exp_f_prime(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
@@ -175,8 +177,7 @@ class Nonlinearity:
         high = u > self.u1
         out[low] = (self.sigma - 1.0) * u[low] ** (self.sigma - 2.0)
         x = u[high]
-        self._guard(x)
-        arg = self.alpha0 * x * x
+        arg = self._guard(x)
         # divide before multiplying: e^arg times the quadratic overflows
         # near the exponent cap although f' itself is finite there
         out[high] = np.exp(arg) / (self.alpha0 * x**4) \
@@ -184,20 +185,29 @@ class Nonlinearity:
         return out
 
     def _exp_f_and_F(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and F of the spliced exponential family from one power
-        u^{sigma-1} below u_1 and one e^{alpha0 u^2} above it; zero on
-        u <= 0."""
-        f, F = np.zeros_like(u), np.zeros_like(u)
-        low = (u > 0) & (u <= self.u1)
-        high = u > self.u1
-        y = u[low]
-        lower = y ** (self.sigma - 1.0)
-        f[low] = lower
-        F[low] = y * (lower / self.sigma)
-        x = u[high]
-        self._guard(x)
+        """f and F of the spliced exponential family; zero on u <= 0 and
+        on NaN.
+
+        u is clipped to +0.0 (fmax drops NaN, adding +0.0 turns -0.0 into
+        +0.0), so every zero comes back as +0.0.  The power piece
+        f = y^{sigma-1}, F = y (f / sigma) is evaluated once over the whole
+        clipped array y, and only the nodes above u_1 are overwritten with
+        the piece from e^{alpha0 u^2}.  Those nodes pass _guard before any
+        power is taken, so an over-cap height raises ExpOverflowError and
+        never overflows the power.  The out= arrays keep a 0-d u a 0-d
+        array, which the overwrite needs.
+        """
+        y = np.fmax(u, 0.0, out=np.empty_like(u))
+        y += 0.0
+        high = y > self.u1
+        x = y[high]
+        arg = self._guard(x)
+        f = np.power(y, self.sigma - 1.0, out=np.empty_like(u))
+        F = np.divide(f, self.sigma, out=np.empty_like(u))
+        F *= y
+        if not x.size:
+            return f, F
         a0, b0, u1 = self.alpha0, self.beta, self.u1
-        arg = a0 * x * x
         e = np.exp(arg)
         with np.errstate(over="ignore"):
             f_high = b0 * (arg - 1.0) * e / (a0 * x**3)

@@ -256,8 +256,13 @@ class RadialFunction:
         return self._derived("grad_norm_sq", self._grad_norm_sq)
 
     def _grad_norm_sq(self, values: np.ndarray) -> float:
-        d = (values[1:] - values[:-1]) / self.grid.cell_widths
-        return float(self.grid.cell_volumes @ d**2)
+        """cell_volumes @ ((v[1:] - v[:-1]) / cell_widths)**2 on one scratch
+        array: the difference is divided and squared in place (d * d has
+        the bits of d**2), and values is not written."""
+        d = values[1:] - values[:-1]
+        d /= self.grid.cell_widths
+        d *= d
+        return float(self.grid.cell_volumes @ d)
 
     def f_values(self, nonlinearity) -> np.ndarray:
         """f(u) at the nodes for the given nonlinearity, read-only."""

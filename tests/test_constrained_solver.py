@@ -1041,9 +1041,9 @@ class TestTridiagonalSolve:
         assert np.array_equal(rhs, keep)
 
     @staticmethod
-    def scipy_relaxed_step(model, u, tau):
-        """The relaxed step written with scipy.linalg.solveh_banded on the
-        full two-row band."""
+    def scipy_relaxed_step(model, u, tau, lagged=False):
+        """The step written with scipy.linalg.solveh_banded on the full
+        two-row band: relaxed, or lagged after one solve."""
         w = u.grid.weights
         rhs = w * (u.values / tau + model.nonlinearity.f(u.values))
         m = model.coefficient.M(u.grad_norm_sq())
@@ -1053,7 +1053,7 @@ class TestTridiagonalSolve:
             vals = np.zeros_like(u.values)
             vals[:-1] = solveh_banded(ab[:, :-1], rhs[:-1], check_finite=False)
             v = RadialFunction(u.grid, vals)
-            if k == cs.INNER_SOLVES - 1:
+            if lagged or k == cs.INNER_SOLVES - 1:
                 break
             m_new = model.coefficient.M(v.grad_norm_sq())
             if abs(m_new - m) <= 1e-12 * (1.0 + m):
@@ -1061,15 +1061,28 @@ class TestTridiagonalSolve:
             m = 0.5 * (m + m_new)
         return vals, k + 1
 
-    def test_relaxed_step_matches_a_scipy_loop(self):
+    @pytest.mark.parametrize("planar", [False, True])
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_relaxed_step_matches_a_scipy_loop(self, planar, lagged):
         # several solves share one right-hand side, so a solve that wrote
-        # into it would move every one after the first
-        model = affine_power(5, 2.8, b=0.1)
-        grid = make_grid(5, 24.0, 1000, "graded")
-        u = normalize_mass(RadialFunction(grid, np.exp(-0.5 * grid.nodes**2)), 3.0)
-        ref, solves = self.scipy_relaxed_step(model, u, 0.1)
-        assert solves > 1
-        assert np.array_equal(cs._implicit_step(model, u, 0.1, lagged=False).values, ref)
+        # into it would move every one after the first; the step refills
+        # its two diagonal buffers before each solve, which overwrites
+        # them.  The planar profile rises above the splice height u_1, so
+        # its right-hand side reads both pieces of the exponential kernel
+        if planar:
+            model = Model(affine_coefficient(1.0, 1.0), make_exp_critical(1.0, 1.0, 1.0))
+            grid = make_grid(2, 10.0, 1000, "graded")
+            u = normalize_mass(RadialFunction(grid, np.exp(-16.0 * grid.nodes**2)), 1.0)
+            assert u.values.max() > model.nonlinearity.u1
+        else:
+            model = affine_power(5, 2.8, b=0.1)
+            grid = make_grid(5, 24.0, 1000, "graded")
+            u = normalize_mass(RadialFunction(grid, np.exp(-0.5 * grid.nodes**2)), 3.0)
+        ref, solves = self.scipy_relaxed_step(model, u, 0.1, lagged)
+        assert solves == 1 if lagged else solves > 1
+        v = cs._implicit_step(model, u, 0.1, lagged=lagged)
+        assert np.array_equal(v.values, ref)
+        assert not np.signbit(v.values[-1]) and v.values[-1] == 0.0
 
     def test_indefinite_band_raises_and_the_trial_fails(self):
         with pytest.raises(LinAlgError):

@@ -6,12 +6,44 @@ against central finite differences of F.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from kirchhoff_normalized import models
+
+
+def masked_exp_f_and_F(nl, u):
+    """A frozen copy of the exponential kernel as it was before it clipped
+    u and took the power over the whole array: zero-filled outputs, the
+    power gathered on 0 < u <= u_1, the exponential piece on u > u_1."""
+    f, F = np.zeros_like(u), np.zeros_like(u)
+    low = (u > 0) & (u <= nl.u1)
+    high = u > nl.u1
+    y = u[low]
+    lower = y ** (nl.sigma - 1.0)
+    f[low] = lower
+    F[low] = y * (lower / nl.sigma)
+    x = u[high]
+    nl._guard(x)
+    a0, b0, u1 = nl.alpha0, nl.beta, nl.u1
+    arg = a0 * x * x
+    e = np.exp(arg)
+    with np.errstate(over="ignore"):
+        f_high = b0 * (arg - 1.0) * e / (a0 * x**3)
+    big = ~np.isfinite(f_high)
+    if big.any():
+        f_high[big] = e[big] / (a0 * x[big] ** 3) * (arg[big] - 1.0) * b0
+    f[high] = f_high
+    F[high] = u1**nl.sigma / nl.sigma + (b0 / (2 * a0)) * (
+        e / (x * x) - math.exp(a0 * u1 * u1) / (u1 * u1))
+    return f, F
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestAffineCoefficient:
@@ -167,6 +199,52 @@ class TestExpCritical:
         assert np.array_equal(nl.f(low), f_low) and np.array_equal(nl.F(x), F[300:])
         with pytest.raises(models.ExpOverflowError):
             nl.f_and_F(np.array([0.5 * u1, 1.01 * cap]))
+
+    # the four sets of test_pair_matches_the_separate_pieces, and beta =
+    # 150, whose product overflows near the cap so that f divides first
+    @pytest.mark.parametrize("alpha0, beta, theta", [
+        (1.0, 1.0, 1.0), (2.0, 0.5, 0.5), (4 * math.pi, 1.0, 1.0), (100.0, 2.0, 0.0),
+        (1.0, 150.0, 1.0)])
+    def test_kernel_matches_the_masked_kernel_bit_for_bit(self, alpha0, beta, theta):
+        nl = models.make_exp_critical(alpha0, beta, theta)
+        u1, cap = nl.u1, math.sqrt(models.EXP_ARG_CAP / alpha0)
+        near_cap = cap * (1.0 - np.array([1e-12, 1e-9, 1e-6]))
+        u = np.concatenate([
+            [-3.0, -1e-300, -2.0 * cap, -math.inf, -0.0, 0.0, math.nan],
+            [5e-324, 1e-200, 1e-60], np.linspace(0.0, u1, 40)[1:],
+            [u1, np.nextafter(u1, math.inf)], np.linspace(u1, cap, 40)[1:-1],
+            near_cap])
+        arg = alpha0 * near_cap**2
+        with np.errstate(over="ignore"):
+            multiplied = beta * (arg - 1.0) * np.exp(arg) / (alpha0 * near_cap**3)
+        # the divide-first branch is reached only at beta = 150
+        assert np.isfinite(multiplied).all() == (beta < 100.0)
+        for order in (u, u[::-1], np.random.default_rng(3).permutation(u)):
+            f, F = nl.f_and_F(order)
+            f_ref, F_ref = masked_exp_f_and_F(nl, order)
+            assert same_bits(f, f_ref) and same_bits(F, F_ref)
+            assert np.isfinite(f).all() and np.isfinite(F).all()
+            zero = order <= 0.0
+            zero |= np.isnan(order)
+            # zeros come back as +0.0, never -0.0
+            assert np.all(f[zero] == 0.0) and not np.signbit(f[zero]).any()
+            assert np.all(F[zero] == 0.0) and not np.signbit(F[zero]).any()
+        for x in (-0.0, math.nan, 0.5 * u1, u1, 0.5 * (u1 + cap)):
+            f, F = nl.f_and_F(x)
+            f_ref, F_ref = masked_exp_f_and_F(nl, np.asarray(x))
+            assert same_bits(f, f_ref) and same_bits(F, F_ref)
+
+    @pytest.mark.parametrize("alpha0, beta, theta", [
+        (1.0, 1.0, 1.0), (2.0, 0.5, 0.5), (4 * math.pi, 1.0, 1.0), (100.0, 2.0, 0.0)])
+    def test_over_cap_height_raises_before_any_power(self, alpha0, beta, theta):
+        # u^(sigma-1) overflows at these heights, so a kernel that took the
+        # power before the guard would raise an overflow warning instead
+        nl = models.make_exp_critical(alpha0, beta, theta)
+        for big in (1e80, 1e150):
+            with np.errstate(all="warn"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(models.ExpOverflowError):
+                    nl.f_and_F(np.array([-1.0, 0.5 * nl.u1, big]))
 
     @pytest.mark.parametrize("alpha0", [4 * math.pi, 100.0, 1e5])
     def test_builds_where_u_10_overflows(self, alpha0):

@@ -25,7 +25,6 @@ from kirchhoff_normalized import (
 )
 from kirchhoff_normalized import moser_sequence as msq
 from kirchhoff_normalized.models import ExpOverflowError, Model
-from kirchhoff_normalized.scalar_opt import BracketError
 
 
 def exp_model(a: float = 1.0, b: float = 1.0, alpha0: float = 1.0,

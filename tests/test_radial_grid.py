@@ -119,6 +119,25 @@ class TestGradNorm:
             assert u.grad_norm_sq() == float(
                 grid.cell_volumes @ (np.diff(v) / np.diff(grid.nodes)) ** 2)
 
+    @pytest.mark.parametrize("dim, r_max, n, scheme", [
+        (2, 10.0, 4000, "uniform"), (5, 24.0, 1000, "graded"),
+        (4, 3.0, 17, "uniform"), (3, 30.0, 333, "graded")])
+    def test_in_place_kernel_matches_the_formula_and_keeps_values(
+            self, dim, r_max, n, scheme):
+        # the kernel divides and squares one scratch array in place; it
+        # must give the bits of the formula with its temporaries and must
+        # not write to the values it is handed, even a writable array
+        grid = rg.make_grid(dim, r_max, n, scheme=scheme)
+        rng = np.random.default_rng(n)
+        for v in (rng.standard_normal(n + 1),
+                  np.exp(-grid.nodes**2) * 1e3, np.linspace(-1.0, 1.0, n + 1)):
+            keep = v.copy()
+            ref = float(grid.cell_volumes @ ((v[1:] - v[:-1]) / grid.cell_widths) ** 2)
+            u = rg.RadialFunction(grid, v.copy())
+            assert u._grad_norm_sq(v) == ref
+            assert np.array_equal(v, keep)
+            assert u.grad_norm_sq() == ref
+
 
 class TestLpNorm:
     def test_gaussian_l4_n2(self):
