@@ -21,9 +21,10 @@ the process pool, so the other subcommands and one-process sweeps never
 load multiprocessing.
 
 Exit codes: 0 on success, 2 on a bad specification (argparse usage
-errors, a flag the subcommand does not read, an extremal that the
-shooting cannot certify and a `moser` mass whose fiber search finds no
-maximum included), 3 on I/O failure.
+errors, a flag the subcommand does not read, a `sweep` dimension
+outside [2, radial_grid.MAX_DIMENSION], an extremal that the shooting
+cannot certify and a `moser` mass whose fiber search finds no maximum
+included), 3 on I/O failure.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .models import (
 )
 from .moser_sequence import mp_bound_check, profile_index
 from .omega_thresholds import threshold_set
-from .radial_grid import write_profile_csv
+from .radial_grid import MAX_DIMENSION, write_profile_csv
 
 
 class SpecError(ValueError):
@@ -137,6 +138,9 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        if not 2 <= self.dimension <= MAX_DIMENSION:
+            raise SpecError(f"dimension must lie in [2, {MAX_DIMENSION}], "
+                            f"got {self.dimension}")
         axes = (self.p_values, self.a_values, self.b_values, self.c_values)
         for name, axis in zip(("p_values", "a_values", "b_values",
                                "c_values"), axes):
@@ -356,19 +360,10 @@ def _apply_config(args) -> None:
 
 
 def _solve_params(args, restarts=None) -> SolveParams:
-    base = SolveParams()
-    kwargs = {}
-    if args.grid_size is not None:
-        kwargs["n_cells"] = args.grid_size
-    if args.rmax is not None:
-        kwargs["r_max"] = args.rmax
-    if args.tol is not None:
-        kwargs["residual_tol"] = args.tol
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if restarts is not None:
-        kwargs["restarts"] = restarts
-    return replace(base, **kwargs) if kwargs else base
+    """The SolveParams defaults, overridden by each solver flag given."""
+    given = {"n_cells": args.grid_size, "r_max": args.rmax,
+             "residual_tol": args.tol, "seed": args.seed, "restarts": restarts}
+    return replace(SolveParams(), **{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(args, filename: str, text: str) -> None:

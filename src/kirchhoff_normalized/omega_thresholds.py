@@ -13,7 +13,10 @@ configuration (q1, q2) = (2, 4) with a single denominator power q in
 (2, 4) the infimum has a closed form; combined with the Sobolev constant
 of the critical embedding and the mass of the interpolation extremal it
 yields the explicit mass thresholds below which no nontrivial normalized
-solution can exist.
+solution can exist.  The Sobolev constant is exact too: the closed form
+S_N = pi N (N - 2) (Gamma(N/2) / Gamma(N))^(2/N) of Aubin (J.
+Differential Geom. 11 (1976)) and Talenti (Ann. Mat. Pura Appl. 110
+(1976)), with no quadrature, so no threshold carries a grid's error.
 
 The extremal mass ``q_mass`` and the interpolation constant are always
 injected by the caller (see gn_ground_state); nothing is hard-coded.
@@ -24,19 +27,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 from .models import two_star
-from .radial_grid import RadialFunction, RadialGrid, make_grid
+from .radial_grid import MAX_DIMENSION, RadialFunction, RadialGrid
 from .scalar_opt import brentq, power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
 # margin parameter delta; keeps the reported constant strictly certified
 DELTA_BACKOFF = 1e-6
-# graded grid of the Sobolev-constant quadrature; the bubble's tails
-# beyond SOBOLEV_R_MAX are added analytically
-SOBOLEV_R_MAX = 100.0
-SOBOLEV_CELLS = 20000
 
 
 @dataclass(frozen=True)
@@ -156,36 +154,19 @@ def sobolev_quotient(u: RadialFunction) -> float:
     return u.grad_norm_sq() / u.lp_norm(ts) ** 2
 
 
-def _bubble_tails(n: int, r_max: float) -> tuple[float, float]:
-    """Two-term analytic tails of the bubble integrals beyond r_max.
-
-    Truncation would otherwise dominate the error for small N, where the
-    gradient integrand decays only like r^{1-N}.
-    """
-    from .radial_grid import sphere_area
-
-    area = sphere_area(n)
-    grad_tail = area * ((n - 2) * r_max ** (2 - n) - (n - 2) ** 2 * r_max ** (-n))
-    crit_tail = area * (r_max ** (-n) / n - n * r_max ** (-n - 2) / (n + 2))
-    return grad_tail, crit_tail
-
-
-@lru_cache(maxsize=None)
 def sobolev_constant(dimension: int) -> float:
-    """Best constant of the critical embedding via the decaying extremal.
+    """Best constant S_N of the critical embedding, in closed form.
 
-    Cached per dimension; every threshold below reads it from here.
+    S_N = pi N (N - 2) (Gamma(N/2) / Gamma(N))^(2/N), the Sobolev
+    quotient of the Aubin-Talenti bubble (Aubin, J. Differential Geom.
+    11 (1976); Talenti, Ann. Mat. Pura Appl. 110 (1976)).  Dimensions 3
+    to radial_grid.MAX_DIMENSION; anything else raises ValueError.
     """
     n = int(dimension)
-    if n < 3:
-        raise ValueError("dimension must be at least 3")
-    grid = make_grid(n, r_max=SOBOLEV_R_MAX, n_cells=SOBOLEV_CELLS, scheme="graded")
-    u = aubin_talenti_bubble(grid)
-    ts = two_star(n)
-    grad_tail, crit_tail = _bubble_tails(n, SOBOLEV_R_MAX)
-    grad = u.grad_norm_sq() + grad_tail
-    crit = grid.integrate(u.values**ts) + crit_tail
-    return grad / crit ** (2.0 / ts)
+    if not 3 <= n <= MAX_DIMENSION:
+        raise ValueError(f"the critical embedding needs dimension 3 to "
+                         f"{MAX_DIMENSION}, got {n}")
+    return math.pi * n * (n - 2) * (math.gamma(n / 2) / math.gamma(n)) ** (2.0 / n)
 
 
 def mass_critical(n: int, p: float) -> bool:
@@ -193,42 +174,44 @@ def mass_critical(n: int, p: float) -> bool:
     return abs(p - (2.0 + 4.0 / n)) <= 1e-12
 
 
+def _coercivity_gap(a: float, b: float, n: int) -> float:
+    """S^(2*/2) omega(a, b, 2*) - 1 for N >= 5: the two-over-two infimum
+    with unit critical weight, less 1.  Positive exactly when the
+    quadratic-quartic form a t^2 + b t^4 dominates the critical power."""
+    ts = two_star(n)
+    return sobolev_constant(n) ** (ts / 2.0) * omega_closed_form(a, b, ts) - 1.0
+
+
 def existence_condition(a: float, b: float, dimension: int) -> bool:
     """Whether the quadratic-quartic form dominates the critical power.
 
-    For N >= 5 this is the two-over-two infimum with unit critical
-    weight, S^(2*/2) omega(a, b, 2*), exceeding 1 (false when a or b is
+    For N >= 5 this is a positive coercivity gap (false when a or b is
     0); for N = 4 the quartic terms share the exponent and the condition
     collapses to b > 1/S^2.
     """
     if dimension < 4:
         raise ValueError("threshold theory covers dimension >= 4")
-    s = sobolev_constant(dimension)
     if dimension == 4:
-        return b > 1.0 / s**2
-    ts = two_star(dimension)
-    return a > 0.0 and b > 0.0 and s ** (ts / 2.0) * omega_closed_form(a, b, ts) > 1.0
+        return b > 1.0 / sobolev_constant(4) ** 2
+    return a > 0.0 and b > 0.0 and _coercivity_gap(a, b, dimension) > 0.0
 
 
 def delta_star(a: float, b: float, dimension: int) -> float:
     """Largest margin delta keeping (a-delta, b-delta) coercive, backed off.
 
-    The coercivity gap falls strictly as delta grows, so the supremum is
-    its one root in (0, min(a, b)) when it has one, and min(a, b) itself
-    when coercivity holds all the way there (large b); the returned
-    value sits a relative DELTA_BACKOFF inside it, hence is always
-    admissible.
+    The coercivity gap at (a - delta, b - delta) falls strictly as delta
+    grows, so the supremum is its one root in (0, min(a, b)) when it has
+    one, and min(a, b) itself when coercivity holds all the way there
+    (large b); the returned value sits a relative DELTA_BACKOFF inside
+    it, hence is always admissible.
     """
     if dimension < 5:
         raise ValueError("the margin construction needs dimension >= 5")
     if not existence_condition(a, b, dimension):
         raise ValueError("coercivity fails already at zero margin")
-    s = sobolev_constant(dimension)
-    ts = two_star(dimension)
-    weight = s ** (ts / 2.0)
 
     def gap(d: float) -> float:
-        return weight * omega_closed_form(a - d, b - d, ts) - 1.0
+        return _coercivity_gap(a - d, b - d, dimension)
 
     hi = min(a, b) * (1.0 - 1e-12)
     if gap(hi) > 0.0:
@@ -302,7 +285,7 @@ class ThresholdSet:
     p: float
     a: float
     b: float
-    sobolev: float
+    sobolev: float | None
     gn_constant: float
     q_mass: float
     existence_ok: bool
@@ -325,17 +308,19 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     rather than raising, so sweeps can tabulate mixed regimes: each of
     c0, c_star, c1_upper and delta that raises ValueError, overflows, or
     comes out not positive and finite gets one note, "<name>
-    unavailable: <reason>".  Only a coefficient outside the affine rule
-    (0 < a and 0 <= b, both finite) raises a ValueError.
+    unavailable: <reason>".  Below dimension 4 there are no constants,
+    only the note "no explicit thresholds below dimension 4", and the
+    Sobolev constant is None at N <= 2, which has no critical embedding.
+    Only a coefficient outside the affine rule (0 < a and 0 <= b, both
+    finite) or a dimension outside [1, radial_grid.MAX_DIMENSION] raises
+    a ValueError.
     """
     if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
         raise ValueError(f"need 0 < a and 0 <= b, both finite; got a={a}, b={b}")
     n = int(dimension)
-    s = sobolev_constant(n)
+    s = None if n in (1, 2) else sobolev_constant(n)
     notes: list[str] = []
-    exists_ok = existence_condition(a, b, n) if n >= 4 else False
-    if n < 4:
-        notes.append("no explicit thresholds below dimension 4")
+    exists_ok = n >= 4 and existence_condition(a, b, n)
 
     def attempt(name, constant):
         try:
@@ -365,6 +350,8 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
             # the exact I_c sign-change radius of the N = 4 borderline
             # case is c0 = a |Q|_2 itself
             c1e = c0
+    elif n < 4:
+        notes.append("no explicit thresholds below dimension 4")
     else:
         notes.append("coercivity condition fails: thresholds undefined")
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from kirchhoff_normalized import cli, gn_ground_state, read_profile_csv
+from kirchhoff_normalized import SolveParams, cli, gn_ground_state, read_profile_csv
 from kirchhoff_normalized.cli import (
     MAX_SWEEP_TUPLES,
     PHASE_COLUMNS,
@@ -106,6 +106,15 @@ class TestThresholds:
         d = json.loads(out)
         assert d["c0"] is None and d["c_star"] > 0.0
         assert any(note.startswith("c0 unavailable") for note in d["notes"])
+
+    def test_planar_dimension_is_one_note(self, capsys):
+        # no critical embedding at N = 2: no Sobolev constant, no
+        # threshold, and one note saying so
+        rc, out, _ = run_cli(capsys, "thresholds", "--dim", "2", "--p", "3")
+        assert rc == 0
+        d = json.loads(out)
+        assert d["sobolev"] is None and d["existence_ok"] is False
+        assert d["notes"] == ["no explicit thresholds below dimension 4"]
 
     def test_out_dir_mirrors_stdout(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "thresholds", "--dim", "5", "--p", "2.8",
@@ -253,6 +262,16 @@ class TestSweep:
         assert recs[0]["error"] == ""
         assert recs[1]["observed_status"] == "error"
         assert recs[1]["error"] != ""
+
+    def test_planar_row_has_no_error(self, capsys, tmp_path):
+        rc, _, _ = run_cli(capsys, "sweep", "--dim", "2", "--p", "3",
+                           "--c", "1", *FAST, "--out", str(tmp_path))
+        assert rc == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        [rec] = [dict(zip(PHASE_COLUMNS, r.split(","))) for r in rows[1:]]
+        assert rec["dimension"] == "2" and rec["error"] == ""
+        assert rec["observed_status"] != "error"
+        assert rec["predicted"] == "unclassified"
 
     def test_byte_identical_across_jobs(self, capsys, tmp_path):
         base = ("sweep", "--dim", "5", "--p", "2.5,2.8", "--c", "1,2",
@@ -527,6 +546,29 @@ class TestConfigAndExits:
                              "--out", str(tmp_path))
         assert rc == 2 and "tuples" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dim", ["0", "1", "-3", "11"])
+    def test_sweep_dimension_outside_the_range_exits_2(self, capsys, tmp_path,
+                                                       monkeypatch, dim):
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        rc, out, err = run_cli(capsys, "sweep", "--dim", dim, "--p", "3",
+                               "--c", "1", "--out", str(tmp_path))
+        assert rc == 2
+        assert out == "" and "dimension must lie in [2, 10]" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_solve_flags_map_onto_solve_params(self):
+        parse = build_parser().parse_args
+        bare = parse(["solve", "--dim", "4", "--p", "3", "--c", "1"])
+        assert cli._solve_params(bare) == SolveParams()
+        args = parse(["sweep", "--dim", "4", "--p", "3", "--c", "1",
+                      "--grid-size", "800", "--rmax", "30", "--tol", "1e-7",
+                      "--seed", "5"])
+        assert cli._solve_params(args, restarts=3) == SolveParams(
+            n_cells=800, r_max=30.0, residual_tol=1e-7, seed=5, restarts=3)
+        only_seed = parse(["solve", "--dim", "4", "--p", "3", "--c", "1",
+                           "--seed", "2"])
+        assert cli._solve_params(only_seed) == SolveParams(seed=2)
 
     def test_spec_invariants(self):
         with pytest.raises(SpecError):

@@ -1,7 +1,8 @@
 """Infimum machinery and threshold constants.
 
 The numeric infimum is checked against the closed form, the Sobolev
-constant against its Gamma-function expression, and each threshold
+constant against its Gamma-function expression and against the
+quadrature of the Aubin-Talenti bubble, and each threshold
 against the inequality it was derived from (evaluated with the numeric
 infimum, not the closed form, so the two routes stay independent).
 """
@@ -17,6 +18,7 @@ from kirchhoff_normalized import (
     make_grid, power_nonlinearity,
 )
 from kirchhoff_normalized.models import two_star
+from kirchhoff_normalized.radial_grid import sphere_area
 from kirchhoff_normalized import omega_thresholds as ot
 
 
@@ -127,11 +129,31 @@ class TestOmegaQuery:
             assert scaled == pytest.approx(unit / k4, rel=1e-10)
 
 
+def bubble_quadrature(n: int) -> float:
+    """The bubble's Sobolev quotient by quadrature: 20 000 graded cells on
+    [0, 100] plus the two-term analytic tails of both integrals beyond,
+    without which truncation dominates the error at small N, where the
+    gradient integrand decays only like r^(1-N)."""
+    r_max = 100.0
+    grid = make_grid(n, r_max=r_max, n_cells=20000, scheme="graded")
+    u = ot.aubin_talenti_bubble(grid)
+    ts = two_star(n)
+    area = sphere_area(n)
+    grad_tail = area * ((n - 2) * r_max ** (2 - n) - (n - 2) ** 2 * r_max ** (-n))
+    crit_tail = area * (r_max ** (-n) / n - n * r_max ** (-n - 2) / (n + 2))
+    grad = u.grad_norm_sq() + grad_tail
+    crit = grid.integrate(u.values**ts) + crit_tail
+    return grad / crit ** (2.0 / ts)
+
+
 class TestSobolevConstant:
     def test_matches_gamma_expression(self):
-        assert ot.sobolev_constant(4) == pytest.approx(sobolev_gamma(4), rel=1e-6)
-        assert ot.sobolev_constant(5) == pytest.approx(sobolev_gamma(5), rel=1e-6)
-        assert ot.sobolev_constant(3) == pytest.approx(sobolev_gamma(3), rel=1e-5)
+        for n in range(3, 11):
+            assert ot.sobolev_constant(n) == pytest.approx(sobolev_gamma(n), rel=1e-14)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_matches_bubble_quadrature(self, n):
+        assert bubble_quadrature(n) == pytest.approx(ot.sobolev_constant(n), rel=1e-6)
 
     def test_quotient_of_arbitrary_function_dominates(self):
         for n in (4, 5):
@@ -148,6 +170,10 @@ class TestSobolevConstant:
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             ot.sobolev_constant(2)
+
+    def test_rejects_dimension_past_the_grid_range(self):
+        with pytest.raises(ValueError, match="dimension 3 to 10"):
+            ot.sobolev_constant(11)
 
     def test_weight_factor_between_configurations(self):
         # halving/quartering the numerator while shrinking the critical
@@ -349,6 +375,14 @@ class TestThresholdSet:
         assert getattr(ts, name) is None
         assert f"{name} unavailable: {name} leaves the float range at p = {p:.9g}" \
             in ts.notes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_below_dimension_four_one_note_no_constants(self, n):
+        ts = ot.threshold_set(1.0, 1.0, 3.0, n, q_mass=2.3, gn_const=0.7)
+        assert ts.notes == ("no explicit thresholds below dimension 4",)
+        assert not ts.existence_ok
+        assert (ts.c0, ts.c_star, ts.c1_exact, ts.c1_upper, ts.delta) == (None,) * 5
+        assert ts.sobolev == (None if n == 2 else ot.sobolev_constant(3))
 
     def test_mass_critical(self):
         assert ot.mass_critical(4, 3.0) and ot.mass_critical(5, 2.8)
