@@ -54,7 +54,7 @@ from .models import (
 )
 from .moser_sequence import mp_bound_check, profile_index
 from .omega_thresholds import threshold_set
-from .radial_grid import MAX_DIMENSION, write_profile_csv
+from .radial_grid import MAX_DIMENSION, integer_dimension, write_profile_csv
 
 
 class SpecError(ValueError):
@@ -138,7 +138,7 @@ class SweepSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if not 2 <= self.dimension <= MAX_DIMENSION:
+        if not 2 <= integer_dimension(self.dimension) <= MAX_DIMENSION:
             raise SpecError(f"dimension must lie in [2, {MAX_DIMENSION}], "
                             f"got {self.dimension}")
         axes = (self.p_values, self.a_values, self.b_values, self.c_values)

@@ -230,11 +230,13 @@ class SolveParams:
     residual_tol is relative to the H^1 norm of the iterate.  restarts
     counts initial profiles for the minimizer: the scaled GN extremal
     (power models), then the GAUSSIAN_WIDTHS Gaussians, then the
-    Gaussian of width r_max/6 (doubled until it differs from every
-    GAUSSIAN_WIDTHS width, so w=8 at r_max = 24), then seeded random
-    bumps.  r_max is a floor: the solvers widen the domain per (model, c)
-    to hold the predicted profile width.  The graded grid has n_cells
-    cells.
+    spread Gaussian, then seeded random bumps.  r_max is a floor: the
+    solvers widen the domain per (model, c) to hold the predicted
+    profile width (recommended_grid).  The spread Gaussian's width is the
+    radius of that widened grid over 6, not r_max/6, doubled until it
+    differs from every GAUSSIAN_WIDTHS width: w=12.3195 at N=5, p=2.9,
+    a=1, b=0.001, c=46 and w=80.5627 at p=2.5, c=2, where the grid
+    reaches 73.9 and 483.4.  The graded grid has n_cells cells.
     Construction rejects values that no solve can use, with ValueError:
     a residual_tol or r_max that is not a positive finite real number
     (bool included; numpy floats are accepted), n_cells outside
@@ -351,7 +353,7 @@ def _gn_fiber_terms(model: Model, c: float) -> list[tuple[float, float]]:
     q = _gn_extremal(model)
     try:
         crit = None
-        if model.nonlinearity.include_critical and q.crit is not None:
+        if q.crit is not None:
             crit = (c / q.q_l2) ** two_star(q.dimension) * q.crit
         return _fiber_terms(model, c * c * q.grad_sq / q.mass,
                             (c / q.q_l2) ** q.p * q.lp, crit)

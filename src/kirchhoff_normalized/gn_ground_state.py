@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import two_star
-from .radial_grid import MAX_CELLS, MIN_CELLS, RadialFunction, make_grid
+from .radial_grid import MAX_CELLS, MIN_CELLS, RadialFunction, integer_dimension, make_grid
 from .scalar_opt import brentq
 
 # classification outcomes for a single integration
@@ -101,7 +101,7 @@ class GroundStateProfile:
 
 
 def _coefficients(dimension: int, p: float) -> tuple[float, float]:
-    n = int(dimension)
+    n = integer_dimension(dimension)
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not math.isfinite(p):
@@ -305,7 +305,7 @@ def default_r_max(dimension: int, p: float) -> float:
     kappa, m = _coefficients(dimension, p)
     rate = math.sqrt(m / kappa)
     if not rate > 0.0:
-        raise ShootError(f"(N, p) = ({int(dimension)}, {p:g}) has no finite domain: "
+        raise ShootError(f"(N, p) = ({dimension}, {p:g}) has no finite domain: "
                          "its decay rate sqrt(m/kappa) underflows to 0")
     return max(20.0, 26.0 / rate)
 
@@ -324,6 +324,7 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     the default grid's, a first step that lowers the profile by more
     than MAX_FIRST_DROP of its height.
     """
+    dimension = integer_dimension(dimension)
     if r_max is None:
         r_max = default_r_max(dimension, p)
     if not 0.0 < r_max < math.inf:
@@ -341,7 +342,7 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
             return _shoot_core(dimension, p, r, cells, known)
         except OverflowError as exc:
             raise ShootError(
-                f"the shooting trajectory overflows for (N, p) = ({int(dimension)}, {p:g}) "
+                f"the shooting trajectory overflows for (N, p) = ({dimension}, {p:g}) "
                 f"on {cells} cells of r_max = {r:g}: the grid does not resolve "
                 "the profile") from exc
 
@@ -351,11 +352,10 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
     if (not drop <= MAX_FIRST_DROP
             and r_max / n_cells > default_r_max(dimension, p) / DEFAULT_CELLS):
         raise ShootError(
-            f"(N, p) = ({int(dimension)}, {p:.9g}) on {n_cells} cells of r_max = {r_max:g}: "
+            f"(N, p) = ({dimension}, {p:.9g}) on {n_cells} cells of r_max = {r_max:g}: "
             f"the first step lowers the profile by {drop:.3g} of its height, "
             f"above {MAX_FIRST_DROP:g}, so the grid does not resolve the profile")
 
-    n = int(dimension)
     mass = u.mass()
     gap = None
     if certify:
@@ -367,11 +367,11 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
         gap = abs(u2.mass() - mass)
 
     crit = None
-    if n >= 3:
-        ts = two_star(n)
+    if dimension >= 3:
+        ts = two_star(dimension)
         crit = u.lp_norm(ts) ** ts
     return GroundStateProfile(
-        dimension=n, p=p, kappa=kappa, m=m, height=height, profile=u,
+        dimension=dimension, p=p, kappa=kappa, m=m, height=height, profile=u,
         mass=mass, grad_sq=u.grad_norm_sq(), lp=u.lp_norm(p) ** p, crit=crit,
         bisection_steps=steps, integrations=calls, truncation_radius=r_cut,
         richardson_gap=gap,
@@ -388,7 +388,7 @@ def ground_state(dimension: int, p: float, r_max: float | None = None,
                  n_cells: int = DEFAULT_CELLS) -> GroundStateProfile:
     """Cached extremal lookup for threshold assembly and sweeps; rejects
     the domains that shoot rejects."""
-    return _cached_profile(int(dimension), float(p), r_max, int(n_cells))
+    return _cached_profile(integer_dimension(dimension), float(p), r_max, int(n_cells))
 
 
 def gn_constant(dimension: int, p: float,

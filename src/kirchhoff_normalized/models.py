@@ -4,7 +4,7 @@ A model bundles a Kirchhoff coefficient M (with antiderivative M_hat,
 derivative M' and growth exponent theta) and a nonlinearity f (with
 primitive F and derivative f').  Two nonlinearity families are provided:
 
-* power, optionally augmented by the Sobolev-critical term:
+* power, with the Sobolev-critical term whenever N >= 3:
       f(u) = |u|^{p-2} u + |u|^{2^*-2} u,   2^* = 2N/(N-2),
 * exponential with Trudinger-Moser-critical growth, built by splicing a
   pure power u^{sigma-1} below a height u_1 onto
@@ -24,13 +24,13 @@ in the overflow range must switch to an analytic bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .radial_grid import integer_dimension
 from .scalar_opt import brentq
 
 EXP_ARG_CAP = 700.0
@@ -49,7 +49,9 @@ class ExpOverflowError(FloatingPointError):
 class KirchhoffCoefficient:
     """Nonlocal coefficient M(t) with antiderivative and growth exponent.
 
-    kind 'affine' means M(t) = a + b t with M_hat(t) = a t + b t^2 / 2.
+    kind 'affine' means M(t) = a + b t with M_hat(t) = a t + b t^2 / 2
+    and theta = 1: M(t) t <= 2 M_hat(t), sharp as t -> infinity when
+    b > 0, so no smaller theta satisfies the growth inequality.
     kind 'general' wraps user callables; theta must still satisfy the
     growth inequality M_hat(t) >= M(t) t / (theta + 1), which is what
     check_hypotheses verifies by sampling.
@@ -61,6 +63,10 @@ class KirchhoffCoefficient:
     theta: float = 1.0
     m_fn: Callable[[float], float] | None = field(default=None, repr=False)
     mhat_fn: Callable[[float], float] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind == "affine" and self.theta != 1.0:
+            raise ValueError(f"an affine coefficient has theta = 1, got {self.theta}")
 
     def M(self, t: float) -> float:
         if self.kind == "affine":
@@ -82,12 +88,12 @@ class KirchhoffCoefficient:
         return (self.M(t + h) - self.M(max(t - h, 0.0))) / (h + min(t, h))
 
 
-def affine_coefficient(a: float, b: float, theta: float = 1.0) -> KirchhoffCoefficient:
+def affine_coefficient(a: float, b: float) -> KirchhoffCoefficient:
     if not 0 < a < math.inf:
         raise ValueError(f"M(0) = a must be positive and finite, got {a}")
     if not 0 <= b < math.inf:
         raise ValueError(f"slope b must be nonnegative and finite, got {b}")
-    return KirchhoffCoefficient("affine", a=a, b=b, theta=theta)
+    return KirchhoffCoefficient("affine", a=a, b=b)
 
 
 def general_coefficient(m_fn, mhat_fn, theta: float) -> KirchhoffCoefficient:
@@ -96,7 +102,7 @@ def general_coefficient(m_fn, mhat_fn, theta: float) -> KirchhoffCoefficient:
 
 def two_star(dimension: int) -> float:
     """Sobolev-critical exponent 2N/(N-2)."""
-    if dimension <= 2:
+    if integer_dimension(dimension) <= 2:
         raise ValueError("the Sobolev-critical exponent requires N >= 3")
     return 2.0 * dimension / (dimension - 2.0)
 
@@ -109,12 +115,17 @@ class Nonlinearity:
     kind: str
     dimension: int = 0
     p: float = 0.0
-    include_critical: bool = False
     alpha0: float = 0.0
     beta: float = 0.0
     theta: float = 0.0
     sigma: float = 0.0
     u1: float = 0.0
+
+    @property
+    def include_critical(self) -> bool:
+        """Whether f carries the Sobolev-critical term: every power model
+        from N = 3 up, which has a critical embedding."""
+        return self.kind == "power" and self.dimension >= 3
 
     def f(self, u):
         return self.f_and_F(u)[0]
@@ -223,17 +234,16 @@ class Nonlinearity:
         return f, F
 
 
-def power_nonlinearity(p: float, dimension: int, include_critical: bool = True) -> Nonlinearity:
+def power_nonlinearity(p: float, dimension: int) -> Nonlinearity:
     """Power nonlinearity |u|^{p-2} u, plus the critical term when N >= 3."""
+    dimension = integer_dimension(dimension)
     if dimension >= 3:
         q = two_star(dimension)
         if not 2.0 < p < q:
             raise ValueError(f"p must lie in (2, 2^*) = (2, {q:g}), got {p}")
-    else:
-        if p <= 2.0:
-            raise ValueError(f"p must exceed 2, got {p}")
-        include_critical = False
-    return Nonlinearity("power", dimension=dimension, p=p, include_critical=include_critical)
+    elif p <= 2.0:
+        raise ValueError(f"p must exceed 2, got {p}")
+    return Nonlinearity("power", dimension=dimension, p=p)
 
 
 def _exp_tail_f(u: float, alpha0: float, beta: float) -> float:
@@ -297,51 +307,6 @@ class Model:
 
     coefficient: KirchhoffCoefficient
     nonlinearity: Nonlinearity
-
-    def to_config(self) -> dict:
-        co, nl = self.coefficient, self.nonlinearity
-        if co.kind != "affine":
-            raise ValueError("only affine coefficients serialize to config")
-        cfg = {"coefficient": {"kind": "affine", "a": co.a, "b": co.b, "theta": co.theta}}
-        if nl.kind == "power":
-            cfg["nonlinearity"] = {
-                "kind": "power",
-                "p": nl.p,
-                "dimension": nl.dimension,
-                "include_critical": nl.include_critical,
-            }
-        else:
-            cfg["nonlinearity"] = {
-                "kind": "exp",
-                "alpha0": nl.alpha0,
-                "beta": nl.beta,
-                "theta": nl.theta,
-            }
-        return cfg
-
-    @staticmethod
-    def from_config(cfg: dict) -> "Model":
-        co = cfg["coefficient"]
-        if co.get("kind", "affine") != "affine":
-            raise ValueError("only affine coefficients load from config")
-        coefficient = affine_coefficient(co["a"], co["b"], co.get("theta", 1.0))
-        nl = cfg["nonlinearity"]
-        if nl["kind"] == "power":
-            nonlinearity = power_nonlinearity(
-                nl["p"], nl["dimension"], nl.get("include_critical", True)
-            )
-        elif nl["kind"] == "exp":
-            nonlinearity = make_exp_critical(nl["alpha0"], nl["beta"], nl["theta"])
-        else:
-            raise ValueError(f"unknown nonlinearity kind {nl['kind']!r}")
-        return Model(coefficient, nonlinearity)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_config(), sort_keys=True)
-
-    @staticmethod
-    def loads(text: str) -> "Model":
-        return Model.from_config(json.loads(text))
 
 
 @dataclass

@@ -29,7 +29,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from .models import two_star
-from .radial_grid import MAX_DIMENSION, RadialFunction, RadialGrid
+from .radial_grid import MAX_DIMENSION, RadialFunction, RadialGrid, integer_dimension
 from .scalar_opt import brentq, power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
@@ -162,7 +162,7 @@ def sobolev_constant(dimension: int) -> float:
     11 (1976); Talenti, Ann. Mat. Pura Appl. 110 (1976)).  Dimensions 3
     to radial_grid.MAX_DIMENSION; anything else raises ValueError.
     """
-    n = int(dimension)
+    n = integer_dimension(dimension)
     if not 3 <= n <= MAX_DIMENSION:
         raise ValueError(f"the critical embedding needs dimension 3 to "
                          f"{MAX_DIMENSION}, got {n}")
@@ -189,6 +189,7 @@ def existence_condition(a: float, b: float, dimension: int) -> bool:
     0); for N = 4 the quartic terms share the exponent and the condition
     collapses to b > 1/S^2.
     """
+    dimension = integer_dimension(dimension)
     if dimension < 4:
         raise ValueError("threshold theory covers dimension >= 4")
     if dimension == 4:
@@ -230,7 +231,7 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int,
     coefficients the value may overflow (OverflowError) or round to 0 or
     inf; threshold_set reports that as a note.
     """
-    n = int(dimension)
+    n = integer_dimension(dimension)
     if q_mass <= 0.0:
         raise ValueError("extremal mass must be positive")
     if n < 4:
@@ -265,7 +266,7 @@ def nonexistence_c0(a: float, b: float, p: float, dimension: int,
 
 def c_star(a: float, b: float, dimension: int, q_mass: float) -> float:
     """Radius up to which the constrained infimum stays exactly zero (N >= 5)."""
-    n = int(dimension)
+    n = integer_dimension(dimension)
     if n < 5:
         raise ValueError("this display needs dimension >= 5")
     s = sobolev_constant(n)
@@ -312,12 +313,12 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     only the note "no explicit thresholds below dimension 4", and the
     Sobolev constant is None at N <= 2, which has no critical embedding.
     Only a coefficient outside the affine rule (0 < a and 0 <= b, both
-    finite) or a dimension outside [1, radial_grid.MAX_DIMENSION] raises
-    a ValueError.
+    finite) or a dimension that is not an integer in
+    [1, radial_grid.MAX_DIMENSION] raises a ValueError.
     """
     if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
         raise ValueError(f"need 0 < a and 0 <= b, both finite; got a={a}, b={b}")
-    n = int(dimension)
+    n = integer_dimension(dimension)
     s = None if n in (1, 2) else sobolev_constant(n)
     notes: list[str] = []
     exists_ok = n >= 4 and existence_condition(a, b, n)

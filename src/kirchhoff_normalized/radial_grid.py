@@ -202,8 +202,17 @@ def make_grid(dimension: int, r_max: float, n_cells: int, scheme: str = "uniform
     return from_nodes(dimension, nodes, scheme)
 
 
+def integer_dimension(dimension) -> int:
+    """The dimension as an int: the one rule every entry point that takes
+    a dimension applies before its range check.  ints and numpy integers
+    pass; bool and anything else (4.5, 5.0, "5") raise ValueError."""
+    if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
+        raise ValueError(f"dimension must be an integer, got {dimension!r}")
+    return int(dimension)
+
+
 def _validate_dimension(dimension: int) -> None:
-    if not isinstance(dimension, (int, np.integer)) or not 1 <= dimension <= MAX_DIMENSION:
+    if not 1 <= integer_dimension(dimension) <= MAX_DIMENSION:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIMENSION}], got {dimension}")
 
 

@@ -70,10 +70,9 @@ class TestAffineCoefficient:
         assert co.Mhat(3.0) == 12.0
 
     def test_derivative(self):
-        for theta in (1.0, 2.0):
-            co = models.affine_coefficient(1.5, 0.25, theta=theta)
-            for t in (0.0, 0.7, 40.0):
-                assert co.M_prime(t) == 0.25
+        co = models.affine_coefficient(1.5, 0.25)
+        for t in (0.0, 0.7, 40.0):
+            assert co.M_prime(t) == 0.25
         co = models.general_coefficient(lambda t: 1.0 + t, lambda t: t + t * t / 2, 1.0)
         for t in (0.0, 1e-9, 0.7, 40.0):
             assert co.M_prime(t) == pytest.approx(1.0, rel=1e-6)
@@ -81,7 +80,7 @@ class TestAffineCoefficient:
 
 class TestPowerNonlinearity:
     def test_f_and_F_values(self):
-        nl = models.power_nonlinearity(3.0, 4, include_critical=True)
+        nl = models.power_nonlinearity(3.0, 4)
         u = np.array([2.0])
         # 2^* = 4: f = u^2 + u^3, F = u^3/3 + u^4/4
         assert nl.f(u)[0] == pytest.approx(4.0 + 8.0)
@@ -94,11 +93,11 @@ class TestPowerNonlinearity:
 
     @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 4, 5)
                                       for p in (2.5, 2.0 + 4.0 / n, 3.0)])
-    @pytest.mark.parametrize("critical", [True, False])
-    def test_pair_matches_the_separate_powers(self, n, p, critical):
+    def test_pair_matches_the_separate_powers(self, n, p):
         # f and F from one pair of powers against the textbook formulas,
-        # each power taken on its own (p = 2 + 4/N is mass-critical)
-        nl = models.power_nonlinearity(p, n, include_critical=critical)
+        # each power taken on its own (p = 2 + 4/N is mass-critical; N = 2
+        # has no critical term)
+        nl = models.power_nonlinearity(p, n)
         u = np.concatenate([np.geomspace(1e-8, 30.0, 400), -np.geomspace(1e-3, 5.0, 50)])
         f_old = np.sign(u) * np.abs(u) ** (p - 1)
         F_old = np.abs(u) ** p / p
@@ -330,31 +329,27 @@ class TestNonlinearityJacobian:
         assert got == pytest.approx(self.fd(nl, u), rel=1e-6)
 
 
-class TestConfigRoundtrip:
-    def test_power_model(self):
-        m = models.Model(
-            models.affine_coefficient(1.5, 0.25, theta=1.0),
-            models.power_nonlinearity(2.8, 5),
-        )
-        m2 = models.Model.loads(m.dumps())
-        assert m2.coefficient.a == 1.5
-        assert m2.coefficient.b == 0.25
-        assert m2.nonlinearity.p == 2.8
-        assert m2.nonlinearity.include_critical
-
-    def test_exp_model(self):
-        m = models.Model(
-            models.affine_coefficient(1.0, 1.0),
-            models.make_exp_critical(2.0, 0.5, 1.0),
-        )
-        m2 = models.Model.loads(m.dumps())
-        assert m2.nonlinearity.u1 == pytest.approx(m.nonlinearity.u1, rel=1e-14)
+class TestTheModelIsItsEquation:
+    def test_critical_term_and_affine_theta_follow_from_the_model(self):
+        for n, p in ((2, 3.0), (3, 3.0), (4, 3.0), (5, 2.8), (10, 2.2)):
+            assert models.power_nonlinearity(p, n).include_critical == (n >= 3)
+        assert models.affine_coefficient(1.0, 0.019).theta == 1.0
+        # neither can be set: M(t) t <= 2 M_hat(t) is sharp for b > 0, and
+        # every power model from N = 3 up is the critical one
+        with pytest.raises(TypeError):
+            models.power_nonlinearity(3.0, 4, include_critical=False)
+        with pytest.raises(TypeError):
+            models.Nonlinearity("power", dimension=4, p=3.0, include_critical=False)
+        with pytest.raises(TypeError):
+            models.affine_coefficient(1.0, 1.0, theta=0.5)
+        with pytest.raises(ValueError):
+            models.KirchhoffCoefficient("affine", a=1.0, b=1.0, theta=0.5)
 
 
 class TestCheckHypotheses:
     def test_affine_passes_structural_checks(self):
         m = models.Model(
-            models.affine_coefficient(1.0, 1.0, theta=1.0),
+            models.affine_coefficient(1.0, 1.0),
             models.make_exp_critical(1.0, 1.0, 1.0),
         )
         rep = models.check_hypotheses(m)
@@ -364,7 +359,7 @@ class TestCheckHypotheses:
 
     def test_linear_f_fails_subcubic_origin(self):
         # f(u) = u is not o(u^3) at the origin
-        linear = models.Nonlinearity("power", dimension=2, p=2.0, include_critical=False)
+        linear = models.Nonlinearity("power", dimension=2, p=2.0)
         m = models.Model(models.affine_coefficient(1.0, 1.0), linear)
         rep = models.check_hypotheses(m)
         assert not rep.entries["subcubic_origin"].passed

@@ -29,7 +29,7 @@ from kirchhoff_normalized.models import ExpOverflowError, Model
 
 def exp_model(a: float = 1.0, b: float = 1.0, alpha0: float = 1.0,
               beta: float = 1.0, theta: float = 1.0) -> Model:
-    return Model(affine_coefficient(a, b, theta), make_exp_critical(alpha0, beta, theta))
+    return Model(affine_coefficient(a, b), make_exp_critical(alpha0, beta, theta))
 
 
 def mass_closed_form(n: int) -> float:
@@ -147,7 +147,7 @@ class TestFiberMap:
 
     def test_works_for_power_models(self):
         model = Model(affine_coefficient(1.0, 1.0),
-                      power_nonlinearity(4.0, dimension=2, include_critical=False))
+                      power_nonlinearity(4.0, dimension=2))
         mf = msq.moser(10, 1.0)
         assert np.isfinite(msq.g_fiber(model, mf, 0.7))
 
@@ -237,7 +237,7 @@ class TestBoundCheck:
 
     def test_rejects_power_models(self):
         model = Model(affine_coefficient(1.0, 1.0),
-                      power_nonlinearity(4.0, dimension=2, include_critical=False))
+                      power_nonlinearity(4.0, dimension=2))
         with pytest.raises(ValueError):
             msq.mp_bound_check(model, 1.0, [100])
 

@@ -14,8 +14,11 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_normalized import radial_grid as rg
+from kirchhoff_normalized.cli import SweepSpec
+from kirchhoff_normalized.gn_ground_state import ground_state
 from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity,
-                                         make_exp_critical, power_nonlinearity)
+                                         make_exp_critical, power_nonlinearity, two_star)
+from kirchhoff_normalized.omega_thresholds import sobolev_constant, threshold_set
 
 
 def gauss(grid, width=1.0):
@@ -63,6 +66,30 @@ class TestMakeGrid:
         lhs = grid.integrate(2.5 * f - 1.25 * g)
         rhs = 2.5 * grid.integrate(f) - 1.25 * grid.integrate(g)
         assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
+
+
+# every public entry point that takes a dimension, called at N = 5
+DIMENSION_ENTRY_POINTS = {
+    "make_grid": lambda n: rg.make_grid(n, 10.0, 100).dimension,
+    "two_star": two_star,
+    "power_nonlinearity": lambda n: power_nonlinearity(2.9, n),
+    "sobolev_constant": sobolev_constant,
+    "threshold_set": lambda n: threshold_set(1.0, 0.1, 2.9, n, 1.0, 1.0),
+    "ground_state": lambda n: ground_state(n, 2.9).height,
+    "SweepSpec": lambda n: SweepSpec(n, (2.9,), (1.0,), (0.1,), (1.0,)).dimension,
+}
+
+
+class TestDimensionRule:
+    @pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRY_POINTS))
+    def test_one_rule_before_any_range_check(self, entry):
+        # a numpy integer is the int; a bool or a float is refused, since
+        # int() would run 5.9 at N = 5 and True at N = 1
+        call = DIMENSION_ENTRY_POINTS[entry]
+        assert call(np.int64(5)) == call(5)
+        for bad in (True, False, 4.5, 5.0, 5.9, np.float64(5.0), "5"):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                call(bad)
 
 
 class TestQuadratureAccuracy:
