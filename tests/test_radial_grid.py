@@ -15,10 +15,12 @@ from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_normalized import radial_grid as rg
 from kirchhoff_normalized.cli import SweepSpec
-from kirchhoff_normalized.gn_ground_state import ground_state
+from kirchhoff_normalized.gn_ground_state import default_r_max, ground_state, shoot
 from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity,
                                          make_exp_critical, power_nonlinearity, two_star)
-from kirchhoff_normalized.omega_thresholds import sobolev_constant, threshold_set
+from kirchhoff_normalized.omega_thresholds import (c_star, existence_condition,
+                                                   nonexistence_c0, sobolev_constant,
+                                                   threshold_set)
 
 
 def gauss(grid, width=1.0):
@@ -71,10 +73,16 @@ class TestMakeGrid:
 # every public entry point that takes a dimension, called at N = 5
 DIMENSION_ENTRY_POINTS = {
     "make_grid": lambda n: rg.make_grid(n, 10.0, 100).dimension,
+    "from_nodes": lambda n: rg.from_nodes(n, np.linspace(0.0, 10.0, 101)).dimension,
     "two_star": two_star,
     "power_nonlinearity": lambda n: power_nonlinearity(2.9, n),
     "sobolev_constant": sobolev_constant,
+    "existence_condition": lambda n: existence_condition(1.0, 0.1, n),
+    "nonexistence_c0": lambda n: nonexistence_c0(1.0, 0.1, 2.9, n, 1.0),
+    "c_star": lambda n: c_star(1.0, 0.1, n, 1.0),
     "threshold_set": lambda n: threshold_set(1.0, 0.1, 2.9, n, 1.0, 1.0),
+    "default_r_max": lambda n: default_r_max(n, 2.9),
+    "shoot": lambda n: shoot(n, 2.9, certify=False).height,
     "ground_state": lambda n: ground_state(n, 2.9).height,
     "SweepSpec": lambda n: SweepSpec(n, (2.9,), (1.0,), (0.1,), (1.0,)).dimension,
 }
