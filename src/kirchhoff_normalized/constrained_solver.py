@@ -230,7 +230,11 @@ class SolveParams:
     residual_tol is relative to the H^1 norm of the iterate.  restarts
     counts initial profiles for the minimizer: the scaled GN extremal
     (power models), then the GAUSSIAN_WIDTHS Gaussians, then the
-    spread Gaussian, then seeded random bumps.  r_max is a floor: the
+    spread Gaussian, then seeded random bumps.  seed has no effect
+    unless restarts exceeds those deterministic starts, 6 for a power
+    model and 5 for an exponential one, so at the default restarts a
+    sweep's per-row seeds change nothing; numpy.random is imported
+    only by a solve that draws a bump.  r_max is a floor: the
     solvers widen the domain per (model, c) to hold the predicted
     profile width (recommended_grid).  The spread Gaussian's width is the
     radius of that widened grid over 6, not r_max/6, doubled until it
@@ -903,8 +907,7 @@ def _q_scaled_values(model: Model, c: float, grid: RadialGrid,
 
 
 def _initial_profiles(model: Model, c: float, grid: RadialGrid,
-                      params: SolveParams,
-                      rng: np.random.Generator) -> list[tuple[str, RadialFunction]]:
+                      params: SolveParams) -> list[tuple[str, RadialFunction]]:
     r = grid.nodes
     shapes: list[tuple[str, np.ndarray]] = []
     if model.nonlinearity.kind == "power":
@@ -919,11 +922,15 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
         w_spread *= 2.0
     for w in (*GAUSSIAN_WIDTHS, w_spread):
         shapes.append((f"gaussian w={w:g}", np.exp(-0.5 * (r / w) ** 2)))
-    while len(shapes) < params.restarts:
-        w = float(rng.uniform(0.4, grid.r_max / 4.0))
-        k = int(rng.integers(0, 3))
-        shapes.append((f"random {len(shapes)}",
-                       (1.0 + r) ** k * np.exp(-0.5 * (r / w) ** 2)))
+    # only a drawn bump builds the generator: importing numpy.random (and
+    # through it OpenSSL's _hashlib) costs a process about 5 MB
+    if len(shapes) < params.restarts:
+        rng = np.random.default_rng(params.seed)
+        while len(shapes) < params.restarts:
+            w = float(rng.uniform(0.4, grid.r_max / 4.0))
+            k = int(rng.integers(0, 3))
+            shapes.append((f"random {len(shapes)}",
+                           (1.0 + r) ** k * np.exp(-0.5 * (r / w) ** 2)))
     return [(label, _on_sphere(RadialFunction(grid, vals), c))
             for label, vals in shapes[: params.restarts]]
 
@@ -958,7 +965,8 @@ def _solve_from(model: Model, c: float, params: SolveParams,
     by more than residual_tol^2 (1 + |I|): the energy error at residual r
     is O(r^2), so runs that reach one critical point tie, and the first
     of them is reported whatever their last bits say.  The infimum
-    estimate is the lowest energy of the runs that did not diverge.
+    estimate is the lowest energy of the runs that did not diverge, and
+    a note names the first run that reached it and how its flow ended.
     """
     def beats(run: _Run, incumbent: _Run | None) -> bool:
         return incumbent is None or incumbent.energy - run.energy \
@@ -966,6 +974,7 @@ def _solve_from(model: Model, c: float, params: SolveParams,
     best: _Run | None = None
     best_pass: _Run | None = None
     infimum = math.inf
+    lowest = ""
     diverged = False
     for label, u0 in labeled:
         run = _flow(model, u0, c, params, index)
@@ -973,7 +982,9 @@ def _solve_from(model: Model, c: float, params: SolveParams,
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
             continue
-        infimum = min(infimum, run.energy)
+        if run.energy < infimum:
+            infimum = run.energy
+            lowest = f"{label}, whose flow ended {run.flag}"
         fails = _filter_failures(model, run.u, c, run.res_history[-1], params)
         if run.flag != "converged":
             fails.append(f"flow ended {run.flag} without a kept polish")
@@ -987,16 +998,18 @@ def _solve_from(model: Model, c: float, params: SolveParams,
         if beats(run, best):
             best = run
     restarts = len(labeled)
+    if best_pass is None and diverged:
+        notes.append("unbounded descent direction found and no restart "
+                     "produced a candidate")
+        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
+                       restarts, path_level)
+    if lowest:
+        notes.append(f"infimum_estimate {infimum:.9g} is the final energy of {lowest}")
     if best_pass is not None:
         if diverged:
             notes.append("warning: some restarts diverged; the minimizer may be local")
         return _report(model, STATUS_MOUNTAIN_PASS if index else STATUS_MINIMIZER,
                        best_pass, infimum, notes, restarts, path_level)
-    if diverged:
-        notes.append("unbounded descent direction found and no restart "
-                     "produced a candidate")
-        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
-                       restarts, path_level)
     if abs(infimum) <= ZERO_LEVEL_TOL:
         notes.append("zero-energy diagnostic: infimum consistent with 0, "
                      "no profile passed the filters")
@@ -1021,9 +1034,8 @@ def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None
     c = mass_radius(c)
     params = params or SolveParams()
     grid = recommended_grid(model, c, params)
-    rng = np.random.default_rng(params.seed)
     if starts is None:
-        labeled = _initial_profiles(model, c, grid, params, rng)
+        labeled = _initial_profiles(model, c, grid, params)
     else:
         labeled = [(f"supplied {i}", _on_sphere(_onto_grid(s, grid), c))
                    for i, s in enumerate(starts)]
@@ -1157,19 +1169,25 @@ def _reparametrize(beads: list[RadialFunction], c: float) -> list[RadialFunction
     return [beads[0], *fresh, beads[-1]]
 
 
-def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
-                 ) -> tuple[list[RadialFunction], list[float], int, float]:
-    """Relax the interior beads and reparametrize, sweep after sweep.
+def _bead_sweeps(model: Model, base: RadialFunction, s_left: float,
+                 s_right: float, c: float
+                 ) -> tuple[RadialFunction, list[float], int, float]:
+    """String BEADS beads along the fiber of base from s_left to s_right,
+    then relax the interior beads and reparametrize, sweep after sweep.
 
-    Returns the beads, the string level after each sweep, the index of
-    the top bead and the higher endpoint energy.  The endpoints never
+    Returns the top bead, the string level after each sweep, the index
+    of the top bead and the higher endpoint energy.  The endpoints never
     move, so the string keeps at least their distance as arc length.
     Each bead is a RadialFunction kept from the level of one sweep to
-    the start of the next, so its energy is evaluated once.
+    the start of the next, so its energy is evaluated once.  The string
+    is built here and only its top bead is returned, so no caller holds
+    a bead that a sweep has replaced: the string keeps one profile, with
+    its f(u) and F(u), per bead.
     """
     tau = BEAD_STEP
     levels: list[float] = []
-    beads = list(beads)
+    beads = [_on_sphere(fiber_scale(base, s), c)
+             for s in np.linspace(s_left, s_right, BEADS)]
     for _ in range(SWEEPS):
         for j in range(1, len(beads) - 1):
             u = beads[j]
@@ -1187,8 +1205,8 @@ def _bead_sweeps(model: Model, beads: list[RadialFunction], c: float
         if len(levels) >= 6 and abs(levels[-1] - levels[-6]) \
                 <= 1e-10 * (1.0 + abs(levels[-1])):
             break
-    return beads, levels, int(np.argmax(bead_energies)), \
-        max(bead_energies[0], bead_energies[-1])
+    top = int(np.argmax(bead_energies))
+    return beads[top], levels, top, max(bead_energies[0], bead_energies[-1])
 
 
 def _recenter_on_fiber_max(model: Model, u: RadialFunction,
@@ -1260,9 +1278,7 @@ def mountain_pass(model: Model, c: float,
             # string between, so report absence instead of failing
             notes.append(f"no saddle geometry: {exc}")
             return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
-    beads = [_on_sphere(fiber_scale(base, s), c)
-             for s in np.linspace(s_left, s_right, BEADS)]
-    beads, levels, top, ends = _bead_sweeps(model, beads, c)
+    bead, levels, top, ends = _bead_sweeps(model, base, s_left, s_right, c)
     path_level = levels[-1]
     if not path_level > ends + 1e-9 * (1.0 + abs(path_level)):
         notes.append(f"no saddle geometry: the relaxed string level "
@@ -1278,7 +1294,7 @@ def mountain_pass(model: Model, c: float,
                      f"dilation ceiling {ceiling:.6g}; the estimate is the "
                      "highest bead, not a bound, so it never certifies the "
                      "strict inequality")
-    return _solve_from(model, c, params, [(f"barrier bead {top}", beads[top])],
+    return _solve_from(model, c, params, [(f"barrier bead {top}", bead)],
                        1, notes, path_level)
 
 

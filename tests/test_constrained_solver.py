@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,15 @@ from kirchhoff_normalized.radial_grid import MAX_CELLS, MIN_CELLS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+
+
+def fresh_python(*lines):
+    """Run lines in a new interpreter, so that imports start empty."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def affine_power(n, p, a=1.0, b=1.0):
@@ -504,8 +514,7 @@ class TestMinimize:
         model = affine_power(5, 2.5, b=0.001)
         params = SolveParams()
         grid = recommended_grid(model, 1.0, params)
-        labeled = cs._initial_profiles(model, 1.0, grid, params,
-                                       np.random.default_rng(0))
+        labeled = cs._initial_profiles(model, 1.0, grid, params)
         runs = [(minimize_on_sphere(model, 1.0, params, starts=[u]), u)
                 for _, u in labeled[:2]]
         (first, u_first), (second, u_second) = sorted(
@@ -552,6 +561,8 @@ class TestMinimize:
             assert rep.candidate is None
             assert rep.restarts_used == restarts
             assert sum("diverged (energy" in note for note in rep.notes) == diverged
+            # -inf is set by the divergence, not by a restart's energy
+            assert not any(note.startswith("infimum_estimate") for note in rep.notes)
             assert sum(": rejected (" in note for note in rep.notes) == restarts - diverged
 
     def test_energy_history_non_increasing(self, wide_minimizer_report):
@@ -601,11 +612,59 @@ class TestMinimize:
         params = SolveParams(restarts=6, n_cells=200)
         grid = make_grid(5, r_max, params.n_cells, "graded")
         labeled = cs._initial_profiles(affine_power(5, 2.5, b=0.1), 1.0, grid,
-                                       params, np.random.default_rng(0))
+                                       params)
         labels = [label for label, _ in labeled]
         assert len(set(labels)) == len(labels) == params.restarts
         if r_max == 24.0:
             assert "gaussian w=8" in labels
+
+    def test_default_restarts_leave_numpy_random_unloaded(self):
+        # the six deterministic starts of a power model draw nothing, so
+        # the solve imports no numpy.random; a seventh start draws, and
+        # loads it.  A new interpreter, since this one may hold it already
+        done = fresh_python(
+            "import sys",
+            "from kirchhoff_normalized import (Model, SolveParams, affine_coefficient,",
+            "    minimize_on_sphere, power_nonlinearity, recommended_grid)",
+            "from kirchhoff_normalized import constrained_solver as cs",
+            "model = Model(affine_coefficient(1.0, 0.019), power_nonlinearity(3.0, 4))",
+            "rep = minimize_on_sphere(model, 22.0)",
+            "assert rep.status == cs.STATUS_MINIMIZER and rep.restarts_used == 6",
+            "assert 'numpy.random' not in sys.modules",
+            "params = SolveParams(restarts=7)",
+            "cs._initial_profiles(model, 22.0, recommended_grid(model, 22.0, params), params)",
+            "assert 'numpy.random' in sys.modules",
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_random_restarts_draw_a_width_then_a_power(self):
+        # each start past the deterministic ones is a bump drawn from one
+        # default_rng(seed): its width by uniform, then its power of
+        # (1 + r) by integers
+        model, c = affine_power(4, 3.0, b=0.019), 22.0
+        params = SolveParams(restarts=8, n_cells=400, seed=5)
+        grid = recommended_grid(model, c, params)
+        labeled = cs._initial_profiles(model, c, grid, params)
+        assert [label for label, _ in labeled[6:]] == ["random 6", "random 7"]
+        rng, r = np.random.default_rng(params.seed), grid.nodes
+        for _, u in labeled[6:]:
+            w = float(rng.uniform(0.4, grid.r_max / 4.0))
+            k = int(rng.integers(0, 3))
+            bump = cs._on_sphere(RadialFunction(
+                grid, (1.0 + r) ** k * np.exp(-0.5 * (r / w) ** 2)), c)
+            assert u.values.tobytes() == bump.values.tobytes()
+
+    def test_a_note_names_the_restart_behind_the_infimum(self):
+        # the candidate is I = 20.9092338, but rejected restarts reach
+        # lower; the note names the first restart at the reported infimum
+        model = affine_power(5, 2.9, b=0.001)
+        rep = minimize_on_sphere(model, 46.0)
+        assert rep.candidate.energy == pytest.approx(20.9092338, abs=1e-6)
+        assert rep.infimum_estimate == pytest.approx(2.5224362, abs=1e-6)
+        notes = [note for note in rep.notes if note.startswith("infimum_estimate")]
+        assert notes == [f"infimum_estimate {rep.infimum_estimate:.9g} is the final "
+                         "energy of gaussian w=12.3195, whose flow ended converged"]
+        assert sum("candidate with I =" in note for note in rep.notes) == 2
 
     def test_report_dict_shape(self, wide_minimizer_report):
         d = wide_minimizer_report.to_dict()
@@ -639,8 +698,9 @@ class TestMinimize:
         unkept = minimize_on_sphere(model, 22.0, params)
         assert unkept.status == cs.STATUS_NONE_FOUND and unkept.candidate is None
         assert unkept.infimum_estimate == rep.candidate.energy
-        [note] = unkept.notes
+        note, lowest = unkept.notes
         assert note.endswith("(flow ended max_iter without a kept polish)")
+        assert lowest.endswith(f"{note.split(':')[0]}, whose flow ended max_iter")
 
     @pytest.mark.parametrize("solve, n, p, c, index", [
         (minimize_on_sphere, 4, 3.0, 22.0, 0),
@@ -933,8 +993,7 @@ class TestFiberJump:
         model, c = affine_power(4, 3.0, b=0.019), 22.0
         params = SolveParams()
         grid = recommended_grid(model, c, params)
-        labeled = cs._initial_profiles(model, c, grid, params,
-                                       np.random.default_rng(0))
+        labeled = cs._initial_profiles(model, c, grid, params)
         (gn_label, gn_start), (spread_label, spread_start) = labeled[0], labeled[5]
         assert gn_label.startswith("gn extremal")
         assert spread_label == f"gaussian w={grid.r_max / 6.0:g}"
@@ -1148,15 +1207,6 @@ class TestGeneralTridiagonalSolve:
             cs.solve_banded(band, np.ones(3))
         assert cs.LinAlgError is LinAlgError is np.linalg.LinAlgError
 
-    @staticmethod
-    def fresh_python(*lines):
-        """Run lines in a new interpreter, so that imports start empty."""
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-c", "\n".join(lines)],
-                              capture_output=True, text=True, env=env, timeout=120)
-
     @pytest.mark.parametrize("first", ["package", "scipy"])
     def test_routines_are_scipys_in_either_import_order(self, first):
         package = "from kirchhoff_normalized import constrained_solver as cs"
@@ -1166,7 +1216,7 @@ class TestGeneralTridiagonalSolve:
             "importlib.machinery.EXTENSION_SUFFIXES[:] = []",
             package,
         ]
-        done = self.fresh_python(
+        done = fresh_python(
             "import importlib.machinery, sys",
             *(scipy_first if first == "scipy"
               else [package, "import scipy.linalg.lapack as lapack"]),
@@ -1179,7 +1229,7 @@ class TestGeneralTridiagonalSolve:
         assert done.returncode == 0, done.stderr
 
     def test_missing_extension_names_its_folder(self):
-        done = self.fresh_python(
+        done = fresh_python(
             "import importlib.machinery",
             "importlib.machinery.EXTENSION_SUFFIXES[:] = []",
             "import kirchhoff_normalized",
@@ -1264,6 +1314,25 @@ class TestMountainPass:
         assert any(note.startswith("no saddle geometry: the relaxed string")
                    for note in rep.notes)
         assert rep.candidate is None and rep.path_level is None
+
+    def test_string_keeps_one_profile_per_bead(self, shallow_kirchhoff):
+        # the relaxation needs each bead with its f(u) and F(u), 3 BEADS
+        # arrays of the grid's nodes, and a reparametrization builds the
+        # fresh interior beads beside them.  Twice 3 BEADS arrays leaves
+        # room for those, the grid and a step's work arrays, but not for
+        # the initial beads kept beside the relaxed ones: that peaks at
+        # about 268 arrays on this grid, one profile per bead at about 165
+        model, c1 = shallow_kirchhoff
+        params = SolveParams(n_cells=400)
+        tracemalloc.start()
+        try:
+            rep = mountain_pass(model, 0.97 * c1, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.path_level is not None
+        array_bytes = (params.n_cells + 1) * np.dtype(float).itemsize
+        assert peak <= 2 * 3 * cs.BEADS * array_bytes
 
     def test_exponential_reports_level_without_asserting_convergence(self):
         model = Model(affine_coefficient(1, 1), make_exp_critical(1, 1, 1))
