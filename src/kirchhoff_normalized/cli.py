@@ -54,7 +54,7 @@ from .models import (
 )
 from .moser_sequence import mp_bound_check, profile_index
 from .omega_thresholds import threshold_set
-from .radial_grid import MAX_DIMENSION, integer_dimension, write_profile_csv
+from .radial_grid import MAX_DIMENSION, integer, integer_dimension, write_profile_csv
 
 
 class SpecError(ValueError):
@@ -152,7 +152,7 @@ class SweepSpec:
             raise SpecError(f"the axes span more than {MAX_SWEEP_TUPLES} tuples")
         if any(c <= 0 for c in self.c_values):
             raise SpecError("every c must be positive")
-        if self.jobs < 1:
+        if integer("jobs", self.jobs) < 1:
             raise SpecError("jobs must be positive")
 
     def tuples(self):

@@ -93,7 +93,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -108,9 +107,9 @@ from .gn_ground_state import gn_constant, ground_state
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, two_star
 from .moser_sequence import mp_bound
 from .omega_thresholds import ThresholdSet, mass_critical, threshold_set
-from .radial_grid import (MAX_CELLS, MIN_CELLS, RadialFunction, RadialGrid,
-                          TruncationLossError, fiber_scale, make_grid,
-                          mass_radius, normalize_mass)
+from .radial_grid import (RadialFunction, RadialGrid, TruncationLossError, cell_count,
+                          fiber_scale, integer, make_grid, mass_radius, normalize_mass,
+                          positive_real)
 from .scalar_opt import BracketError, brentq, power_sum_roots, sign_change_brackets
 
 
@@ -241,12 +240,11 @@ class SolveParams:
     differs from every GAUSSIAN_WIDTHS width: w=12.3195 at N=5, p=2.9,
     a=1, b=0.001, c=46 and w=80.5627 at p=2.5, c=2, where the grid
     reaches 73.9 and 483.4.  The graded grid has n_cells cells.
-    Construction rejects values that no solve can use, with ValueError:
-    a residual_tol or r_max that is not a positive finite real number
-    (bool included; numpy floats are accepted), n_cells outside
-    [radial_grid.MIN_CELLS, radial_grid.MAX_CELLS], a negative seed, and
-    a max_iter, restarts, n_cells or seed that is not an integer (bool
-    included; numpy integers are accepted).
+    Construction rejects values that no solve can use, with ValueError
+    naming the field, by the rules of radial_grid: a residual_tol or
+    r_max that is not a positive_real, an n_cells that is not a
+    cell_count, a max_iter, restarts or seed that is not an integer, and
+    a max_iter, restarts or seed out of its range.
     """
 
     max_iter: int = 2000
@@ -257,22 +255,15 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_iter", "restarts", "n_cells", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("max_iter", "restarts", "seed"):
+            integer(name, getattr(self, name))
         for name in ("residual_tol", "r_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            positive_real(name, getattr(self, name))
+        cell_count(self.n_cells)
         if not 1 <= self.max_iter <= 10**6:
             raise ValueError(f"max_iter must lie in [1, 1e6], got {self.max_iter}")
         if not 1 <= self.restarts <= 256:
             raise ValueError(f"restarts must lie in [1, 256], got {self.restarts}")
-        if not MIN_CELLS <= self.n_cells <= MAX_CELLS:
-            raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], "
-                             f"got {self.n_cells}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

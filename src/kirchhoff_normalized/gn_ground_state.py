@@ -38,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .models import two_star
-from .radial_grid import MAX_CELLS, MIN_CELLS, RadialFunction, integer_dimension, make_grid
+from .radial_grid import (RadialFunction, cell_count, integer_dimension, make_grid,
+                          positive_real)
 from .scalar_opt import brentq
 
 # classification outcomes for a single integration
@@ -72,7 +73,7 @@ class GroundStateProfile:
     """Converged extremal with its norms and convergence diagnostics.
 
     integrations counts the trajectories the shoot integrated, its
-    record runs and the certification shoot included.
+    record run included.
     """
 
     dimension: int
@@ -88,7 +89,6 @@ class GroundStateProfile:
     bisection_steps: int
     integrations: int
     truncation_radius: float
-    richardson_gap: float | None
 
     @property
     def q_l2(self) -> float:
@@ -205,8 +205,7 @@ def _bisect(lo: float, hi: float, crosses) -> tuple[float, int]:
     return lo, steps
 
 
-def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int,
-                runs: dict[float, tuple[int, float, int]]):
+def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int):
     """Certified height, profile and counts on one uniform grid.
 
     The height is the bisection's, bit for bit, but most midpoints are
@@ -219,15 +218,14 @@ def _shoot_core(dimension: int, p: float, r_max: float, n_cells: int,
     them, where rounding can decide the class.  That relies on the
     class being monotone in the height: if any integrated turning
     height lies above an integrated crossing one, every midpoint is
-    integrated after all.  `runs` maps heights to _integrate results
-    already known on this step size and is updated in place.
+    integrated after all.
     """
     kappa, m = _coefficients(dimension, p)
     n = int(dimension)
     h = r_max / n_cells
     w_eq = m ** (1.0 / (p - 2.0))
     # the equilibrium stays put to the domain end, so it turns there
-    runs.setdefault(w_eq, (_TURNED, -(r_max ** (n - 1.0)) * w_eq * w_eq, n_cells))
+    runs = {w_eq: (_TURNED, -(r_max ** (n - 1.0)) * w_eq * w_eq, n_cells)}
     calls = 0
 
     def run(q0: float) -> tuple[int, float, int]:
@@ -311,43 +309,28 @@ def default_r_max(dimension: int, p: float) -> float:
 
 
 def shoot(dimension: int, p: float, r_max: float | None = None,
-          n_cells: int = DEFAULT_CELLS, certify: bool = True) -> GroundStateProfile:
+          n_cells: int = DEFAULT_CELLS) -> GroundStateProfile:
     """Locate the extremal and report its norms.
 
-    With certify=True the shoot is repeated on a doubled domain at the
-    same step and the mass difference is reported as richardson_gap (a
-    truncation certificate, not an assertion).  An r_max that is not
-    positive and finite, n_cells below MIN_CELLS, or a grid (the doubled
-    certification grid included) above MAX_CELLS is a ValueError.  A
-    step too coarse for the profile is a ShootError naming (N, p) and
-    the grid: a trajectory that overflows, or, on a step longer than
-    the default grid's, a first step that lowers the profile by more
-    than MAX_FIRST_DROP of its height.
+    r_max defaults to default_r_max(dimension, p).  An r_max that is not
+    a positive_real or an n_cells that is not a cell_count is a
+    ValueError naming the input.  A step too coarse for the profile is a
+    ShootError naming (N, p) and the grid: a trajectory that overflows,
+    or, on a step longer than the default grid's, a first step that
+    lowers the profile by more than MAX_FIRST_DROP of its height.
     """
     dimension = integer_dimension(dimension)
-    if r_max is None:
-        r_max = default_r_max(dimension, p)
-    if not 0.0 < r_max < math.inf:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    if not n_cells >= MIN_CELLS:
-        raise ValueError(f"n_cells must be at least {MIN_CELLS}, got {n_cells}")
-    if (2 * n_cells if certify else n_cells) > MAX_CELLS:
-        raise ValueError(f"n_cells {n_cells} exceeds the cap of {MAX_CELLS} cells"
-                         + (" on the doubled certification grid" if certify else ""))
-
-    def core(r: float, cells: int, known: dict):
-        # converted here, not in _integrate: an overflow only means that
-        # this grid cannot resolve the trajectory
-        try:
-            return _shoot_core(dimension, p, r, cells, known)
-        except OverflowError as exc:
-            raise ShootError(
-                f"the shooting trajectory overflows for (N, p) = ({dimension}, {p:g}) "
-                f"on {cells} cells of r_max = {r:g}: the grid does not resolve "
-                "the profile") from exc
-
-    runs = {}
-    u, height, kappa, m, steps, r_cut, calls = core(r_max, n_cells, runs)
+    r_max = positive_real("r_max", default_r_max(dimension, p) if r_max is None else r_max)
+    n_cells = cell_count(n_cells)
+    # converted here, not in _integrate: an overflow only means that this
+    # grid cannot resolve the trajectory
+    try:
+        u, height, kappa, m, steps, r_cut, calls = _shoot_core(dimension, p, r_max, n_cells)
+    except OverflowError as exc:
+        raise ShootError(
+            f"the shooting trajectory overflows for (N, p) = ({dimension}, {p:g}) "
+            f"on {n_cells} cells of r_max = {r_max:g}: the grid does not resolve "
+            "the profile") from exc
     drop = 1.0 - u.values[1] / height
     if (not drop <= MAX_FIRST_DROP
             and r_max / n_cells > default_r_max(dimension, p) / DEFAULT_CELLS):
@@ -356,39 +339,27 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
             f"the first step lowers the profile by {drop:.3g} of its height, "
             f"above {MAX_FIRST_DROP:g}, so the grid does not resolve the profile")
 
-    mass = u.mass()
-    gap = None
-    if certify:
-        # h = 2 r_max / (2 n_cells) is the same float, so every run that
-        # exited before the end of the first domain exits the same way
-        early = {q0: res for q0, res in runs.items() if res[2] < n_cells}
-        u2, *_, calls2 = core(2.0 * r_max, 2 * n_cells, early)
-        calls += calls2
-        gap = abs(u2.mass() - mass)
-
     crit = None
     if dimension >= 3:
         ts = two_star(dimension)
         crit = u.lp_norm(ts) ** ts
     return GroundStateProfile(
         dimension=dimension, p=p, kappa=kappa, m=m, height=height, profile=u,
-        mass=mass, grad_sq=u.grad_norm_sq(), lp=u.lp_norm(p) ** p, crit=crit,
+        mass=u.mass(), grad_sq=u.grad_norm_sq(), lp=u.lp_norm(p) ** p, crit=crit,
         bisection_steps=steps, integrations=calls, truncation_radius=r_cut,
-        richardson_gap=gap,
     )
 
 
-@lru_cache(maxsize=32)
-def _cached_profile(dimension: int, p: float, r_max: float | None,
-                    n_cells: int) -> GroundStateProfile:
-    return shoot(dimension, p, r_max=r_max, n_cells=n_cells, certify=False)
+_cached_shoot = lru_cache(maxsize=32)(shoot)
 
 
 def ground_state(dimension: int, p: float, r_max: float | None = None,
                  n_cells: int = DEFAULT_CELLS) -> GroundStateProfile:
-    """Cached extremal lookup for threshold assembly and sweeps; rejects
-    the domains that shoot rejects."""
-    return _cached_profile(integer_dimension(dimension), float(p), r_max, int(n_cells))
+    """shoot, cached on its arguments after the rules that shoot applies,
+    so that equal requests share one extremal and no rule is skipped by
+    a cache hit."""
+    r_max = None if r_max is None else positive_real("r_max", r_max)
+    return _cached_shoot(integer_dimension(dimension), float(p), r_max, cell_count(n_cells))
 
 
 def gn_constant(dimension: int, p: float,

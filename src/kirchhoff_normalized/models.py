@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .radial_grid import integer_dimension
+from .radial_grid import integer_dimension, positive_real
 from .scalar_opt import brentq
 
 EXP_ARG_CAP = 700.0
@@ -89,11 +89,9 @@ class KirchhoffCoefficient:
 
 
 def affine_coefficient(a: float, b: float) -> KirchhoffCoefficient:
-    if not 0 < a < math.inf:
-        raise ValueError(f"M(0) = a must be positive and finite, got {a}")
-    if not 0 <= b < math.inf:
-        raise ValueError(f"slope b must be nonnegative and finite, got {b}")
-    return KirchhoffCoefficient("affine", a=a, b=b)
+    """M(t) = a + b t: a a positive_real, b one that may be 0."""
+    return KirchhoffCoefficient("affine", a=positive_real("M(0) = a", a),
+                                b=positive_real("slope b", b, zero=True))
 
 
 def general_coefficient(m_fn, mhat_fn, theta: float) -> KirchhoffCoefficient:
@@ -118,8 +116,13 @@ class Nonlinearity:
     alpha0: float = 0.0
     beta: float = 0.0
     theta: float = 0.0
-    sigma: float = 0.0
     u1: float = 0.0
+
+    @property
+    def sigma(self) -> float:
+        """Exponent of the exponential family's power piece u^{sigma-1},
+        2 theta + 4."""
+        return 2.0 * self.theta + 4.0
 
     @property
     def include_critical(self) -> bool:
@@ -267,8 +270,8 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     inadmissible parameters, for any splice it cannot build, and for a
     splice whose f or F is not finite just below the cap height.
     """
-    if not (0 < alpha0 < math.inf and 0 < beta < math.inf and math.isfinite(theta)):
-        raise ValueError("alpha0 and beta must be positive and finite, theta finite")
+    alpha0 = positive_real("alpha0", alpha0)
+    beta = positive_real("beta", beta)
     sigma = 2.0 * theta + 4.0
     if not 2.0 < sigma <= 6.0 + 1e-12:
         raise ValueError(f"sigma = 2 theta + 4 = {sigma:g} must lie in (2, 6]")
@@ -289,9 +292,7 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
         raise ValueError("the splice search overflows: e^(alpha0 u^2) leaves "
                          f"the float range for alpha0 = {alpha0:g}") from None
     u1 = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    nl = Nonlinearity(
-        "exp", dimension=2, alpha0=alpha0, beta=beta, theta=theta, sigma=sigma, u1=u1
-    )
+    nl = Nonlinearity("exp", dimension=2, alpha0=alpha0, beta=beta, theta=theta, u1=u1)
     mismatch = abs(_exp_tail_f(u1, alpha0, beta) - u1 ** (sigma - 1.0))
     if mismatch > 1e-10 * max(1.0, u1 ** (sigma - 1.0)):
         raise ValueError(f"splice continuity residual {mismatch:.3e} too large")

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import scalar_opt
 from .models import EXP_ARG_CAP, ExpOverflowError, Model, Nonlinearity
-from .radial_grid import RadialFunction, RadialGrid, from_nodes, mass_radius
+from .radial_grid import RadialFunction, RadialGrid, from_nodes, integer, mass_radius
 
 # uniform cells on the plateau [0, 1/n], and the geometric step in log r
 # on [1/n, 1]; the relative quadrature error of the logarithmic section
@@ -84,7 +84,7 @@ def make_moser_grid(n: int) -> RadialGrid:
     node at 1/n is exact); [1/n, 1] is split geometrically with step
     LOG_STEP in log r.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+    if integer("n", n) < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     ln = math.log(n)
     inner = np.linspace(0.0, 1.0 / n, PLATEAU_CELLS + 1)

@@ -28,8 +28,9 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .models import two_star
-from .radial_grid import MAX_DIMENSION, RadialFunction, RadialGrid, integer_dimension
+from .models import affine_coefficient, two_star
+from .radial_grid import (MAX_DIMENSION, RadialFunction, RadialGrid, integer_dimension,
+                          positive_real)
 from .scalar_opt import brentq, power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
@@ -57,12 +58,11 @@ class OmegaQuery:
     q4: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
-            raise ValueError("numerator coefficients must be positive and finite")
-        if not (0.0 <= self.k3 < math.inf and 0.0 <= self.k4 < math.inf) \
-                or self.k3 == self.k4 == 0.0:
-            raise ValueError("denominator needs finite nonnegative coefficients, "
-                             "not both zero")
+        positive_real("k1", self.k1)
+        positive_real("k2", self.k2)
+        if (positive_real("k3", self.k3, zero=True)
+                == positive_real("k4", self.k4, zero=True) == 0.0):
+            raise ValueError("denominator coefficients k3 and k4 are both zero")
         if not -math.inf < self.q1 < self.q2 < math.inf:
             raise ValueError("numerator exponents must be finite and ordered q1 < q2")
         for k, q, name in ((self.k3, self.q3, "q3"), (self.k4, self.q4, "q4")):
@@ -312,12 +312,12 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     unavailable: <reason>".  Below dimension 4 there are no constants,
     only the note "no explicit thresholds below dimension 4", and the
     Sobolev constant is None at N <= 2, which has no critical embedding.
-    Only a coefficient outside the affine rule (0 < a and 0 <= b, both
-    finite) or a dimension that is not an integer in
-    [1, radial_grid.MAX_DIMENSION] raises a ValueError.
+    Only a coefficient that affine_coefficient refuses or a dimension
+    that is not an integer in [1, radial_grid.MAX_DIMENSION] raises a
+    ValueError.
     """
-    if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
-        raise ValueError(f"need 0 < a and 0 <= b, both finite; got a={a}, b={b}")
+    coefficient = affine_coefficient(a, b)
+    a, b = coefficient.a, coefficient.b
     n = integer_dimension(dimension)
     s = None if n in (1, 2) else sobolev_constant(n)
     notes: list[str] = []

@@ -71,7 +71,8 @@ def ball_volume(dimension: int, radius: float) -> float:
 
 @dataclass
 class RadialGrid:
-    """Radial mesh with quadrature weights for integrals over R^N.
+    """Radial mesh with quadrature weights for integrals over R^N, built
+    by from_nodes, which checks the nodes.
 
     Attributes
     ----------
@@ -147,10 +148,6 @@ class RadialGrid:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         self.cell_volumes = np.asarray(self.cell_volumes, dtype=float)
-        if self.nodes[0] != 0.0:
-            raise ValueError("radial grid must start at r = 0")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("radial nodes must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be strictly positive")
 
@@ -172,9 +169,19 @@ def _weights_from_nodes(dimension: int, nodes: np.ndarray) -> tuple[np.ndarray, 
 
 
 def from_nodes(dimension: int, nodes: np.ndarray, scheme: str = "custom") -> RadialGrid:
-    """Build a grid from an explicit node array (must start at 0)."""
+    """Build a grid from an explicit node array: one-dimensional with at
+    least two nodes, finite, starting at 0 and strictly increasing, else
+    ValueError."""
     nodes = np.asarray(nodes, dtype=float)
     _validate_dimension(dimension)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError(f"radial nodes must be a row of at least 2, got shape {nodes.shape}")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("radial nodes must be finite")
+    if nodes[0] != 0.0:
+        raise ValueError("radial grid must start at r = 0")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError("radial nodes must be strictly increasing")
     weights, cell_volumes = _weights_from_nodes(dimension, nodes)
     return RadialGrid(dimension, nodes, weights, cell_volumes, scheme)
 
@@ -184,14 +191,11 @@ def make_grid(dimension: int, r_max: float, n_cells: int, scheme: str = "uniform
 
     scheme 'uniform' spaces nodes evenly; 'graded' uses the quadratic
     grading r_i = r_max (i/K)^2, clustering resolution near the origin.
-    n_cells must lie in [MIN_CELLS, MAX_CELLS].
+    r_max must be a positive_real and n_cells a cell_count.
     """
     _validate_dimension(dimension)
-    if not r_max > 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    if not MIN_CELLS <= n_cells <= MAX_CELLS:
-        raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], "
-                         f"got {n_cells}")
+    r_max = positive_real("r_max", r_max)
+    n_cells = cell_count(n_cells)
     if scheme == "uniform":
         nodes = np.linspace(0.0, r_max, n_cells + 1)
     elif scheme == "graded":
@@ -202,13 +206,40 @@ def make_grid(dimension: int, r_max: float, n_cells: int, scheme: str = "uniform
     return from_nodes(dimension, nodes, scheme)
 
 
+def integer(name: str, v) -> int:
+    """v as an int: ints and numpy integers pass; bool and anything else
+    (4.5, 5.0, "5") raise ValueError naming the input.  The one integer
+    rule of every entry point that takes a count, an index or a
+    dimension."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def positive_real(name: str, v, zero: bool = False) -> float:
+    """v as a float, checked to be a finite real number above 0 (or at
+    least 0 with zero=True); numpy floats pass, bool, NaN, inf and
+    strings raise ValueError naming the input.  The one rule of every
+    entry point that takes a radius, a tolerance or a coefficient."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)
+                                   and (v > 0 or zero and v == 0)):
+        raise ValueError(f"{name} must be {'nonnegative' if zero else 'positive'} "
+                         f"and finite, got {v!r}")
+    return float(v)
+
+
+def cell_count(n) -> int:
+    """n as an int, checked to be an integer cell count in
+    [MIN_CELLS, MAX_CELLS]: the one rule of every grid, solve and shoot."""
+    n = integer("n_cells", n)
+    if not MIN_CELLS <= n <= MAX_CELLS:
+        raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}], got {n}")
+    return n
+
+
 def integer_dimension(dimension) -> int:
-    """The dimension as an int: the one rule every entry point that takes
-    a dimension applies before its range check.  ints and numpy integers
-    pass; bool and anything else (4.5, 5.0, "5") raise ValueError."""
-    if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {dimension!r}")
-    return int(dimension)
+    """The dimension by the integer rule, before any range check."""
+    return integer("dimension", dimension)
 
 
 def _validate_dimension(dimension: int) -> None:
@@ -296,12 +327,8 @@ class RadialFunction:
 
 
 def mass_radius(c) -> float:
-    """c as a float, checked to be a positive finite real number (bool
-    excluded)."""
-    if isinstance(c, bool) or not (isinstance(c, numbers.Real)
-                                   and math.isfinite(c) and c > 0):
-        raise ValueError(f"mass radius c must be positive and finite, got {c!r}")
-    return float(c)
+    """c by the positive_real rule."""
+    return positive_real("mass radius c", c)
 
 
 def normalize_mass(u: RadialFunction, c: float) -> RadialFunction:

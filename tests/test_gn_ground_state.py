@@ -20,6 +20,7 @@ import pytest
 
 from kirchhoff_normalized import RadialFunction, make_grid
 from kirchhoff_normalized import gn_ground_state as gn
+from kirchhoff_normalized.radial_grid import MAX_CELLS, MIN_CELLS
 
 TOWNES_MASS = 11.700877
 
@@ -148,13 +149,12 @@ def plain_bisection(n, p, r_max, n_cells, mids=None):
 
 
 def spy_shoots(monkeypatch):
-    """Record (r_max, n_cells, height, steps, runs given) per _shoot_core call."""
+    """Record (r_max, n_cells, height, steps) per _shoot_core call."""
     real, calls = gn._shoot_core, []
 
-    def spy(n, p, r_max, n_cells, runs):
-        given = dict(runs)
-        out = real(n, p, r_max, n_cells, runs)
-        calls.append((r_max, n_cells, out[1], out[4], given))
+    def spy(n, p, r_max, n_cells):
+        out = real(n, p, r_max, n_cells)
+        calls.append((r_max, n_cells, out[1], out[4]))
         return out
     monkeypatch.setattr(gn, "_shoot_core", spy)
     return calls
@@ -163,41 +163,26 @@ def spy_shoots(monkeypatch):
 class TestReplay:
     @pytest.mark.parametrize("n,p,height,steps,r_cut,cells",
                              [(*row, 4000) for row in FROZEN_4000]
-                             + [(*row, gn.MIN_CELLS) for row in FROZEN_MIN_CELLS])
+                             + [(*row, MIN_CELLS) for row in FROZEN_MIN_CELLS])
     def test_frozen_census(self, n, p, height, steps, r_cut, cells):
         if cells == gn.DEFAULT_CELLS:
-            prof = gn.shoot(n, p, n_cells=cells, certify=False)
+            prof = gn.shoot(n, p, n_cells=cells)
             got = (prof.height, prof.bisection_steps, prof.truncation_radius)
         else:
             # shoot refuses the 16-cell grids (test_unresolved_grid_is_a_
             # shoot_error), so the replayed bisection is called directly
             _, got_height, _, _, got_steps, got_cut, _ = gn._shoot_core(
-                n, p, gn.default_r_max(n, p), cells, {})
+                n, p, gn.default_r_max(n, p), cells)
             got = (got_height, got_steps, got_cut)
         assert (repr(got[0]), got[1], repr(got[2])) == (height, steps, r_cut)
 
     @pytest.mark.parametrize("n,p", [(2, 4.0), (4, 3.0), (5, 2.9), (6, 2.5)])
-    def test_both_shoots_match_the_plain_bisection(self, n, p, monkeypatch):
+    def test_the_shoot_matches_the_plain_bisection(self, n, p, monkeypatch):
         calls = spy_shoots(monkeypatch)
-        prof = gn.shoot(n, p, certify=True)
-        assert [c[:4] for c in calls] == [
-            (r, cells, *plain_bisection(n, p, r, cells))
-            for r, cells in ((calls[0][0], 4000), (2.0 * calls[0][0], 8000))]
-        assert (prof.height, prof.bisection_steps) == calls[0][2:4]
-
-    def test_certification_carries_only_early_exits(self, monkeypatch):
-        calls = spy_shoots(monkeypatch)
-        certified = gn.shoot(5, 2.8, certify=True)
-        first, doubled = calls
-        # the first shoot starts from nothing; the doubled one gets every
-        # run of the first that stopped before step 4000, and no other
-        assert first[4] == {}
-        assert doubled[4] and all(res[2] < 4000 for res in doubled[4].values())
-        uncertified = gn.shoot(5, 2.8, certify=False)
-        # the equilibrium's run, which reaches the domain end, is left out
-        assert len(doubled[4]) < uncertified.integrations
-        # the doubled shoot integrates little more than its record run
-        assert certified.integrations - uncertified.integrations <= 4
+        prof = gn.shoot(n, p)
+        r_max = gn.default_r_max(n, p)
+        assert calls == [(r_max, 4000, *plain_bisection(n, p, r_max, 4000))]
+        assert (prof.height, prof.bisection_steps) == calls[0][2:]
 
     def test_inconsistent_bracket_falls_back_to_integrating_every_midpoint(
             self, monkeypatch):
@@ -216,7 +201,7 @@ class TestReplay:
             fn(below_root)
         monkeypatch.setattr(gn, "_integrate", lying)
         monkeypatch.setattr(gn, "brentq", inconsistent_bracket)
-        prof = gn.shoot(n, p, certify=False)
+        prof = gn.shoot(n, p)
         assert (prof.height, prof.bisection_steps) == (height, steps)
         # every bisection midpoint was integrated
         assert prof.integrations >= steps
@@ -226,18 +211,18 @@ class TestReplay:
         # crossing height lies between two turning ones, so no bracket
         # tells the class of an unintegrated midpoint, and the replay ends
         # at another class boundary than the plain bisection
-        n, p, cells = 2, 4.0, gn.MIN_CELLS
+        n, p, cells = 2, 4.0, MIN_CELLS
         kappa, m = gn._coefficients(n, p)
         h = gn.default_r_max(n, p) / cells
         classes = [gn._integrate(q0, kappa, m, p, n, h, cells, 1.0)[0] for q0 in (1.2, 1.234, 1.25)]
         assert classes == [gn._TURNED, gn._CROSSED, gn._TURNED]
         r_max = gn.default_r_max(n, p)
         assert plain_bisection(n, p, r_max, cells) == (1.2809715753617752, 46)
-        _, height, _, _, steps, _, _ = gn._shoot_core(n, p, r_max, cells, {})
+        _, height, _, _, steps, _, _ = gn._shoot_core(n, p, r_max, cells)
         assert (height, steps) == (1.3046870689465777, 46)
         # neither is the extremal's 2.206: shoot refuses the grid
         with pytest.raises(gn.ShootError, match="does not resolve"):
-            gn.shoot(n, p, n_cells=cells, certify=False)
+            gn.shoot(n, p, n_cells=cells)
 
     @pytest.mark.parametrize("n,p,cells", [(4, 3.739, 600), (3, 5.803, 4000)])
     def test_unresolved_heights_above_the_extremal(self, n, p, cells):
@@ -247,7 +232,7 @@ class TestReplay:
         # above about 10; the bracket stays within the factor of two the
         # bisection has pinned, so neither is visited
         height, steps = plain_bisection(n, p, gn.default_r_max(n, p), cells)
-        prof = gn.shoot(n, p, n_cells=cells, certify=False)
+        prof = gn.shoot(n, p, n_cells=cells)
         assert (prof.height, prof.bisection_steps) == (height, steps)
 
     def test_midpoints_near_the_bracket_are_integrated(self, monkeypatch):
@@ -267,7 +252,7 @@ class TestReplay:
             fn(top)
         monkeypatch.setattr(gn, "_integrate", spy)
         monkeypatch.setattr(gn, "brentq", tightest_bracket)
-        assert gn.shoot(n, p, certify=False).height == height
+        assert gn.shoot(n, p).height == height
         margin = gn.BISECTION_REL_TOL * top
         near = {mid for mid in mids if height - margin < mid < top + margin} - {height, top}
         assert near and near <= set(integrated)
@@ -345,13 +330,13 @@ class TestShoot:
 
     @pytest.mark.parametrize("n,p", [(2, 4.0), (4, 3.0), (5, 2.8), (3, 2.5)])
     def test_identity_chain(self, n, p):
-        prof = gn.shoot(n, p, certify=False)
+        prof = gn.shoot(n, p)
         assert prof.identity_residual() < 1e-3
         assert prof.mass == pytest.approx(prof.grad_sq, rel=1e-3)
         assert prof.mass == pytest.approx(2.0 * prof.lp / p, rel=1e-3)
 
     def test_profile_shape(self):
-        prof = gn.shoot(4, 3.0, certify=False)
+        prof = gn.shoot(4, 3.0)
         vals = prof.profile.values
         assert vals[0] == prof.height
         assert np.all(vals >= 0.0)
@@ -360,15 +345,17 @@ class TestShoot:
         assert prof.truncation_radius <= prof.profile.grid.r_max
 
     def test_truncation_certificate(self):
-        prof = gn.shoot(2, 4.0, certify=True)
-        assert prof.richardson_gap is not None
-        assert prof.richardson_gap < 1e-6 * prof.mass
+        # the default domain is wide enough: twice the domain at the same
+        # step leaves the mass in place
+        prof = gn.shoot(2, 4.0)
+        wide = gn.shoot(2, 4.0, r_max=2.0 * gn.default_r_max(2, 4.0), n_cells=8000)
+        assert wide.mass == pytest.approx(prof.mass, rel=1e-6)
 
     def test_refinement_is_second_order(self):
         r_max = gn.default_r_max(2, 4.0)
-        ref = gn.shoot(2, 4.0, r_max=r_max, n_cells=8000, certify=False).mass
-        e1 = abs(gn.shoot(2, 4.0, r_max=r_max, n_cells=1000, certify=False).mass - ref)
-        e2 = abs(gn.shoot(2, 4.0, r_max=r_max, n_cells=2000, certify=False).mass - ref)
+        ref = gn.shoot(2, 4.0, r_max=r_max, n_cells=8000).mass
+        e1 = abs(gn.shoot(2, 4.0, r_max=r_max, n_cells=1000).mass - ref)
+        e2 = abs(gn.shoot(2, 4.0, r_max=r_max, n_cells=2000).mass - ref)
         assert 2.5 < e1 / e2 < 8.0
 
     def test_rejects_bad_exponents(self):
@@ -385,7 +372,7 @@ class TestShoot:
     @pytest.mark.parametrize("kw", [{"r_max": 0.0}, {"r_max": -1.0},
                                     {"r_max": math.inf}, {"r_max": math.nan},
                                     {"n_cells": 0}, {"n_cells": 15},
-                                    {"n_cells": gn.MAX_CELLS + 1}])
+                                    {"n_cells": MAX_CELLS + 1}])
     def test_rejects_bad_domain(self, kw, monkeypatch):
         monkeypatch.setattr(gn, "_shoot_core", _no_shoot)
         with pytest.raises(ValueError):
@@ -402,9 +389,9 @@ class TestShoot:
         with pytest.raises(gn.ShootError):
             gn.ground_state(n, p, n_cells=cells)
 
-    @pytest.mark.parametrize("n,p,cells", [(2, 4.0, gn.MIN_CELLS), (3, 5.5, 1000),
+    @pytest.mark.parametrize("n,p,cells", [(2, 4.0, MIN_CELLS), (3, 5.5, 1000),
                                             (4, 3.739, 400)]
-                             + [(*row[:2], gn.MIN_CELLS) for row in FROZEN_MIN_CELLS])
+                             + [(*row[:2], MIN_CELLS) for row in FROZEN_MIN_CELLS])
     def test_unresolved_grid_is_a_shoot_error(self, n, p, cells):
         # the first step lowers these profiles by 0.25 to 0.56 of their
         # height; at (2, 4) on 16 cells the replay reads 1.305 against 2.206
@@ -421,18 +408,17 @@ class TestShoot:
         # MAX_FIRST_DROP (default_r_max), but the solvers only start from
         # this extremal and size their grids by it, so it is returned as
         # before; one cell fewer on the same domain is refused
-        prof = gn.shoot(n, p, certify=False)
+        prof = gn.shoot(n, p)
         assert 1.0 - prof.profile.values[1] / prof.height > gn.MAX_FIRST_DROP
         assert gn.ground_state(n, p).height == prof.height
         with pytest.raises(gn.ShootError, match="the first step lowers"):
-            gn.shoot(n, p, r_max=gn.default_r_max(n, p), n_cells=gn.DEFAULT_CELLS - 1,
-                     certify=False)
+            gn.shoot(n, p, r_max=gn.default_r_max(n, p), n_cells=gn.DEFAULT_CELLS - 1)
 
     @pytest.mark.parametrize("n,p,cells", [(4, 3.739, 600), (2, 4.0, 200)])
     def test_coarse_resolved_grid_passes_the_first_step_check(self, n, p, cells):
         # these grids drop 0.032 and 0.016 of the height in the first step,
         # with heights within 0.8% and 0.2% of the default grid's
-        prof = gn.shoot(n, p, n_cells=cells, certify=False)
+        prof = gn.shoot(n, p, n_cells=cells)
         drop = 1.0 - prof.profile.values[1] / prof.height
         assert 0.01 < drop <= gn.MAX_FIRST_DROP
         assert prof.identity_residual() < drop
@@ -445,22 +431,6 @@ class TestShoot:
         with pytest.raises(gn.ShootError):
             gn.shoot(2, 1e308)
 
-    def test_certification_grid_counts_against_the_cap(self, monkeypatch):
-        # the certified shoot doubles the grid, so half the cap plus one
-        # is too large for it but not for an uncertified shoot; the
-        # shooting itself is replaced, so neither call runs it
-        class Started(Exception):
-            pass
-
-        def started(*args):
-            raise Started
-        monkeypatch.setattr(gn, "_shoot_core", started)
-        n_cells = gn.MAX_CELLS // 2 + 1
-        with pytest.raises(ValueError, match="certification"):
-            gn.shoot(4, 3.0, n_cells=n_cells)
-        with pytest.raises(Started):
-            gn.shoot(4, 3.0, n_cells=n_cells, certify=False)
-
 
 class TestGnConstant:
     def test_identity_case(self):
@@ -468,12 +438,12 @@ class TestGnConstant:
         assert gn.gn_constant(2, 2.0) == 1.0
 
     def test_matches_definition(self):
-        prof = gn.shoot(2, 4.0, certify=False)
+        prof = gn.shoot(2, 4.0)
         c = gn.gn_constant(2, 4.0, profile=prof)
         assert c == pytest.approx((4.0 / (2.0 * prof.mass)) ** 0.25, rel=1e-12)
 
     def test_extremal_attains_constant(self):
-        prof = gn.shoot(2, 4.0, certify=False)
+        prof = gn.shoot(2, 4.0)
         c = gn.gn_constant(2, 4.0, profile=prof)
         attained = gn.gn_quotient(prof.profile, 4.0)
         assert attained == pytest.approx(c, rel=1e-3)

@@ -345,6 +345,16 @@ class TestTheModelIsItsEquation:
         with pytest.raises(ValueError):
             models.KirchhoffCoefficient("affine", a=1.0, b=1.0, theta=0.5)
 
+    def test_sigma_follows_from_theta(self):
+        # the power piece's exponent is 2 theta + 4, so it cannot be set
+        for theta in (-0.5, 0.0, 0.7, 1.0):
+            nl = models.make_exp_critical(1.0, 1.0, theta)
+            assert nl.sigma == 2.0 * theta + 4.0
+        with pytest.raises(TypeError):
+            models.Nonlinearity("exp", dimension=2, theta=1.0, sigma=6.0)
+        with pytest.raises(AttributeError):
+            nl.sigma = 5.0
+
 
 class TestCheckHypotheses:
     def test_affine_passes_structural_checks(self):

@@ -6,6 +6,7 @@ closed-form integrals worked by hand; exact values are frozen inline.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,10 +16,12 @@ from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_normalized import radial_grid as rg
 from kirchhoff_normalized.cli import SweepSpec
+from kirchhoff_normalized.constrained_solver import SolveParams
 from kirchhoff_normalized.gn_ground_state import default_r_max, ground_state, shoot
-from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity,
+from kirchhoff_normalized.models import (ExpOverflowError, Nonlinearity, affine_coefficient,
                                          make_exp_critical, power_nonlinearity, two_star)
-from kirchhoff_normalized.omega_thresholds import (c_star, existence_condition,
+from kirchhoff_normalized.moser_sequence import make_moser_grid, moser
+from kirchhoff_normalized.omega_thresholds import (OmegaQuery, c_star, existence_condition,
                                                    nonexistence_c0, sobolev_constant,
                                                    threshold_set)
 
@@ -82,7 +85,7 @@ DIMENSION_ENTRY_POINTS = {
     "c_star": lambda n: c_star(1.0, 0.1, n, 1.0),
     "threshold_set": lambda n: threshold_set(1.0, 0.1, 2.9, n, 1.0, 1.0),
     "default_r_max": lambda n: default_r_max(n, 2.9),
-    "shoot": lambda n: shoot(n, 2.9, certify=False).height,
+    "shoot": lambda n: shoot(n, 2.9).height,
     "ground_state": lambda n: ground_state(n, 2.9).height,
     "SweepSpec": lambda n: SweepSpec(n, (2.9,), (1.0,), (0.1,), (1.0,)).dimension,
 }
@@ -98,6 +101,88 @@ class TestDimensionRule:
         for bad in (True, False, 4.5, 5.0, 5.9, np.float64(5.0), "5"):
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 call(bad)
+
+
+# every entry point that takes a count, a radius, a tolerance or a
+# coefficient: (call with the value, name in the error, rule, a good value)
+COUNT, POSITIVE, NONNEGATIVE = "count", "positive", "nonnegative"
+RULE_ENTRY_POINTS = {
+    "make_grid r_max": (lambda v: rg.make_grid(4, v, 16), "r_max", POSITIVE, 10.0),
+    "make_grid n_cells": (lambda v: rg.make_grid(4, 10.0, v), "n_cells", COUNT, 16),
+    "shoot r_max": (lambda v: shoot(4, 3.0, r_max=v, n_cells=400), "r_max", POSITIVE,
+                    default_r_max(4, 3.0)),
+    "shoot n_cells": (lambda v: shoot(4, 3.0, n_cells=v), "n_cells", COUNT, 4000),
+    "ground_state r_max": (lambda v: ground_state(4, 3.0, r_max=v), "r_max", POSITIVE,
+                           default_r_max(4, 3.0)),
+    "ground_state n_cells": (lambda v: ground_state(4, 3.0, n_cells=v), "n_cells", COUNT,
+                             4000),
+    **{f"SolveParams {name}": (lambda v, name=name: SolveParams(**{name: v}), name, rule,
+                               getattr(SolveParams(), name))
+       for name, rule in (("max_iter", COUNT), ("restarts", COUNT), ("seed", COUNT),
+                          ("n_cells", COUNT), ("residual_tol", POSITIVE),
+                          ("r_max", POSITIVE))},
+    "affine_coefficient a": (lambda v: affine_coefficient(v, 0.0), "a", POSITIVE, 1.0),
+    "affine_coefficient b": (lambda v: affine_coefficient(1.0, v), "b", NONNEGATIVE, 0.0),
+    "threshold_set a": (lambda v: threshold_set(v, 1.0, 3.0, 4, 1.0, 1.0), "a", POSITIVE,
+                        1.0),
+    "threshold_set b": (lambda v: threshold_set(1.0, v, 3.0, 4, 1.0, 1.0), "b",
+                        NONNEGATIVE, 1.0),
+    "make_exp_critical alpha0": (lambda v: make_exp_critical(v, 1.0, 1.0), "alpha0",
+                                 POSITIVE, 1.0),
+    "make_exp_critical beta": (lambda v: make_exp_critical(1.0, v, 1.0), "beta", POSITIVE,
+                               1.0),
+    "SweepSpec jobs": (lambda v: SweepSpec(4, (3.0,), (1.0,), (1.0,), (1.0,), jobs=v),
+                       "jobs", COUNT, 2),
+    "make_moser_grid n": (make_moser_grid, "n", COUNT, 10),
+    "moser c": (lambda v: moser(10, v), "mass radius c", POSITIVE, 1.0),
+    **{f"OmegaQuery {name}": (lambda v, i=i: OmegaQuery(*[v if j == i else 1.0
+                                                          for j in range(4)], q3=3.0, q4=3.0),
+                              name, POSITIVE if i < 2 else NONNEGATIVE, 1.0)
+       for i, name in enumerate(("k1", "k2", "k3", "k4"))},
+}
+BAD_VALUES = {
+    # int() would run 4000.5 on 4 000 cells
+    COUNT: (True, False, 4000.5, np.float64(4000.0), math.nan, math.inf, "3"),
+    POSITIVE: (True, False, math.nan, math.inf, -math.inf, "3", 0.0, -1.0),
+    NONNEGATIVE: (True, False, math.nan, math.inf, "3", -1.0),
+}
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("entry", sorted(RULE_ENTRY_POINTS))
+    def test_one_rule_per_kind_of_input(self, entry):
+        # each bad value is a ValueError naming the input, never a
+        # TypeError, a RuntimeWarning or a silently truncated count
+        call, name, rule, good = RULE_ENTRY_POINTS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            call(good)
+            for bad in BAD_VALUES[rule]:
+                with pytest.raises(ValueError, match=rf"(^|\W){re.escape(name)} must"):
+                    call(bad)
+
+    def test_the_rules_convert_what_they_pass(self):
+        assert rg.integer("n", np.int64(7)) == 7 and type(rg.integer("n", np.int64(7))) is int
+        assert rg.positive_real("r", np.float32(0.5)) == 0.5
+        assert rg.positive_real("b", 0, zero=True) == 0.0
+        assert rg.cell_count(np.int32(rg.MAX_CELLS)) == rg.MAX_CELLS
+
+    @pytest.mark.parametrize("nodes,message", [
+        ([], "at least 2"),
+        ([0.0], "at least 2"),
+        ([[0.0, 1.0]], "at least 2"),
+        ([0.0, 1.0, math.inf], "finite"),
+        ([0.0, math.nan, 2.0], "finite"),
+        ([0.5, 1.0, 2.0], "start at r = 0"),
+        ([0.0, 2.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0], "strictly increasing"),
+    ])
+    def test_from_nodes_checks_the_nodes_before_the_weights(self, nodes, message):
+        # [0, 1, inf] used to come back with NaN weights and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                rg.from_nodes(4, nodes)
 
 
 class TestQuadratureAccuracy:
