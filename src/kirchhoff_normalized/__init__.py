@@ -49,7 +49,6 @@ from .moser_sequence import (
     MoserBoundReport,
     moser,
     make_moser_grid,
-    tm_integral,
     g_fiber,
     mp_bound,
     mp_bound_check,
@@ -109,7 +108,6 @@ __all__ = [
     "MoserBoundReport",
     "moser",
     "make_moser_grid",
-    "tm_integral",
     "g_fiber",
     "mp_bound",
     "mp_bound_check",

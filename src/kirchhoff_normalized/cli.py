@@ -54,7 +54,8 @@ from .models import (
 )
 from .moser_sequence import mp_bound_check, profile_index
 from .omega_thresholds import threshold_set
-from .radial_grid import MAX_DIMENSION, integer, integer_dimension, write_profile_csv
+from .radial_grid import (MAX_DIMENSION, finite_real, integer, integer_dimension,
+                          positive_real, write_profile_csv)
 
 
 class SpecError(ValueError):
@@ -127,7 +128,11 @@ def parse_axis(text: str) -> tuple[float, ...]:
 
 @dataclass
 class SweepSpec:
-    """One phase-diagram run: the axes, the solver knobs, the output."""
+    """One phase-diagram run: the axes, the solver knobs, the output.
+
+    Each p, a and b must pass the finite_real rule and each c the
+    positive_real rule; a value that does not is a SpecError naming its
+    axis."""
 
     dimension: int
     p_values: tuple[float, ...]
@@ -142,16 +147,17 @@ class SweepSpec:
             raise SpecError(f"dimension must lie in [2, {MAX_DIMENSION}], "
                             f"got {self.dimension}")
         axes = (self.p_values, self.a_values, self.b_values, self.c_values)
-        for name, axis in zip(("p_values", "a_values", "b_values",
-                               "c_values"), axes):
+        for name, axis in zip("pabc", axes):
             if not axis:
-                raise SpecError(f"{name} is empty")
-            if not all(math.isfinite(v) for v in axis):
-                raise SpecError(f"every value in {name} must be finite")
+                raise SpecError(f"{name}_values is empty")
+            rule = positive_real if name == "c" else finite_real
+            try:
+                for v in axis:
+                    rule(name, v)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
         if math.prod(len(axis) for axis in axes) > MAX_SWEEP_TUPLES:
             raise SpecError(f"the axes span more than {MAX_SWEEP_TUPLES} tuples")
-        if any(c <= 0 for c in self.c_values):
-            raise SpecError("every c must be positive")
         if integer("jobs", self.jobs) < 1:
             raise SpecError("jobs must be positive")
 
@@ -173,20 +179,11 @@ def _sweep_worker(task):
     except Exception as exc:
         row.update(observed_status="error", error=str(exc))
         return index, row
-    d = rec.to_dict()
-    thr = d["thresholds"] or {}
-    row.update(
-        predicted=d["predicted"],
-        observed_status=d["observed_status"],
-        infimum_estimate=d["infimum_estimate"],
-        multiplier=d["multiplier"],
-        agreement=d["agreement"],
-        existence_ok=thr.get("existence_ok"),
-        c0=thr.get("c0"),
-        c_star=thr.get("c_star"),
-        c1_exact=thr.get("c1_exact"),
-        c1_upper=thr.get("c1_upper"),
-    )
+    thr = rec.thresholds
+    row.update(predicted=rec.predicted, observed_status=rec.observed_status,
+               infimum_estimate=rec.infimum_estimate, multiplier=rec.multiplier,
+               agreement=rec.agreement, existence_ok=thr.existence_ok, c0=thr.c0,
+               c_star=thr.c_star, c1_exact=thr.c1_exact, c1_upper=thr.c1_upper)
     return index, row
 
 

@@ -95,7 +95,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -272,9 +272,13 @@ class SolveParams:
 class SolveReport:
     """Outcome of one solve: status, candidate, and the run diagnostics.
 
-    infimum_estimate is the lowest final energy over all finite restarts
-    (it is meaningful even when no candidate passes the filters, which
-    is how the zero-infimum regimes are recognized); path_level is the
+    infimum_estimate is the final energy of the lowest restart that did
+    not diverge, ranked by the rule that picks the reported run
+    (_solve_from): restarts within residual_tol^2 (1 + |I|) of each
+    other tie and the first is taken.  It is meaningful even when no
+    candidate passes the filters, which is how the zero-infimum regimes
+    are recognized; it is -inf when restarts diverged and none produced
+    a candidate, and NaN when no restart ran.  path_level is the
     saddle-search barrier estimate and None for plain minimization.
     """
 
@@ -926,23 +930,6 @@ def _initial_profiles(model: Model, c: float, grid: RadialGrid,
             for label, vals in shapes[: params.restarts]]
 
 
-def _report(model: Model, status: str, run: _Run | None, infimum: float,
-            notes: list[str], restarts: int = 1,
-            path_level: float | None = None) -> SolveReport:
-    """SolveReport of a run; a converged status carries its candidate."""
-    cand = None
-    if status in (STATUS_MINIMIZER, STATUS_MOUNTAIN_PASS):
-        cand = CriticalPointCandidate(
-            u=run.u, lam=run.lam, energy=run.energy,
-            pohozaev_residual=pohozaev(model, run.u), pde_residual=run.res_history[-1])
-    if run is None:
-        return SolveReport(status, cand, infimum, path_level, 0, restarts,
-                           [], [], tuple(notes))
-    return SolveReport(status, cand, infimum, path_level, run.iterations,
-                       restarts, run.res_history, run.energy_history,
-                       tuple(notes))
-
-
 def _solve_from(model: Model, c: float, params: SolveParams,
                 labeled: list[tuple[str, RadialFunction]], index: int,
                 notes: list[str], path_level: float | None = None) -> SolveReport:
@@ -951,21 +938,23 @@ def _solve_from(model: Model, c: float, params: SolveParams,
 
     A run is a candidate only if its flow converged, which it does only
     at a polish that _kept_polish accepted, and its profile passes
-    _filter_failures.  The reported run (the lowest candidate, else the
-    lowest run) is replaced by a later one only when that one is lower
-    by more than residual_tol^2 (1 + |I|): the energy error at residual r
-    is O(r^2), so runs that reach one critical point tie, and the first
-    of them is reported whatever their last bits say.  The infimum
-    estimate is the lowest energy of the runs that did not diverge, and
-    a note names the first run that reached it and how its flow ended.
+    _filter_failures.  One rule (beats) ranks runs: a later run displaces
+    the incumbent only when it is lower by more than residual_tol^2
+    (1 + |I|).  The energy error at residual r is O(r^2), so runs that
+    reach one critical point tie, and the first of them is kept whatever
+    their last bits say.  The rule picks two runs.  The lowest candidate
+    is reported.  The lowest run that did not diverge, passed or
+    rejected, sets the infimum estimate to its final energy, and a note
+    names it and how its flow ended; without a candidate its iterations
+    and histories are the report's.  When runs diverged and none is a
+    candidate, the status is diverged and the infimum -inf.
     """
     def beats(run: _Run, incumbent: _Run | None) -> bool:
         return incumbent is None or incumbent.energy - run.energy \
             > params.residual_tol**2 * (1.0 + abs(run.energy))
     best: _Run | None = None
     best_pass: _Run | None = None
-    infimum = math.inf
-    lowest = ""
+    best_label = ""
     diverged = False
     for label, u0 in labeled:
         run = _flow(model, u0, c, params, index)
@@ -973,9 +962,6 @@ def _solve_from(model: Model, c: float, params: SolveParams,
             diverged = True
             notes.append(f"{label}: diverged ({run.note})")
             continue
-        if run.energy < infimum:
-            infimum = run.energy
-            lowest = f"{label}, whose flow ended {run.flag}"
         fails = _filter_failures(model, run.u, c, run.res_history[-1], params)
         if run.flag != "converged":
             fails.append(f"flow ended {run.flag} without a kept polish")
@@ -987,25 +973,34 @@ def _solve_from(model: Model, c: float, params: SolveParams,
             if beats(run, best_pass):
                 best_pass = run
         if beats(run, best):
-            best = run
-    restarts = len(labeled)
+            best, best_label = run, label
+    reported = best_pass or best
     if best_pass is None and diverged:
+        status, infimum = STATUS_DIVERGED, -math.inf
         notes.append("unbounded descent direction found and no restart "
                      "produced a candidate")
-        return _report(model, STATUS_DIVERGED, best, -math.inf, notes,
-                       restarts, path_level)
-    if lowest:
-        notes.append(f"infimum_estimate {infimum:.9g} is the final energy of {lowest}")
-    if best_pass is not None:
-        if diverged:
-            notes.append("warning: some restarts diverged; the minimizer may be local")
-        return _report(model, STATUS_MOUNTAIN_PASS if index else STATUS_MINIMIZER,
-                       best_pass, infimum, notes, restarts, path_level)
-    if abs(infimum) <= ZERO_LEVEL_TOL:
-        notes.append("zero-energy diagnostic: infimum consistent with 0, "
-                     "no profile passed the filters")
-    return _report(model, STATUS_NONE_FOUND, best, infimum, notes, restarts,
-                   path_level)
+    else:
+        infimum = best.energy
+        notes.append(f"infimum_estimate {infimum:.9g} is the final energy of "
+                     f"{best_label}, whose flow ended {best.flag}")
+        if best_pass is not None:
+            status = STATUS_MOUNTAIN_PASS if index else STATUS_MINIMIZER
+            if diverged:
+                notes.append("warning: some restarts diverged; the minimizer may be local")
+        else:
+            status = STATUS_NONE_FOUND
+            if abs(infimum) <= ZERO_LEVEL_TOL:
+                notes.append("zero-energy diagnostic: infimum consistent with 0, "
+                             "no profile passed the filters")
+    cand = None if best_pass is None else CriticalPointCandidate(
+        reported.u, reported.lam, reported.energy, pohozaev(model, reported.u),
+        reported.res_history[-1])
+    if reported is None:
+        return SolveReport(status, cand, infimum, path_level, 0, len(labeled),
+                           notes=tuple(notes))
+    return SolveReport(status, cand, infimum, path_level, reported.iterations,
+                       len(labeled), reported.res_history, reported.energy_history,
+                       tuple(notes))
 
 
 def minimize_on_sphere(model: Model, c: float, params: SolveParams | None = None,
@@ -1268,14 +1263,16 @@ def mountain_pass(model: Model, c: float,
             # fiber never descends: there is no two-endpoint geometry to
             # string between, so report absence instead of failing
             notes.append(f"no saddle geometry: {exc}")
-            return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
+            return SolveReport(STATUS_NONE_FOUND, None, math.nan, None, 0, 1,
+                               notes=tuple(notes))
     bead, levels, top, ends = _bead_sweeps(model, base, s_left, s_right, c)
     path_level = levels[-1]
     if not path_level > ends + 1e-9 * (1.0 + abs(path_level)):
         notes.append(f"no saddle geometry: the relaxed string level "
                      f"{path_level:.9g} does not rise above its endpoint "
                      f"energy {ends:.9g}")
-        return _report(model, STATUS_NONE_FOUND, None, math.nan, notes)
+        return SolveReport(STATUS_NONE_FOUND, None, math.nan, None, 0, 1,
+                           notes=tuple(notes))
     notes.append(f"string: {len(levels)} sweeps, barrier bead {top} "
                  f"of {BEADS}, level {path_level:.9g}")
     if nl.kind == "exp":
@@ -1307,13 +1304,6 @@ class ClassificationRecord:
     thresholds: ThresholdSet | None = field(repr=False, default=None)
     report: SolveReport | None = field(repr=False, default=None)
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        """Every field but report, in field order."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report"}
-        d["thresholds"] = None if self.thresholds is None else self.thresholds.to_dict()
-        d["notes"] = list(self.notes)
-        return d
 
 
 def _predicted_branch(thr: ThresholdSet, c: float) -> str:

@@ -38,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .models import two_star
-from .radial_grid import (RadialFunction, cell_count, integer_dimension, make_grid,
-                          positive_real)
+from .radial_grid import (RadialFunction, cell_count, finite_real, integer_dimension,
+                          make_grid, positive_real)
 from .scalar_opt import brentq
 
 # classification outcomes for a single integration
@@ -104,8 +104,7 @@ def _coefficients(dimension: int, p: float) -> tuple[float, float]:
     n = integer_dimension(dimension)
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
+    p = finite_real("p", p)
     if p <= 2.0:
         raise ValueError("shooting needs p > 2; p = 2 is the identity case")
     if n >= 3 and p >= two_star(n):
@@ -312,12 +311,13 @@ def shoot(dimension: int, p: float, r_max: float | None = None,
           n_cells: int = DEFAULT_CELLS) -> GroundStateProfile:
     """Locate the extremal and report its norms.
 
-    r_max defaults to default_r_max(dimension, p).  An r_max that is not
-    a positive_real or an n_cells that is not a cell_count is a
-    ValueError naming the input.  A step too coarse for the profile is a
-    ShootError naming (N, p) and the grid: a trajectory that overflows,
-    or, on a step longer than the default grid's, a first step that
-    lowers the profile by more than MAX_FIRST_DROP of its height.
+    r_max defaults to default_r_max(dimension, p).  A p that is not a
+    finite_real, an r_max that is not a positive_real or an n_cells that
+    is not a cell_count is a ValueError naming the input.  A step too
+    coarse for the profile is a ShootError naming (N, p) and the grid: a
+    trajectory that overflows, or, on a step longer than the default
+    grid's, a first step that lowers the profile by more than
+    MAX_FIRST_DROP of its height.
     """
     dimension = integer_dimension(dimension)
     r_max = positive_real("r_max", default_r_max(dimension, p) if r_max is None else r_max)
@@ -359,7 +359,8 @@ def ground_state(dimension: int, p: float, r_max: float | None = None,
     so that equal requests share one extremal and no rule is skipped by
     a cache hit."""
     r_max = None if r_max is None else positive_real("r_max", r_max)
-    return _cached_shoot(integer_dimension(dimension), float(p), r_max, cell_count(n_cells))
+    return _cached_shoot(integer_dimension(dimension), finite_real("p", p), r_max,
+                         cell_count(n_cells))
 
 
 def gn_constant(dimension: int, p: float,

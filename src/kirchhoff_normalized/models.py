@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .radial_grid import integer_dimension, positive_real
+from .radial_grid import finite_real, integer_dimension, positive_real
 from .scalar_opt import brentq
 
 EXP_ARG_CAP = 700.0
@@ -238,7 +238,9 @@ class Nonlinearity:
 
 
 def power_nonlinearity(p: float, dimension: int) -> Nonlinearity:
-    """Power nonlinearity |u|^{p-2} u, plus the critical term when N >= 3."""
+    """Power nonlinearity |u|^{p-2} u, plus the critical term when N >= 3;
+    p by the finite_real rule."""
+    p = finite_real("p", p)
     dimension = integer_dimension(dimension)
     if dimension >= 3:
         q = two_star(dimension)
@@ -272,6 +274,7 @@ def make_exp_critical(alpha0: float, beta: float, theta: float) -> Nonlinearity:
     """
     alpha0 = positive_real("alpha0", alpha0)
     beta = positive_real("beta", beta)
+    theta = finite_real("theta", theta)
     sigma = 2.0 * theta + 4.0
     if not 2.0 < sigma <= 6.0 + 1e-12:
         raise ValueError(f"sigma = 2 theta + 4 = {sigma:g} must lie in (2, 6]")

@@ -141,19 +141,6 @@ def moser(n: int, c: float) -> MoserFunction:
     )
 
 
-def tm_integral(u: RadialFunction, alpha: float) -> float:
-    """Quadrature of e^{alpha u^2} - 1 over R^N, overflow-guarded."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    arg = alpha * u.values**2
-    peak = float(arg.max()) if arg.size else 0.0
-    if peak > EXP_ARG_CAP:
-        raise ExpOverflowError(
-            f"alpha u^2 = {peak:.3g} exceeds the safe exponent cap {EXP_ARG_CAP:g}"
-        )
-    return u.grid.integrate(np.expm1(arg))
-
-
 def g_fiber(model: Model, mf: MoserFunction, t: float) -> float:
     """Dilation-fiber energy g_n(t); raises ExpOverflowError where unsafe.
 

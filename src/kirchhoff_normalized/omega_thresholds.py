@@ -29,8 +29,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from .models import affine_coefficient, two_star
-from .radial_grid import (MAX_DIMENSION, RadialFunction, RadialGrid, integer_dimension,
-                          positive_real)
+from .radial_grid import (MAX_DIMENSION, RadialFunction, RadialGrid, finite_real,
+                          integer_dimension, positive_real)
 from .scalar_opt import brentq, power_sum_roots
 
 # relative backoff from the admissibility boundary when maximizing the
@@ -312,12 +312,13 @@ def threshold_set(a: float, b: float, p: float, dimension: int, q_mass: float,
     unavailable: <reason>".  Below dimension 4 there are no constants,
     only the note "no explicit thresholds below dimension 4", and the
     Sobolev constant is None at N <= 2, which has no critical embedding.
-    Only a coefficient that affine_coefficient refuses or a dimension
-    that is not an integer in [1, radial_grid.MAX_DIMENSION] raises a
-    ValueError.
+    Only a coefficient that affine_coefficient refuses, a p that is not
+    a radial_grid.finite_real, or a dimension that is not an integer in
+    [1, radial_grid.MAX_DIMENSION] raises a ValueError.
     """
     coefficient = affine_coefficient(a, b)
     a, b = coefficient.a, coefficient.b
+    p = finite_real("p", p)
     n = integer_dimension(dimension)
     s = None if n in (1, 2) else sobolev_constant(n)
     notes: list[str] = []

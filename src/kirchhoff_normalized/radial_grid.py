@@ -216,16 +216,26 @@ def integer(name: str, v) -> int:
     return int(v)
 
 
+def finite_real(name: str, v) -> float:
+    """v as a float, checked to be a finite real number; numpy floats
+    pass, bool, NaN, inf and strings raise ValueError naming the input.
+    The one rule of every entry point that takes an exponent or a sweep
+    axis value."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        raise ValueError(f"{name} must be finite and real, got {v!r}")
+    return float(v)
+
+
 def positive_real(name: str, v, zero: bool = False) -> float:
-    """v as a float, checked to be a finite real number above 0 (or at
-    least 0 with zero=True); numpy floats pass, bool, NaN, inf and
-    strings raise ValueError naming the input.  The one rule of every
-    entry point that takes a radius, a tolerance or a coefficient."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)
-                                   and (v > 0 or zero and v == 0)):
+    """v by the finite_real rule, checked to be above 0 (or at least 0
+    with zero=True), raising ValueError naming the input.  The one rule
+    of every entry point that takes a radius, a tolerance or a
+    coefficient."""
+    x = finite_real(name, v)
+    if not (x > 0 or zero and x == 0):
         raise ValueError(f"{name} must be {'nonnegative' if zero else 'positive'} "
                          f"and finite, got {v!r}")
-    return float(v)
+    return x
 
 
 def cell_count(n) -> int:

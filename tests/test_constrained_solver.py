@@ -50,6 +50,7 @@ from kirchhoff_normalized import (
     power_nonlinearity,
     recommended_grid,
 )
+from kirchhoff_normalized import cli
 from kirchhoff_normalized import constrained_solver as cs
 from kirchhoff_normalized.functional import CriticalPointCandidate, fiber_pohozaev
 from kirchhoff_normalized.models import Nonlinearity
@@ -656,15 +657,35 @@ class TestMinimize:
 
     def test_a_note_names_the_restart_behind_the_infimum(self):
         # the candidate is I = 20.9092338, but rejected restarts reach
-        # lower; the note names the first restart at the reported infimum
+        # lower: four box states that differ only in their last bits, so
+        # they tie, and the note names the first of them
         model = affine_power(5, 2.9, b=0.001)
         rep = minimize_on_sphere(model, 46.0)
         assert rep.candidate.energy == pytest.approx(20.9092338, abs=1e-6)
         assert rep.infimum_estimate == pytest.approx(2.5224362, abs=1e-6)
         notes = [note for note in rep.notes if note.startswith("infimum_estimate")]
         assert notes == [f"infimum_estimate {rep.infimum_estimate:.9g} is the final "
-                         "energy of gaussian w=12.3195, whose flow ended converged"]
+                         "energy of gaussian w=0.5, whose flow ended converged"]
         assert sum("candidate with I =" in note for note in rep.notes) == 2
+
+    def test_the_infimum_is_the_reported_minimizers_energy(self):
+        # all six restarts reach one minimizer and tie; the first is
+        # reported, and the infimum is its energy, not that of a later
+        # restart a few ulps lower (-0.03599152533912071)
+        rep = minimize_on_sphere(affine_power(5, 2.5, b=0.001), 4.0)
+        assert rep.status == cs.STATUS_MINIMIZER
+        assert rep.infimum_estimate == rep.candidate.energy == -0.03599152533912047
+
+    def test_the_infimum_note_names_the_run_the_report_carries(self):
+        # no candidate: six restarts end at one rejected profile and tie;
+        # the report carries the first one's 5 iterations and history, and
+        # the note names it, not gaussian w=1 (8 iterations, 1 ulp lower)
+        rep = minimize_on_sphere(affine_power(5, 2.8, b=0.001), 1.0)
+        assert rep.status == cs.STATUS_NONE_FOUND and rep.iterations == 5
+        assert rep.energy_history[-1] == rep.infimum_estimate
+        notes = [note for note in rep.notes if note.startswith("infimum_estimate")]
+        assert notes == [f"infimum_estimate {rep.infimum_estimate:.9g} is the final "
+                         "energy of gn extremal t=0.0001, whose flow ended converged"]
 
     def test_report_dict_shape(self, wide_minimizer_report):
         d = wide_minimizer_report.to_dict()
@@ -1456,12 +1477,12 @@ class TestClassify:
             classify(model, 1.0)
 
     def test_record_dict_shape(self, n4_threshold_model):
-        model, c1 = n4_threshold_model
-        rec = classify(model, 1.2 * c1)
-        d = rec.to_dict()
-        assert d["predicted"] == "ground_state"
-        assert d["thresholds"]["c1_exact"] == pytest.approx(c1, rel=1e-12)
-        assert d["agreement"] == "corroborated"
+        # the sweep row reads the record and its ThresholdSet directly
+        _, c1 = n4_threshold_model
+        _, row = cli._sweep_worker((0, 4, 3.0, 1.0, 1.0, 1.2 * c1, SolveParams()))
+        assert row["predicted"] == "ground_state"
+        assert row["c1_exact"] == pytest.approx(c1, rel=1e-12)
+        assert row["agreement"] == "corroborated"
 
 
 def _thresholds(n, p, existence_ok=True, **constants):

@@ -16,11 +16,9 @@ import pytest
 from scipy.integrate import quad
 
 from kirchhoff_normalized import (
-    RadialFunction,
     affine_coefficient,
     fiber_energy,
     make_exp_critical,
-    make_grid,
     power_nonlinearity,
 )
 from kirchhoff_normalized import moser_sequence as msq
@@ -80,34 +78,6 @@ class TestGrids:
         assert np.any(grid.nodes == 0.1)
         assert grid.nodes[-1] == 1.0
         assert np.count_nonzero(grid.nodes <= 0.1) >= msq.PLATEAU_CELLS
-
-
-class TestTmIntegral:
-    def test_zero_function(self):
-        grid = make_grid(2, 1.0, 64)
-        u = RadialFunction(grid, np.zeros(65))
-        assert msq.tm_integral(u, 4 * math.pi) == 0.0
-
-    def test_finite_on_profile_at_threshold(self):
-        mf = msq.moser(10, 1.0)
-        bar = RadialFunction(mf.profile.grid, msq.bar_profile_values(10, mf.profile.grid.nodes))
-        val = msq.tm_integral(bar, 4 * math.pi)
-        assert np.isfinite(val) and val > 0
-
-    def test_monotone_in_alpha(self):
-        mf = msq.moser(10, 1.0)
-        assert msq.tm_integral(mf.profile, 2.0) < msq.tm_integral(mf.profile, 4.0)
-
-    def test_requires_positive_alpha(self):
-        mf = msq.moser(10, 1.0)
-        with pytest.raises(ValueError):
-            msq.tm_integral(mf.profile, 0.0)
-
-    def test_overflow_is_flagged(self):
-        mf = msq.moser(10, 1.0)
-        tall = mf.profile.with_values(mf.profile.values * 40.0)
-        with pytest.raises(ExpOverflowError):
-            msq.tm_integral(tall, 1.0)
 
 
 class TestFiberMap:

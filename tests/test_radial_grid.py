@@ -103,9 +103,10 @@ class TestDimensionRule:
                 call(bad)
 
 
-# every entry point that takes a count, a radius, a tolerance or a
-# coefficient: (call with the value, name in the error, rule, a good value)
-COUNT, POSITIVE, NONNEGATIVE = "count", "positive", "nonnegative"
+# every entry point that takes a count, a radius, a tolerance, a
+# coefficient, an exponent or a sweep axis value: (call with the value,
+# name in the error, rule, a good value)
+COUNT, POSITIVE, NONNEGATIVE, FINITE = "count", "positive", "nonnegative", "finite"
 RULE_ENTRY_POINTS = {
     "make_grid r_max": (lambda v: rg.make_grid(4, v, 16), "r_max", POSITIVE, 10.0),
     "make_grid n_cells": (lambda v: rg.make_grid(4, 10.0, v), "n_cells", COUNT, 16),
@@ -133,6 +134,17 @@ RULE_ENTRY_POINTS = {
                                1.0),
     "SweepSpec jobs": (lambda v: SweepSpec(4, (3.0,), (1.0,), (1.0,), (1.0,), jobs=v),
                        "jobs", COUNT, 2),
+    **{f"SweepSpec {name}": (lambda v, i=i: SweepSpec(4, *[(v if j == i else 1.0,)
+                                                          for j in range(4)]),
+                             name, POSITIVE if name == "c" else FINITE, 1.0)
+       for i, name in enumerate("pabc")},
+    "power_nonlinearity p": (lambda v: power_nonlinearity(v, 2), "p", FINITE, 3.0),
+    "shoot p": (lambda v: shoot(4, v), "p", FINITE, 3.0),
+    "shoot p with r_max": (lambda v: shoot(4, v, r_max=20.0), "p", FINITE, 3.0),
+    "ground_state p": (lambda v: ground_state(4, v), "p", FINITE, 3.0),
+    "threshold_set p": (lambda v: threshold_set(1.0, 1.0, v, 5, 1.0, 1.0), "p", FINITE, 3.0),
+    "make_exp_critical theta": (lambda v: make_exp_critical(1.0, 1.0, v), "theta", FINITE,
+                                1.0),
     "make_moser_grid n": (make_moser_grid, "n", COUNT, 10),
     "moser c": (lambda v: moser(10, v), "mass radius c", POSITIVE, 1.0),
     **{f"OmegaQuery {name}": (lambda v, i=i: OmegaQuery(*[v if j == i else 1.0
@@ -145,6 +157,7 @@ BAD_VALUES = {
     COUNT: (True, False, 4000.5, np.float64(4000.0), math.nan, math.inf, "3"),
     POSITIVE: (True, False, math.nan, math.inf, -math.inf, "3", 0.0, -1.0),
     NONNEGATIVE: (True, False, math.nan, math.inf, "3", -1.0),
+    FINITE: (True, False, math.nan, math.inf, -math.inf, "3"),
 }
 
 
@@ -165,6 +178,7 @@ class TestInputRules:
         assert rg.integer("n", np.int64(7)) == 7 and type(rg.integer("n", np.int64(7))) is int
         assert rg.positive_real("r", np.float32(0.5)) == 0.5
         assert rg.positive_real("b", 0, zero=True) == 0.0
+        assert rg.finite_real("p", np.float32(-0.5)) == -0.5 and rg.finite_real("p", 3) == 3.0
         assert rg.cell_count(np.int32(rg.MAX_CELLS)) == rg.MAX_CELLS
 
     @pytest.mark.parametrize("nodes,message", [
